@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -89,7 +88,6 @@ class RunSpec:
     probes: int = 40
     seed: int = 0
     eigenpairs: int = 25
-    threads: int = 1
     output: str = None
 
     def __post_init__(self):
@@ -152,7 +150,6 @@ class TraceVariationReport:
                 "m_max": spec.m_max,
                 "probes": spec.probes,
                 "eigenpairs": spec.eigenpairs,
-                "threads": spec.threads,
             },
             "delta_t": self.delta_t,
             "numerator": self.numerator,
@@ -188,7 +185,6 @@ def _run_unweighted(spec: RunSpec, graph, f) -> TraceVariationReport:
             tol=spec.tol,
             lag=spec.lag,
             m_max=spec.m_max,
-            threads=spec.threads,
         )
         if spec.method == "miobi":
             plan = miobi(graph, cfg, f, h=spec.eigenpairs)
@@ -356,12 +352,6 @@ def _add_common(p, weighted=False):
     p.add_argument("--probes", type=int, default=40, help="Hutch++ probes")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None, help="basename for .csv/.json artifacts")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("FCONN_THREADS", "1")),
-        help="worker threads for candidate scoring (env FCONN_THREADS)",
-    )
 
 
 def _build_parser():
@@ -424,7 +414,6 @@ def _spec_from_args(args) -> RunSpec:
         probes=args.probes,
         seed=args.seed,
         output=args.output,
-        threads=args.threads,
     )
     if args.tol is not None:
         kwargs["tol"] = args.tol
@@ -458,7 +447,6 @@ def main(argv=None) -> int:
                         m_max=args.m_max,
                         probes=args.probes,
                         seed=args.seed,
-                        threads=args.threads,
                         eigenpairs=args.eigenpairs,
                         **({"tol": args.tol} if args.tol is not None else {}),
                     )

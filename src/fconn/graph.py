@@ -2,8 +2,15 @@
 
 Nodes are 0-based integers internally; the file formats use 1-based indices
 (edge lists and Matrix-Market coordinate files both follow that convention).
-Graphs are immutable: every modification returns a new object, so instances
-are safe to share between threads.
+
+A graph stores its edges as three parallel read-only arrays ``(i, j, w)``
+with ``i < j``, sorted by ``(i, j)``, plus the symmetric adjacency matrix in
+CSR form built from them (sorted column indices, no explicit zeros).
+Construction, loading, single-edge updates and search-space ranking work on
+these arrays; the tuple views ``edges``, ``edge_pairs`` and ``edge_set()``
+are materialized only when asked for. Graphs are immutable: every
+modification returns a new object, which shares the arrays it does not
+change with the original, so instances are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ __all__ = [
     "compare_edges",
     "Strategy",
     "SearchSpaceState",
+    "ranked_candidates",
     "select_search_space",
     "top_edges",
     "top_missing_pairs",
@@ -38,6 +46,39 @@ def normalize_pair(i, j):
     return (i, j) if i < j else (j, i)
 
 
+def _first_failure(checks):
+    """Raise ValidationError for the earliest row failing any check.
+
+    ``checks`` lists ``(mask, message)`` pairs in the order a row is checked;
+    ``message(k)`` formats the error for row k.
+    """
+    first = None
+    for mask, message in checks:
+        hit = np.flatnonzero(mask)
+        if hit.size and (first is None or hit[0] < first[0]):
+            first = (int(hit[0]), message)
+    if first is not None:
+        raise ValidationError(first[1](first[0]))
+
+
+def _repeats(lo, hi):
+    """Pairs (lo[k], hi[k]) that already occur at an earlier k, and the (lo, hi) sort order.
+
+    Returns ``(mask, order)``; ``order`` is a stable sort of the pairs.
+    """
+    order = np.lexsort((hi, lo))
+    a, b = order[1:], order[:-1]
+    rep = np.zeros(len(lo), dtype=bool)
+    rep[a] = (lo[a] == lo[b]) & (hi[a] == hi[b])
+    return rep, order
+
+
+def _readonly(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 class SparseSymGraph:
     """Immutable undirected graph with strictly positive edge weights.
 
@@ -45,64 +86,95 @@ class SparseSymGraph:
     cost O(nnz). No self-loops, no duplicate edges; absence means weight 0.
     """
 
-    __slots__ = ("n", "edges", "adjacency", "_wmap")
+    __slots__ = ("n", "_i", "_j", "_w", "adjacency", "_norm1", "_edges")
 
     def __init__(self, n: int, edges):
+        """Graph on ``n`` nodes from (i, j, w) triples in any order and orientation."""
+        arr = np.array(list(edges), dtype=float).reshape(-1, 3)
+        self._init(n, arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2])
+
+    @classmethod
+    def from_arrays(cls, n, i, j, w) -> "SparseSymGraph":
+        """Graph from parallel endpoint and weight arrays, with the constructor's checks."""
+        g = object.__new__(cls)
+        g._init(n, np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64),
+                np.asarray(w, dtype=float))
+        return g
+
+    def _init(self, n, i, j, w):
         if n < 1:
             raise ValidationError("graph must have at least one node")
-        seen = {}
-        for (i, j, w) in edges:
-            i, j = int(i), int(j)
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValidationError(f"node index out of range: ({i}, {j}) with n={n}")
-            if i == j:
-                raise ValidationError(f"self-loop at node {i} is not allowed")
-            w = float(w)
-            if w <= 0:
-                raise ValidationError(f"edge ({i}, {j}) has non-positive weight {w}")
-            pair = normalize_pair(i, j)
-            if pair in seen:
-                raise ValidationError(f"duplicate edge ({pair[0]}, {pair[1]})")
-            seen[pair] = w
-        self.n = int(n)
-        self.edges = tuple(sorted((i, j, w) for (i, j), w in seen.items()))
-        self._wmap = seen
-        rows, cols, vals = [], [], []
-        for i, j, w in self.edges:
-            rows += [i, j]
-            cols += [j, i]
-            vals += [w, w]
-        self.adjacency = scipy.sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(self.n, self.n), dtype=float
-        )
+        n = int(n)
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        repeated, order = _repeats(lo, hi)
+        _first_failure([
+            ((lo < 0) | (hi >= n),
+             lambda k: f"node index out of range: ({i[k]}, {j[k]}) with n={n}"),
+            (lo == hi, lambda k: f"self-loop at node {i[k]} is not allowed"),
+            (w <= 0, lambda k: f"edge ({i[k]}, {j[k]}) has non-positive weight {w[k]}"),
+            (repeated, lambda k: f"duplicate edge ({lo[k]}, {hi[k]})"),
+        ])
+        lo, hi, w = lo[order], hi[order], w[order]
+        self._set(n, lo, hi, w, _adjacency(n, lo, hi, w))
+
+    def _set(self, n, i, j, w, adjacency):
+        self.n = n
+        self._i, self._j, self._w = _readonly(i, j, w)
+        self.adjacency = adjacency
+        self._norm1 = None
+        self._edges = None
 
     # -- basic queries -------------------------------------------------
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self._i)
+
+    @property
+    def edge_arrays(self):
+        """Read-only arrays (i, j, w) of the edges, i < j, sorted by (i, j)."""
+        return self._i, self._j, self._w
+
+    @property
+    def edges(self):
+        """Edge triples (i, j, w) with i < j, in lexicographic order."""
+        if self._edges is None:
+            self._edges = tuple(zip(self._i.tolist(), self._j.tolist(), self._w.tolist()))
+        return self._edges
 
     @property
     def edge_pairs(self):
         """Edge endpoints (i, j) with i < j, in lexicographic order."""
-        return tuple((i, j) for i, j, _ in self.edges)
+        return tuple(zip(self._i.tolist(), self._j.tolist()))
 
     def edge_set(self) -> frozenset:
-        return frozenset(self._wmap)
+        return frozenset(zip(self._i.tolist(), self._j.tolist()))
+
+    def _find(self, i, j):
+        """(position, present) of the pair (i, j), i < j, in the edge arrays."""
+        lo = int(np.searchsorted(self._i, i, side="left"))
+        hi = int(np.searchsorted(self._i, i, side="right"))
+        k = lo + int(np.searchsorted(self._j[lo:hi], j))
+        return k, bool(k < hi and self._j[k] == j)
 
     def weight(self, i, j) -> float:
-        return self._wmap.get(normalize_pair(i, j), 0.0)
+        k, present = self._find(*normalize_pair(i, j))
+        return float(self._w[k]) if present else 0.0
 
     def has_edge(self, i, j) -> bool:
-        return normalize_pair(i, j) in self._wmap
+        return self._find(*normalize_pair(i, j))[1]
 
     def degrees(self) -> np.ndarray:
         """Unweighted node degrees (neighbor counts)."""
-        deg = np.zeros(self.n, dtype=int)
-        for i, j, _ in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.diff(self.adjacency.indptr).astype(int)
+
+    @property
+    def norm1(self) -> float:
+        """Exact 1-norm of the adjacency matrix (max absolute column sum), cached."""
+        if self._norm1 is None:
+            A = self.adjacency
+            self._norm1 = float(np.max(np.abs(A).sum(axis=0))) if A.nnz else 0.0
+        return self._norm1
 
     def matvec(self, x):
         return self.adjacency @ x
@@ -113,54 +185,197 @@ class SparseSymGraph:
         """Return a copy with w(i, j) changed by ``delta``.
 
         The edge is dropped when the new weight is (numerically) zero;
-        a negative result is rejected.
+        a negative result is rejected. Only the entries that change are
+        patched: the CSR arrays and edge arrays are copied with one edge
+        updated, inserted or removed.
         """
-        pair = normalize_pair(i, j)
-        w_old = self._wmap.get(pair, 0.0)
+        n = self.n
+        a, b = normalize_pair(int(i), int(j))
+        if not (0 <= a and b < n):
+            raise ValidationError(f"node index out of range: ({a}, {b}) with n={n}")
+        if a == b:
+            raise ValidationError(f"self-loop at node {a} is not allowed")
+        k, present = self._find(a, b)
+        w_old = float(self._w[k]) if present else 0.0
         w_new = w_old + float(delta)
-        wmap = dict(self._wmap)
+        A = self.adjacency
+        indptr, indices = A.indptr, A.indices
+        # CSR slots of (a, b) and (b, a): found entries, or insertion points
+        pa = int(indptr[a] + np.searchsorted(indices[indptr[a] : indptr[a + 1]], b))
+        pb = int(indptr[b] + np.searchsorted(indices[indptr[b] : indptr[b + 1]], a))
         if abs(w_new) <= 1e-12 * max(1.0, abs(w_old)):
-            wmap.pop(pair, None)
+            if not present:
+                return self
+            edges = [np.delete(x, k) for x in (self._i, self._j, self._w)]
+            data = np.delete(A.data, [pa, pb])
+            indices = np.delete(indices, [pa, pb])
+            indptr = _shift(indptr, a, b, -1)
         elif w_new < 0:
-            raise ValidationError(
-                f"modification of ({pair[0]}, {pair[1]}) yields negative weight {w_new}"
-            )
+            raise ValidationError(f"modification of ({a}, {b}) yields negative weight {w_new}")
+        elif present:
+            w = self._w.copy()
+            w[k] = w_new
+            edges = [self._i, self._j, w]
+            data = A.data.copy()
+            data[[pa, pb]] = w_new
         else:
-            wmap[pair] = w_new
-        return SparseSymGraph(self.n, [(i, j, w) for (i, j), w in wmap.items()])
+            edges = [np.insert(x, k, v) for x, v in ((self._i, a), (self._j, b), (self._w, w_new))]
+            data = np.insert(A.data, [pa, pb], w_new)
+            indices = np.insert(indices, [pa, pb], [b, a])
+            indptr = _shift(indptr, a, b, 1)
+        g = object.__new__(SparseSymGraph)
+        g._set(n, *edges, scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
+        return g
 
     def __repr__(self):
         return f"SparseSymGraph(n={self.n}, edges={self.num_edges})"
+
+
+def _shift(indptr, a, b, step):
+    """Row pointers after adding ``step`` entries to rows a and b each."""
+    out = indptr.copy()
+    out[a + 1 :] += step
+    out[b + 1 :] += step
+    return out
+
+
+def _adjacency(n, i, j, w):
+    """Symmetric CSR matrix of the edges (i < j, sorted), with sorted column indices."""
+    rows = np.concatenate([i, j])
+    cols = np.concatenate([j, i])
+    order = np.argsort(rows * n + cols)
+    idx = np.int32 if max(n, len(rows)) < 2**31 else np.int64
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    data = np.concatenate([w, w])[order]
+    return scipy.sparse.csr_matrix((data, cols[order].astype(idx), indptr), shape=(n, n))
 
 
 # ---------------------------------------------------------------------
 # File I/O
 # ---------------------------------------------------------------------
 
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[[9, 10, 11, 12, 13, 32]] = True
+
+
+class _Table:
+    """Whitespace-separated tokens of a text, grouped by line, comment lines dropped.
+
+    ``starts``/``ends`` are byte offsets of the tokens into ``data``;
+    ``line`` holds the 1-based line number of each kept line, ``first`` the
+    index of its first token and ``count`` its number of tokens.
+    """
+
+    def __init__(self, text, comments, first_lineno=1):
+        self.data = text.encode("utf-8")
+        buf = np.frombuffer(self.data, dtype=np.uint8)
+        solid = np.concatenate(([False], ~_SPACE[buf], [False]))
+        edges = np.flatnonzero(solid[1:] != solid[:-1])
+        starts, ends = edges[::2], edges[1::2]
+        tok_line = np.searchsorted(np.flatnonzero(buf == 10), starts)
+        new_line = np.diff(tok_line, prepend=-1) != 0
+        first = np.flatnonzero(new_line)
+        comment = np.isin(buf[starts[first]], np.frombuffer(comments.encode(), dtype=np.uint8))
+        keep = ~np.repeat(comment, np.diff(np.append(first, len(starts))))
+        self.starts, self.ends = starts[keep], ends[keep]
+        self.first = (np.cumsum(keep) - 1)[first[~comment]]
+        self.count = np.diff(np.append(self.first, len(self.starts)))
+        self.line = tok_line[new_line][~comment] + first_lineno
+        lines = text.count("\n") + (bool(text) and not text.endswith("\n"))
+        self.last_line = first_lineno - 1 + lines
+
+    def tokens(self, row):
+        """The decoded tokens of kept line ``row``."""
+        span = slice(self.first[row], self.first[row] + self.count[row])
+        return [
+            self.data[s:e].decode("utf-8", "replace")
+            for s, e in zip(self.starts[span], self.ends[span])
+        ]
+
+    def integers(self, tok):
+        """Values of the tokens ``tok``; ``ok`` is False where one is not a decimal integer."""
+        buf = np.frombuffer(self.data, dtype=np.uint8)
+        lead = buf[self.starts[tok]]
+        neg = lead == ord("-")
+        begin = self.starts[tok] + (neg | (lead == ord("+")))
+        end = self.ends[tok]
+        ok = (end > begin) & (end - begin <= 18)
+        value = np.zeros(len(tok), dtype=np.int64)
+        for k in range(min(int((end - begin).max(initial=0)), 18)):  # k-th digit from the right
+            pos = end - 1 - k
+            inside = pos >= begin
+            digit = buf[np.where(inside, pos, 0)].astype(np.int64) - 48
+            ok &= ~inside | ((digit >= 0) & (digit <= 9))
+            value += np.where(inside, digit, 0) * 10**k
+        return np.where(neg, -value, value), ok
+
+    def floats(self, tok):
+        """Values of the tokens ``tok`` as Python's float() reads them; ``ok`` marks failures."""
+        value = np.empty(len(tok))
+        ok = np.ones(len(tok), dtype=bool)
+        for n, (s, e) in enumerate(zip(self.starts[tok].tolist(), self.ends[tok].tolist())):
+            try:
+                value[n] = float(self.data[s:e])
+            except ValueError:
+                value[n], ok[n] = np.nan, False
+        return value, ok
+
+
+def _entry_error(path, lineno, toks, fields, msg_fields):
+    """Raise the InputFormatError for a malformed 'i j [w]' entry line."""
+    if len(toks) not in fields:
+        raise InputFormatError(msg_fields(len(toks)), path=path, line=lineno)
+    try:
+        i, j = int(toks[0]), int(toks[1])
+        if len(toks) == 3:
+            float(toks[2])
+    except ValueError as exc:
+        raise InputFormatError(f"cannot parse entry: {exc}", path=path, line=lineno)
+    raise InputFormatError(
+        f"cannot parse entry: node index {toks[0]!r} or {toks[1]!r} is not a decimal integer",
+        path=path,
+        line=lineno,
+    )
+
+
+def _parse_entries(path, table, rows, fields, msg_fields, one_based):
+    """Vectorized parse of 'i j [w]' entry lines; returns (i, j, w, lineno) arrays.
+
+    Errors are reported for the first malformed line, with its line number.
+    """
+    count = table.count[rows]
+    shaped = np.isin(count, fields)
+    first = table.first[rows]
+    i, ok_i = table.integers(first)
+    j, ok_j = table.integers(np.where(count >= 2, first + 1, first))
+    weighted = shaped & (count == 3)
+    w = np.ones(len(rows))
+    ok_w = np.ones(len(rows), dtype=bool)
+    if weighted.any():
+        w[weighted], ok_w[weighted] = table.floats(first[weighted] + 2)
+    parsed = shaped & ok_i & ok_j & ok_w
+    bad = ~parsed
+    if one_based:
+        bad |= parsed & ((i < 1) | (j < 1))
+    if bad.any():
+        r = int(np.flatnonzero(bad)[0])
+        lineno = int(table.line[rows[r]])
+        if parsed[r]:
+            raise InputFormatError("node indices are 1-based", path=path, line=lineno)
+        _entry_error(path, lineno, table.tokens(rows[r]), fields, msg_fields)
+    return i, j, w, table.line[rows]
+
 
 def _parse_edge_list(path):
-    edges = []
-    nmax = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith(("%", "#")):
-                continue
-            toks = line.split()
-            if len(toks) not in (2, 3):
-                raise InputFormatError(
-                    f"expected 'i j [w]', got {len(toks)} fields", path=path, line=lineno
-                )
-            try:
-                i, j = int(toks[0]), int(toks[1])
-                w = float(toks[2]) if len(toks) == 3 else 1.0
-            except ValueError as exc:
-                raise InputFormatError(f"cannot parse entry: {exc}", path=path, line=lineno)
-            if i < 1 or j < 1:
-                raise InputFormatError("node indices are 1-based", path=path, line=lineno)
-            edges.append((i - 1, j - 1, w, lineno))
-            nmax = max(nmax, i, j)
-    return nmax, edges
+        table = _Table(fh.read(), "%#")
+    rows = np.arange(len(table.line))
+    i, j, w, lines = _parse_entries(
+        path, table, rows, (2, 3), lambda k: f"expected 'i j [w]', got {k} fields", True
+    )
+    nmax = int(max(i.max(initial=0), j.max(initial=0)))
+    return nmax, (i - 1, j - 1, w, lines)
 
 
 def _parse_matrix_market(path):
@@ -177,40 +392,29 @@ def _parse_matrix_market(path):
             raise InputFormatError(f"unsupported value type {valtype!r}", path=path, line=1)
         if symmetry != "symmetric":
             raise ValidationError(f"{path}: Matrix-Market file must use symmetric storage")
-        lineno = 1
-        dims = None
-        edges = []
-        for raw in fh:
-            lineno += 1
-            line = raw.strip()
-            if not line or line.startswith("%"):
-                continue
-            toks = line.split()
-            if dims is None:
-                if len(toks) != 3:
-                    raise InputFormatError("expected 'rows cols nnz'", path=path, line=lineno)
-                try:
-                    r, c, nnz = (int(t) for t in toks)
-                except ValueError as exc:
-                    raise InputFormatError(f"cannot parse size line: {exc}", path=path, line=lineno)
-                if r != c:
-                    raise ValidationError(f"{path}: adjacency matrix must be square, got {r}x{c}")
-                dims = (r, nnz)
-                continue
-            want = 2 if valtype == "pattern" else 3
-            if len(toks) != want:
-                raise InputFormatError(
-                    f"expected {want} fields per entry for {valtype} file", path=path, line=lineno
-                )
-            try:
-                i, j = int(toks[0]), int(toks[1])
-                w = float(toks[2]) if valtype != "pattern" else 1.0
-            except ValueError as exc:
-                raise InputFormatError(f"cannot parse entry: {exc}", path=path, line=lineno)
-            edges.append((i - 1, j - 1, w, lineno))
-        if dims is None:
-            raise InputFormatError("missing size line", path=path, line=lineno)
-        return dims[0], edges
+        table = _Table(fh.read(), "%", first_lineno=2)
+    if not len(table.line):
+        raise InputFormatError("missing size line", path=path, line=table.last_line)
+    toks = table.tokens(0)
+    lineno = int(table.line[0])
+    if len(toks) != 3:
+        raise InputFormatError("expected 'rows cols nnz'", path=path, line=lineno)
+    try:
+        r, c, _ = (int(t) for t in toks)
+    except ValueError as exc:
+        raise InputFormatError(f"cannot parse size line: {exc}", path=path, line=lineno)
+    if r != c:
+        raise ValidationError(f"{path}: adjacency matrix must be square, got {r}x{c}")
+    want = 2 if valtype == "pattern" else 3
+    i, j, w, lines = _parse_entries(
+        path,
+        table,
+        np.arange(1, len(table.line)),
+        (want,),
+        lambda k: f"expected {want} fields per entry for {valtype} file",
+        False,
+    )
+    return r, (i - 1, j - 1, w, lines)
 
 
 def load_graph(path, fmt="auto") -> SparseSymGraph:
@@ -218,47 +422,46 @@ def load_graph(path, fmt="auto") -> SparseSymGraph:
 
     Edge lists are whitespace-separated with 1-based indices and an optional
     weight column; comment lines start with '%' or '#'. Matrix-Market files
-    must be coordinate/symmetric (real, integer or pattern). Each undirected
-    edge must appear exactly once in either orientation; duplicates
-    (including mirrored ones), self-loops and non-positive weights are
-    rejected.
+    must be coordinate/symmetric (real, integer or pattern). Node indices
+    are decimal integers; weights are read as Python's float() reads them.
+    Each undirected edge must appear exactly once in either orientation;
+    duplicates (including mirrored ones), self-loops and non-positive
+    weights are rejected with the file and line of the offending entry.
     """
     path = str(path)
     if fmt == "auto":
         fmt = "matrix-market" if path.lower().endswith((".mtx", ".mm")) else "edge-list"
     try:
         if fmt == "matrix-market":
-            n, raw_edges = _parse_matrix_market(path)
+            n, (i, j, w, lines) = _parse_matrix_market(path)
         elif fmt == "edge-list":
-            n, raw_edges = _parse_edge_list(path)
+            n, (i, j, w, lines) = _parse_edge_list(path)
         else:
             raise ValueError(f"unknown format {fmt!r}")
     except OSError as exc:
         raise InputFormatError(f"cannot read file: {exc}", path=path)
-    seen = {}
-    for i, j, w, lineno in raw_edges:
-        if i == j:
-            raise ValidationError(f"{path}:{lineno}: self-loop at node {i + 1}")
-        if w < 0:
-            raise ValidationError(f"{path}:{lineno}: negative weight {w}")
-        if w == 0:
-            raise ValidationError(f"{path}:{lineno}: zero weight (omit the edge instead)")
-        pair = normalize_pair(i, j)
-        if pair in seen:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate entry for edge ({pair[0] + 1}, {pair[1] + 1})"
-            )
-        seen[pair] = w
-    if not seen:
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+
+    def at(k):
+        return f"{path}:{lines[k]}: "
+
+    _first_failure([
+        (i == j, lambda k: at(k) + f"self-loop at node {i[k] + 1}"),
+        (w < 0, lambda k: at(k) + f"negative weight {w[k]}"),
+        (w == 0, lambda k: at(k) + "zero weight (omit the edge instead)"),
+        (_repeats(lo, hi)[0],
+         lambda k: at(k) + f"duplicate entry for edge ({lo[k] + 1}, {hi[k] + 1})"),
+    ])
+    if not len(i):
         raise ValidationError(f"{path}: no edges found")
-    return SparseSymGraph(n, [(i, j, w) for (i, j), w in seen.items()])
+    return SparseSymGraph.from_arrays(n, lo, hi, w)
 
 
 def save_graph(g: SparseSymGraph, path) -> None:
     """Write an edge list (1-based, 17 significant digits) that round-trips bit-exactly."""
+    i, j, w = (x.tolist() for x in g.edge_arrays)
     with open(path, "w", encoding="utf-8") as fh:
-        for i, j, w in g.edges:
-            fh.write(f"{i + 1} {j + 1} {w:.17g}\n")
+        fh.write("".join(f"{a + 1} {b + 1} {x:.17g}\n" for a, b, x in zip(i, j, w)))
 
 
 # ---------------------------------------------------------------------
@@ -355,17 +558,31 @@ def compare_edges(e1, e2, ranking: CentralityRanking) -> Comparison:
     return Comparison.EQUAL
 
 
-def _sorted_desc(pairs, ranking):
-    """Sort pairs by ranking key descending; ties by (min index, max index)."""
-    return sorted(
-        (normalize_pair(*p) for p in pairs),
-        key=lambda p: tuple(-c for c in ranking.key(p)) + p,
-    )
+def _pair_array(pairs):
+    """(lo, hi) int arrays of node pairs given as an (E, 2) array or an iterable."""
+    if not isinstance(pairs, np.ndarray):
+        pairs = list(pairs)
+    P = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return P.min(axis=1), P.max(axis=1)
+
+
+def _rank_order(ranking, lo, hi):
+    """Indices sorting pairs by ranking key descending; ties by (min index, max index)."""
+    a, b = ranking.scores[lo], ranking.scores[hi]
+    if ranking.ordering is Ordering.PRODUCT:
+        return np.lexsort((hi, lo, -(a * b)))
+    return np.lexsort((hi, lo, -np.maximum(a, b), -np.minimum(a, b)))
 
 
 def top_edges(pairs, ranking: CentralityRanking, count: int):
-    """The ``count`` most important pairs among ``pairs``, deterministic order."""
-    return _sorted_desc(pairs, ranking)[: max(count, 0)]
+    """The ``count`` most important pairs among ``pairs``, deterministic order.
+
+    ``pairs`` is an (E, 2) array or an iterable of node pairs; the result is
+    a list of (min, max) tuples, best first.
+    """
+    lo, hi = _pair_array(pairs)
+    top = _rank_order(ranking, lo, hi)[: max(count, 0)]
+    return list(zip(lo[top].tolist(), hi[top].tolist()))
 
 
 def top_missing_pairs(n, ranking: CentralityRanking, count, forbidden):
@@ -376,28 +593,29 @@ def top_missing_pairs(n, ranking: CentralityRanking, count, forbidden):
     top q' has key at most key(best node, next node), so once the count-th
     candidate key strictly exceeds that bound no outside pair can displace the
     selection. Score plateaus fall back to the exact full scan (q' = n).
+    ``forbidden`` is an (E, 2) array or an iterable of node pairs.
     """
     if count <= 0:
         return []
-    forbidden = set(forbidden)
-    order = sorted(range(n), key=lambda v: (-ranking.scores[v], v))
-    qp = min(n, max(8, int(np.ceil(np.sqrt(2 * (count + len(forbidden)))) + 1)))
+    flo, fhi = _pair_array(forbidden)
+    fkeys = np.unique(flo * n + fhi)
+    order = np.lexsort((np.arange(n), -ranking.scores))
+    qp = min(n, max(8, int(np.ceil(np.sqrt(2 * (count + len(fkeys))))) + 1))
     while True:
         nodes = order[:qp]
-        cands = [
-            normalize_pair(a, b)
-            for ai, a in enumerate(nodes)
-            for b in nodes[ai + 1 :]
-            if normalize_pair(a, b) not in forbidden
-        ]
-        cands = _sorted_desc(cands, ranking)
+        a, b = np.triu_indices(qp, 1)
+        lo, hi = np.minimum(nodes[a], nodes[b]), np.maximum(nodes[a], nodes[b])
+        allowed = ~np.isin(lo * n + hi, fkeys)
+        lo, hi = lo[allowed], hi[allowed]
+        top = _rank_order(ranking, lo, hi)[:count]
+        cands = list(zip(lo[top].tolist(), hi[top].tolist()))
         if qp >= n:
-            return cands[:count]
+            return cands
         if len(cands) >= count:
             kth = ranking.key(cands[count - 1])
-            bound = ranking.key((order[0], order[qp]))
+            bound = ranking.key((int(order[0]), int(order[qp])))
             if kth > bound:
-                return cands[:count]
+                return cands
         qp = min(n, 2 * qp)
 
 
@@ -437,12 +655,19 @@ class Strategy(enum.Enum):
 
 @dataclass(frozen=True)
 class SearchSpaceState:
-    """Greedy bookkeeping: strategy, search size q, picks so far, step index."""
+    """Greedy bookkeeping: strategy, search size q, picks so far, step index.
+
+    ``ranked`` may carry the ranked strategies' candidates of the initial
+    graph in rank order (at least q + step of them, see
+    :func:`ranked_candidates`), so that a greedy run ranks them once rather
+    than at every step.
+    """
 
     strategy: Strategy
     q: int
     chosen: frozenset = field(default_factory=frozenset)
     step: int = 0
+    ranked: tuple = None
 
     def __post_init__(self):
         if self.q < 1:
@@ -452,13 +677,30 @@ class SearchSpaceState:
         )
 
 
+def ranked_candidates(n, edges, strategy: Strategy, ranking, count):
+    """The ``count`` best candidates of DG_1/DG_2/AD_1/AD_2, best first.
+
+    ``edges`` holds the initial graph's edges as an (E, 2) array; DG_* rank
+    those edges, AD_* the node pairs missing from them. The ordering is the
+    one the strategy implies; ``ranking`` supplies the node scores.
+    """
+    if ranking is None:
+        raise ValueError(f"{strategy} requires a centrality ranking")
+    ranking = CentralityRanking(ranking.scores, strategy.implied_ordering)
+    if strategy.is_removal:
+        return top_edges(edges, ranking, count)
+    return top_missing_pairs(n, ranking, count, edges)
+
+
 def select_search_space(g: SparseSymGraph, state: SearchSpaceState, ranking=None):
     """Candidate pairs for the next greedy step; empty list signals exhaustion.
 
     Ranked strategies (DG_1/DG_2/AD_1/AD_2) index the *initial* edge or
-    non-edge sets, reconstructed here from the working graph plus the chosen
-    set, and keep the ranking fixed across steps. The ordering is implied by
-    the strategy; ``ranking`` supplies the node scores.
+    non-edge sets and keep the ranking fixed across steps: the top q + step
+    candidates minus the chosen ones. They use ``state.ranked`` when given,
+    and otherwise rank the initial graph, reconstructed from the working
+    graph plus the chosen set. The ordering is implied by the strategy;
+    ``ranking`` supplies the node scores.
     """
     strat = state.strategy
     chosen = state.chosen
@@ -467,21 +709,18 @@ def select_search_space(g: SparseSymGraph, state: SearchSpaceState, ranking=None
     if strat is Strategy.DG_FULL:
         return [p for p in g.edge_pairs if p not in chosen]
 
-    if strat in (Strategy.DG_1, Strategy.DG_2):
-        if ranking is None:
-            raise ValueError(f"{strat} requires a centrality ranking")
-        ranking = CentralityRanking(ranking.scores, strat.implied_ordering)
-        initial_edges = set(g.edge_pairs) | chosen
-        top = top_edges(initial_edges, ranking, budgeted)
-        return [p for p in top if p not in chosen]
-
-    if strat in (Strategy.AD_1, Strategy.AD_2):
-        if ranking is None:
-            raise ValueError(f"{strat} requires a centrality ranking")
-        ranking = CentralityRanking(ranking.scores, strat.implied_ordering)
-        initial_edges = set(g.edge_pairs) - chosen
-        top = top_missing_pairs(g.n, ranking, budgeted, initial_edges)
-        return [p for p in top if p not in chosen]
+    if strat.implied_ordering is not None:
+        ranked = state.ranked
+        if ranked is None:
+            i, j, _ = g.edge_arrays
+            edges = np.column_stack([i, j])
+            picks = np.array(sorted(chosen), dtype=np.int64).reshape(-1, 2)
+            if strat.is_removal:
+                edges = np.vstack([edges, picks])
+            else:
+                edges = edges[~np.isin(i * g.n + j, picks[:, 0] * g.n + picks[:, 1])]
+            ranked = ranked_candidates(g.n, edges, strat, ranking, budgeted)
+        return [p for p in ranked[:budgeted] if p not in chosen]
 
     if strat is Strategy.AD_3:
         deg = g.degrees()
@@ -489,7 +728,7 @@ def select_search_space(g: SparseSymGraph, state: SearchSpaceState, ranking=None
         if d == 0:
             return []
         nodes = sorted(range(g.n), key=lambda v: (-deg[v], v))[:d]
-        edge_set = set(g.edge_pairs)
+        edge_set = g.edge_set()
         return [
             normalize_pair(a, b)
             for ai, a in enumerate(sorted(nodes))

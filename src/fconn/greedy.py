@@ -14,7 +14,6 @@ modification would cause, apply the best one to the working graph, repeat.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +28,7 @@ from .graph import (
     Strategy,
     eigenvector_centrality,
     normalize_pair,
+    ranked_candidates,
     select_search_space,
     top_edges,
     top_missing_pairs,
@@ -62,7 +62,6 @@ class GreedyConfig:
     tol: float = 1e-6
     lag: int = 2
     m_max: int = 100
-    threads: int = 1
 
     def __post_init__(self):
         if self.budget < 1:
@@ -137,22 +136,30 @@ def greedy_krylov(graph: SparseSymGraph, cfg: GreedyConfig, f) -> ModificationPl
     Each step evaluates Tr(f(A+X)) - Tr(f(A)) for a rank-2 candidate update X
     over the search space, keeps the minimizer (BREAK) or maximizer (MAKE) --
     first candidate wins ties -- and applies it to the working graph. The
-    centrality ranking behind the DG_1/DG_2/AD_1/AD_2 strategies is computed
-    once on the initial graph. Candidate evaluations may run on ``cfg.threads``
-    workers; the ordered reduction keeps the choice deterministic.
+    centrality ranking behind the DG_1/DG_2/AD_1/AD_2 strategies, and the
+    candidate order it induces, are computed once on the initial graph.
     """
     if cfg.mode is Mode.BREAK and graph.num_edges < cfg.budget:
         raise ValidationError(
             f"budget {cfg.budget} exceeds the number of edges {graph.num_edges}"
         )
     ranking = _ranking_for(graph, cfg.strategy)
+    ranked = None
+    if ranking is not None:
+        edges = np.column_stack(graph.edge_arrays[:2])
+        count = cfg.q + cfg.budget - 1
+        ranked = tuple(ranked_candidates(graph.n, edges, cfg.strategy, ranking, count))
     work = graph
     chosen, deltas = [], []
     exhausted = False
     eval_count = 0
     for step in range(cfg.budget):
         state = SearchSpaceState(
-            cfg.strategy, cfg.q, frozenset(normalize_pair(i, j) for i, j, _ in chosen), step
+            cfg.strategy,
+            cfg.q,
+            frozenset(normalize_pair(i, j) for i, j, _ in chosen),
+            step,
+            ranked,
         )
         space = select_search_space(work, state, ranking)
         if not space:
@@ -165,11 +172,7 @@ def greedy_krylov(graph: SparseSymGraph, cfg: GreedyConfig, f) -> ModificationPl
             res = trace_fun_update(work, upd, f, lag=cfg.lag, tol=cfg.tol, m_max=cfg.m_max)
             return res.delta
 
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                scores = list(pool.map(score, space))
-        else:
-            scores = [score(p) for p in space]
+        scores = [score(p) for p in space]
         eval_count += len(space)
 
         best_idx = None
@@ -320,13 +323,14 @@ def eigenv_baseline(graph: SparseSymGraph, k: int, mode: Mode) -> ModificationPl
     if k < 1:
         raise ValidationError("budget must be >= 1")
     ranking = CentralityRanking(eigenvector_centrality(graph), Ordering.PRODUCT)
+    existing = np.column_stack(graph.edge_arrays[:2])
     if mode is Mode.BREAK:
         if graph.num_edges < k:
             raise ValidationError(f"budget {k} exceeds the number of edges {graph.num_edges}")
-        pairs = top_edges(graph.edge_pairs, ranking, k)
+        pairs = top_edges(existing, ranking, k)
         edges = [(i, j, -graph.weight(i, j)) for i, j in pairs]
     else:
-        pairs = top_missing_pairs(graph.n, ranking, k, graph.edge_set())
+        pairs = top_missing_pairs(graph.n, ranking, k, existing)
         edges = [(i, j, 1.0) for i, j in pairs]
     return ModificationPlan(
         edges=edges,

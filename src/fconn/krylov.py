@@ -12,8 +12,24 @@ them:
 * ``fun_action``            -- f(A) v for a single vector
 * ``estimate_trace_f``      -- Hutch++ stochastic estimate of Tr(f(A))
 
+``fun_action`` and ``estimate_trace_f`` share one lockstep Lanczos kernel:
+b independent single-vector recurrences advance together, with one CSR
+SpMM over the active vectors per step, vector-wise recurrence updates and
+a stacked ``eigh`` of the (b, m, m) tridiagonal matrices. The kernel stores
+its vectors as the rows of (b, n) arrays, so the inner products and updates
+of each recurrence run over contiguous memory; each SpMM transposes its
+input and output. Each recurrence keeps its own lagged stopping test and
+deflation test and leaves the batch when it stops. Only the two newest
+basis vectors of each recurrence are kept: a batch of b vectors holds fewer
+than ten n x b blocks of doubles at once, input, output and temporaries
+included, instead of b bases of n x m. Quadratic forms v^T f(A) v, which
+make up most of Hutch++, come straight from the tridiagonal matrices as
+||v||^2 w^T f(T_m) w, w being the start vector in basis coordinates; the
+vectors f(A) v are rebuilt by replaying the recurrences in a second pass.
+
 All routines accept a :class:`fconn.graph.SparseSymGraph`, a scipy sparse
-matrix or a dense ndarray as the large symmetric matrix.
+matrix or a dense ndarray as the large symmetric matrix. A graph supplies
+its cached 1-norm for the deflation threshold.
 """
 
 from __future__ import annotations
@@ -56,11 +72,18 @@ def _as_matrix(A):
     return np.asarray(A, dtype=float)
 
 
-def _norm_estimate(A):
-    """Max absolute column sum (exact 1-norm), used to scale deflation thresholds."""
-    if scipy.sparse.issparse(A):
-        return float(np.max(np.abs(A).sum(axis=0))) if A.nnz else 0.0
-    return float(np.max(np.abs(A).sum(axis=0))) if A.size else 0.0
+def _deflation_tol(A):
+    """Deflation threshold 1e-12 * max(1, ||A||_1).
+
+    A :class:`fconn.graph.SparseSymGraph` supplies its cached 1-norm; other
+    matrices get the exact max absolute column sum computed here.
+    """
+    norm = getattr(A, "norm1", None)
+    if norm is None:
+        M = _as_matrix(A)
+        size = M.nnz if scipy.sparse.issparse(M) else M.size
+        norm = float(np.max(np.abs(M).sum(axis=0))) if size else 0.0
+    return 1e-12 * max(1.0, norm)
 
 
 class LowRankUpdate:
@@ -167,6 +190,8 @@ class BlockKrylov:
     """
 
     def __init__(self, A, start, mode="arnoldi", keep_basis=True, deflation_tol=None):
+        if deflation_tol is None:
+            deflation_tol = _deflation_tol(A)
         A = _as_matrix(A)
         start = np.atleast_2d(np.asarray(start, dtype=float))
         if start.shape[0] == 1 and A.shape[0] != 1:
@@ -181,8 +206,6 @@ class BlockKrylov:
         self._mode = mode
         self._keep = keep_basis
         self.n = A.shape[0]
-        if deflation_tol is None:
-            deflation_tol = 1e-12 * max(1.0, _norm_estimate(A))
         self._thr = deflation_tol
         self._start = start
         Q0, _ = _qr_deflate(start, 1e-14 * max(1.0, float(np.linalg.norm(start))))
@@ -428,10 +451,11 @@ def frechet_eval(M, i, j, f, lag=DEFAULT_LAG, tol=1e-8, m_max=DEFAULT_M_MAX):
     through divided differences. ``i == j`` (diagonal direction) shares a
     single basis.
     """
+    thr = _deflation_tol(M)
     M = _as_matrix(M)
     n = M.shape[0]
-    ku = BlockKrylov(M, _indicator(n, i), mode="arnoldi", keep_basis=True)
-    kv = ku if i == j else BlockKrylov(M, _indicator(n, j), mode="arnoldi", keep_basis=True)
+    ku = BlockKrylov(M, _indicator(n, i), mode="arnoldi", deflation_tol=thr)
+    kv = ku if i == j else BlockKrylov(M, _indicator(n, j), mode="arnoldi", deflation_tol=thr)
     history = {}
     for m in range(1, m_max + 1):
         grew = ku.extend()
@@ -490,6 +514,7 @@ def multiple_frechet_eval(
     F = list(dict.fromkeys(tuple(p) for p in F))
     if not F:
         raise ValidationError("edge set must be nonempty")
+    thr = _deflation_tol(M)
     M = _as_matrix(M)
     n = M.shape[0]
     nodes = sorted({v for p in F for v in p})
@@ -497,7 +522,7 @@ def multiple_frechet_eval(
         raise MemoryBudgetError(
             f"{len(nodes)} bases of length {n} exceed the budget of {max_floats} floats"
         )
-    kry = {v: BlockKrylov(M, _indicator(n, v), mode="arnoldi", keep_basis=True) for v in nodes}
+    kry = {v: BlockKrylov(M, _indicator(n, v), mode="arnoldi", deflation_tol=thr) for v in nodes}
     pending = set(F)
     cores, orders = {}, {}
     history = {p: {} for p in F}
@@ -547,46 +572,171 @@ def multiple_frechet_eval(
 # ---------------------------------------------------------------------
 
 
+def _rowdot(X, Y):
+    """Row-wise inner products of two (b, n) arrays."""
+    return np.einsum("ij,ij->i", X, Y)
+
+
+class _LanczosBatch:
+    """Independent single-vector Lanczos recurrences advanced in lockstep.
+
+    Row c of the (b, n) start block runs its own recurrence; one step applies
+    A to the newest vector of every active recurrence in a single SpMM. Each
+    recurrence takes the steps of :class:`BlockKrylov` in Lanczos mode on a
+    one-column start: two orthogonalization passes against the previous two
+    basis vectors, and exhaustion once the new vector's norm is at most the
+    deflation threshold. (One pass is cheaper, but it loses enough
+    orthogonality on hub-heavy graphs that some probes stop converging.)
+    Vectors are stored as rows, so that the per-vector inner products and
+    updates run over contiguous memory. Only the previous two basis vectors
+    are kept. Replaying the same start block with the same :meth:`drop`
+    calls repeats the arithmetic exactly, which lets a second pass rebuild
+    the basis.
+    """
+
+    def __init__(self, A, starts, thr, m_max):
+        b = starts.shape[0]
+        self._A = A
+        self._thr = thr
+        self.ids = np.arange(b)  # start-block row of each active recurrence
+        self.Q = starts  # newest basis vector q_s of each active recurrence (never written)
+        self._P = np.zeros_like(starts)  # q_{s-1}
+        self.steps = 0
+        # tridiagonal entries: alpha[c, s] = T[s, s], beta[c, s] = T[s+1, s]
+        # (the residual norm) and gamma[c, s] = T[s-1, s] (an inner product)
+        self.alpha = np.zeros((b, m_max))
+        self.beta = np.zeros((b, m_max))
+        self.gamma = np.zeros((b, m_max))
+
+    def step(self):
+        """Advance every active recurrence by one basis vector.
+
+        Returns a mask of the recurrences that grew; the others are exhausted
+        and their current tridiagonal matrix is exact.
+        """
+        s, ids = self.steps, self.ids
+        W = np.ascontiguousarray((self._A @ self.Q.T).T, dtype=float)
+        for _ in range(2):
+            if s:
+                c = _rowdot(self._P, W)
+                W -= c[:, None] * self._P
+                self.gamma[ids, s] += c
+            c = _rowdot(self.Q, W)
+            W -= c[:, None] * self.Q
+            self.alpha[ids, s] += c
+        beta = np.sqrt(_rowdot(W, W))
+        self.beta[ids, s] = beta
+        grew = beta > self._thr
+        W /= np.where(grew, beta, 1.0)[:, None]
+        self._P, self.Q = self.Q, W
+        self.steps = s + 1
+        return grew
+
+    def tridiagonal(self):
+        """Symmetrized projected matrices T_m of the active recurrences, (b, m, m)."""
+        m, ids = self.steps, self.ids
+        T = np.zeros((len(ids), m, m))
+        k = np.arange(m)
+        T[:, k, k] = self.alpha[ids, :m]
+        off = 0.5 * (self.beta[ids, : m - 1] + self.gamma[ids, 1:m])
+        T[:, k[1:], k[:-1]] = off
+        T[:, k[:-1], k[1:]] = off
+        return T
+
+    def drop(self, keep):
+        """Retire the active recurrences where ``keep`` is False."""
+        self.ids = self.ids[keep]
+        self.Q = self.Q[keep]
+        self._P = self._P[keep]
+
+
+def _lanczos_lockstep(A, f, V, quadratic, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
+    """f(A) V column by column, or the quadratic forms v_c^T f(A) v_c.
+
+    Column c runs the Lanczos method from v_c / ||v_c|| and stops at the
+    first order m where the lagged change of its coefficient vector
+    satisfies ``||y_m - y_{m-lag}|| <= tol * ||y_m||``, or when its Krylov
+    space is exhausted (the result is then exact); zero columns give zero.
+    All columns advance together and each drops out when it stops.
+
+    With ``quadratic`` the result is ``||v||^2 w^T f(T_m) w``, with w the
+    basis coordinates of the start vector, and needs no basis. Otherwise a
+    second pass replays the recurrences to sum the basis vectors with their
+    coefficients, so memory stays at a few (n, b) blocks instead of b bases.
+    Raises ConvergenceError if any column is still moving after ``m_max``
+    steps.
+    """
+    thr = _deflation_tol(A)
+    A = _as_matrix(A)
+    V = np.asarray(V, dtype=float)
+    b = V.shape[1]
+    norms = np.sqrt(np.einsum("ij,ij->j", V, V))
+    live = norms > 0.0
+    cols = np.flatnonzero(live)  # column of V of each recurrence
+    starts = V[:, cols].T / norms[cols, None]
+    coef = np.zeros((b, m_max))  # final coefficient vectors, zero-padded
+    orders = np.zeros(b, dtype=int)
+    proj = np.zeros((b, m_max + 1))  # start vector in basis coordinates
+    run = _LanczosBatch(A, starts, thr, m_max)
+    proj[cols, 0] = _rowdot(run.Q, starts)
+    history = {}
+    while len(run.ids):
+        m = run.steps + 1
+        if m > m_max:
+            resid = None
+            if m_max - 1 in history:
+                moved = history[m_max][cols[run.ids]] - history[m_max - 1][cols[run.ids]]
+                resid = float(np.max(np.linalg.norm(moved, axis=1)))
+            raise ConvergenceError(
+                "Lanczos action of f did not converge", residual=resid, iterations=m_max
+            )
+        grew = run.step()
+        w, Z = np.linalg.eigh(run.tridiagonal())
+        f.check_spectrum(w)
+        act = cols[run.ids]
+        y = np.einsum("bkj,bj->bk", Z, f(w) * np.einsum("bkj,bk->bj", Z, proj[act, :m]))
+        y *= norms[act, None]
+        padded = np.zeros((b, m_max))
+        padded[act, :m] = y
+        history[m] = padded
+        history.pop(m - max(lag, 1) - 1, None)
+        done = ~grew
+        if m > lag:
+            moved = np.linalg.norm(y - history[m - lag][act, :m], axis=1)
+            done |= moved <= tol * np.maximum(np.linalg.norm(y, axis=1), 1e-300)
+        coef[act[done]] = padded[act[done]]
+        orders[act[done]] = m
+        if done.any():
+            run.drop(~done)
+            starts = starts[~done]
+        proj[cols[run.ids], m] = _rowdot(run.Q, starts)
+
+    if quadratic:
+        return norms * np.einsum("bk,bk->b", coef, proj[:, :m_max])
+    out = np.zeros_like(V)
+    run = _LanczosBatch(A, V[:, cols].T / norms[cols, None], thr, m_max)
+    acc = np.zeros_like(run.Q)
+    while len(run.ids):
+        acc += coef[cols[run.ids], run.steps][:, None] * run.Q
+        run.step()
+        keep = orders[cols[run.ids]] > run.steps
+        if not keep.all():
+            out[:, cols[run.ids[~keep]]] = acc[~keep].T
+            run.drop(keep)
+            acc = acc[keep]
+    return out
+
+
 def fun_action(A, f, v, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
     """f(A) v for symmetric A via the Lanczos method.
 
     Stops when the lagged change ||y_m - y_{m-lag}|| <= tol * ||y_m||;
-    exhaustion of the Krylov space yields the exact result.
+    exhaustion of the Krylov space yields the exact result. Raises
+    ConvergenceError after ``m_max`` steps.
     """
-    A = _as_matrix(A)
     v = np.asarray(v, dtype=float).ravel()
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        return np.zeros_like(v)
-    kry = BlockKrylov(A, (v / nv)[:, None], mode="lanczos", keep_basis=True)
-
-    def core_vec(m):
-        w, Q = matfun.sym_eig(kry.projected(m))
-        f.check_spectrum(w)
-        w0 = kry.start_projection(m)[:, 0]  # basis coordinates of v/||v||
-        return Q @ (f(w) * (Q.T @ w0)) * nv
-
-    history = {}
-    for m in range(1, m_max + 1):
-        grew = kry.extend()
-        c = core_vec(m)
-        if m > lag:
-            prev = history[m - lag]
-            d = c.copy()
-            d[: prev.size] -= prev
-            if np.linalg.norm(d) <= tol * max(np.linalg.norm(c), 1e-300):
-                return kry.basis(m) @ c
-        history[m] = c
-        if not grew:
-            return kry.basis(m) @ c
-    resid = None
-    if m_max - 1 in history:
-        d = history[m_max].copy()
-        d[: history[m_max - 1].size] -= history[m_max - 1]
-        resid = float(np.linalg.norm(d))
-    raise ConvergenceError(
-        "Lanczos action of f did not converge", residual=resid, iterations=m_max
-    )
+    out = _lanczos_lockstep(A, f, v[:, None], quadratic=False, lag=lag, tol=tol, m_max=m_max)
+    return out[:, 0]
 
 
 def estimate_trace_f(A, f, n_probes=40, seed=0, action_tol=1e-8, action_m_max=80):
@@ -596,22 +746,25 @@ def estimate_trace_f(A, f, n_probes=40, seed=0, action_tol=1e-8, action_m_max=80
     through f(A), orthonormalized into Q); the other half estimate the
     residual trace of (I - QQ^T) f(A) (I - QQ^T). The estimate is exact
     whenever Q captures the whole range of f(A), e.g. when n <= n_probes/2.
+
+    Two lockstep Lanczos calls do the work: f(A) S for the sketch block S,
+    then the quadratic forms of f(A) for the columns of Q and of the
+    projected residual probes together.
     """
-    A = _as_matrix(A)
-    n = A.shape[0]
+    n = _as_matrix(A).shape[0]
     if n_probes < 2 or n_probes % 2:
         raise ValidationError("n_probes must be an even number >= 2")
     rng = np.random.default_rng(seed)
     half = n_probes // 2
-
-    def action(x):
-        return fun_action(A, f, x, tol=action_tol, m_max=action_m_max)
+    opts = dict(tol=action_tol, m_max=action_m_max)
 
     S = rng.integers(0, 2, size=(n, half)) * 2.0 - 1.0
-    Y = np.column_stack([action(S[:, c]) for c in range(half)])
-    Q, _ = np.linalg.qr(Y)
-    sketch = sum(float(Q[:, c] @ action(Q[:, c])) for c in range(Q.shape[1]))
+    Q, _ = np.linalg.qr(_lanczos_lockstep(A, f, S, quadratic=False, **opts))
+    del S
     Z = rng.integers(0, 2, size=(n, half)) * 2.0 - 1.0
-    G = Z - Q @ (Q.T @ Z)
-    resid = sum(float(G[:, c] @ action(G[:, c])) for c in range(half)) / half
-    return sketch + resid
+    Z -= Q @ (Q.T @ Z)
+    k = Q.shape[1]
+    probes = np.hstack([Q, Z])
+    del Q, Z
+    forms = _lanczos_lockstep(A, f, probes, quadratic=True, **opts)
+    return sum(forms[:k].tolist()) + sum(forms[k:].tolist()) / half

@@ -119,7 +119,7 @@ class WeightedProblem:
         if mode is WeightedMode.ADD and exists.any():
             raise ValidationError("add requires missing edges only")
         if upper is None:
-            upper = max((wt for _, _, wt in graph.edges), default=1.0)
+            upper = float(graph.edge_arrays[2].max()) if graph.num_edges else 1.0
         ub = np.broadcast_to(np.asarray(upper, dtype=float), (len(pairs),)).astype(float).copy()
         if mode is WeightedMode.DOWNGRADE:
             ub = np.zeros(len(pairs))

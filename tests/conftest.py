@@ -27,6 +27,22 @@ def random_connected_graph(n, extra_edges=0, seed=0, weighted=False, wlo=0.5, wh
     return SparseSymGraph(n, [(i, j, 1.0) for i, j in sorted(edges)])
 
 
+def barabasi_albert(n, m, seed=0):
+    """Preferential attachment: from a star on nodes 0..m, each later node links
+    to m distinct earlier nodes drawn with probability proportional to degree."""
+    rng = np.random.default_rng(seed)
+    edges = [(0, v) for v in range(1, m + 1)]
+    ends = [v for e in edges for v in e]
+    for v in range(m + 1, n):
+        picks = set()
+        while len(picks) < m:
+            picks.add(ends[int(rng.integers(len(ends)))])
+        for t in sorted(picks):
+            edges.append((t, v))
+            ends += [t, v]
+    return SparseSymGraph(n, [(i, j, 1.0) for i, j in edges])
+
+
 def triangle():
     return SparseSymGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
 

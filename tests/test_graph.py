@@ -14,6 +14,8 @@ from fconn.graph import (
     compare_edges,
     eigenvector_centrality,
     load_graph,
+    normalize_pair,
+    ranked_candidates,
     save_graph,
     select_search_space,
     top_edges,
@@ -59,6 +61,63 @@ class TestGraphConstruction:
     def test_degrees(self):
         assert list(star(4).degrees()) == [4, 1, 1, 1, 1]
 
+    @pytest.mark.parametrize(
+        "kind, index",
+        [("remove", 0), ("remove", -1), ("remove", 20),
+         ("modify", 0), ("modify", -1), ("add", 0), ("add", -1), ("add", 150)],
+    )
+    def test_with_edge_delta_matches_rebuild(self, kind, index):
+        g = random_connected_graph(30, 45, seed=31, weighted=True)
+        if kind == "add":
+            i, j = missing_pairs(g)[index]
+            delta = 0.75
+        else:
+            j, i = g.edge_pairs[index]  # reversed orientation
+            delta = -g.weight(i, j) if kind == "remove" else 0.25
+        want = {(a, b): w for a, b, w in g.edges}
+        key = normalize_pair(i, j)
+        w_new = want.get(key, 0.0) + delta
+        if abs(w_new) <= 1e-12:
+            want.pop(key)
+        else:
+            want[key] = w_new
+        got = g.with_edge_delta(i, j, delta)
+        rebuilt = SparseSymGraph(30, [(a, b, w) for (a, b), w in want.items()])
+        assert got.edges == rebuilt.edges
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got.adjacency, name), getattr(rebuilt.adjacency, name))
+        assert np.array_equal(got.degrees(), rebuilt.degrees())
+        assert got.norm1 == rebuilt.norm1
+        assert g.edges == random_connected_graph(30, 45, seed=31, weighted=True).edges
+
+    def test_edge_updates_in_sequence(self):
+        g = random_connected_graph(25, 30, seed=32, weighted=True)
+        rng = np.random.default_rng(33)
+        want = {(a, b): w for a, b, w in g.edges}
+        for _ in range(40):
+            a, b = normalize_pair(*rng.choice(25, size=2, replace=False).tolist())
+            delta = -want[(a, b)] if (a, b) in want and rng.random() < 0.5 else 0.5
+            g = g.with_edge_delta(a, b, delta)
+            if (a, b) in want and delta < 0:
+                del want[(a, b)]
+            else:
+                want[(a, b)] = want.get((a, b), 0.0) + delta
+        rebuilt = SparseSymGraph(25, [(a, b, w) for (a, b), w in want.items()])
+        assert g.edges == rebuilt.edges
+        assert np.array_equal(g.adjacency.toarray(), rebuilt.adjacency.toarray())
+
+    def test_with_edge_delta_rejects_bad_pairs(self):
+        g = triangle()
+        with pytest.raises(ValidationError):
+            g.with_edge_delta(1, 1, 1.0)
+        with pytest.raises(ValidationError):
+            g.with_edge_delta(0, 3, 1.0)
+
+    def test_edge_arrays_are_read_only(self):
+        i, j, w = triangle().edge_arrays
+        with pytest.raises(ValueError):
+            w[0] = 2.0
+
 
 class TestFileIO:
     def test_load_edge_list_triangle(self, tmp_path):
@@ -67,6 +126,19 @@ class TestFileIO:
         g = load_graph(p)
         assert g.n == 3 and g.num_edges == 3
         assert all(w == 1.0 for _, _, w in g.edges)
+
+    def test_mixed_two_and_three_field_lines(self, tmp_path):
+        p = tmp_path / "mixed.edges"
+        p.write_text("1 2\n2 3 0.5\n  # indented comment\n3\t4\n4 1 2.5\r\n")
+        g = load_graph(p)
+        assert g.edges == ((0, 1, 1.0), (0, 3, 2.5), (1, 2, 0.5), (2, 3, 1.0))
+
+    def test_save_matches_per_edge_format(self, tmp_path):
+        g = random_connected_graph(40, 60, seed=34, weighted=True)
+        p = tmp_path / "out.edges"
+        save_graph(g, p)
+        want = "".join(f"{i + 1} {j + 1} {w:.17g}\n" for i, j, w in g.edges)
+        assert p.read_text() == want
 
     def test_load_weights_and_comments(self, tmp_path):
         p = tmp_path / "w.edges"
@@ -360,3 +432,41 @@ class TestSearchSpaces:
             delta = -1.0 if strategy.is_removal else 1.0
             work = work.with_edge_delta(pick[0], pick[1], delta)
             chosen.add(pick)
+
+
+def sorted_top(pairs, ranking, count):
+    """Ranking by a key-sorted list: key descending, ties by (min index, max index)."""
+    return sorted(
+        (normalize_pair(*p) for p in pairs),
+        key=lambda p: tuple(-c for c in ranking.key(p)) + p,
+    )[:count]
+
+
+RANKED = [Strategy.DG_1, Strategy.DG_2, Strategy.AD_1, Strategy.AD_2]
+
+
+@pytest.mark.parametrize("strategy", RANKED)
+@pytest.mark.parametrize(
+    "graph",
+    [star(5), cycle(7), path(6), random_connected_graph(25, 30, seed=35)],
+    ids=["star", "cycle", "path", "random"],
+)
+def test_ranked_selection_matches_sorted_order(strategy, graph):
+    ranking = CentralityRanking.from_graph(graph, strategy.implied_ordering, tol=1e-12)
+    initial = graph.edge_set()
+    pool = initial if strategy.is_removal else missing_pairs(graph)
+    q, steps = 4, 3
+    edges = np.array(sorted(initial))
+    ranked = tuple(ranked_candidates(graph.n, edges, strategy, ranking, q + steps - 1))
+    work, chosen = graph, set()
+    for step in range(steps):
+        want = [p for p in sorted_top(pool, ranking, q + step) if p not in chosen]
+        state = SearchSpaceState(strategy, q, frozenset(chosen), step)
+        assert select_search_space(work, state, ranking) == want
+        fixed = SearchSpaceState(strategy, q, frozenset(chosen), step, ranked)
+        assert select_search_space(work, fixed, None) == want
+        if not want:
+            break
+        pick = want[-1]
+        work = work.with_edge_delta(*pick, -1.0 if strategy.is_removal else 1.0)
+        chosen.add(pick)

@@ -166,14 +166,6 @@ class TestGreedyKrylov:
         with pytest.raises(ValidationError):
             greedy_krylov(g, cfg, Exp())
 
-    def test_threads_do_not_change_the_plan(self):
-        g = random_connected_graph(20, 25, seed=9)
-        base = GreedyConfig(budget=3, q=8, strategy=Strategy.DG_2, mode=Mode.BREAK)
-        threaded = GreedyConfig(
-            budget=3, q=8, strategy=Strategy.DG_2, mode=Mode.BREAK, threads=4
-        )
-        assert greedy_krylov(g, base, Exp()).edges == greedy_krylov(g, threaded, Exp()).edges
-
     def test_telescoping_sum_matches_total(self):
         g = random_connected_graph(22, 26, seed=10)
         cfg = GreedyConfig(budget=3, q=6, strategy=Strategy.DG_2, mode=Mode.BREAK, tol=1e-9)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from fconn.errors import MemoryBudgetError, ValidationError
+from fconn.errors import ConvergenceError, MemoryBudgetError, ValidationError
+from fconn.graph import SparseSymGraph
 from fconn.krylov import (
     BlockKrylov,
     LowRankUpdate,
+    _lanczos_lockstep,
     estimate_trace_f,
     frechet_eval,
     fun_action,
@@ -16,7 +18,7 @@ from fconn.krylov import (
 from fconn.matfun import Exp, Polynomial, Resolvent, Sinh
 
 import oracles
-from conftest import missing_pairs, path, random_connected_graph, triangle
+from conftest import barabasi_albert, missing_pairs, path, random_connected_graph, triangle
 
 
 class TestLowRankUpdate:
@@ -317,6 +319,79 @@ class TestFunAction:
         g = triangle()
         assert np.array_equal(fun_action(g, Exp(), np.zeros(3)), np.zeros(3))
 
+    def test_m_max_too_small_raises(self):
+        g = random_connected_graph(60, 120, seed=24)
+        v = np.random.default_rng(25).standard_normal(60)
+        with pytest.raises(ConvergenceError):
+            fun_action(g, Exp(), v, m_max=3)
+
+
+def _mixed_components():
+    """A weighted 40-node connected graph plus a 6-cycle and a 3-node path."""
+    core = random_connected_graph(40, 80, seed=26, weighted=True)
+    cyc = [(40 + k, 40 + (k + 1) % 6, 1.0) for k in range(6)]
+    pth = [(46, 47, 0.7), (47, 48, 1.3)]
+    return SparseSymGraph(49, list(core.edges) + cyc + pth)
+
+
+def _mixed_block(n):
+    """Columns that stop at different orders, including zero and early exhaustion."""
+    rng = np.random.default_rng(27)
+    V = np.zeros((n, 6))
+    V[:, 0] = rng.standard_normal(n)
+    V[0, 1] = 1.0  # indicator: a different convergence order
+    V[40:46, 3] = 1.0  # eigenvector of the cycle: exhausted at order 1
+    V[46:49, 4] = rng.standard_normal(3)  # path component: exhausted by order 3
+    V[:, 5] = 1e6 * rng.standard_normal(n)
+    return V  # column 2 stays zero
+
+
+class TestLockstepKernel:
+    @pytest.mark.parametrize("fname", ["exp", "sinh", "resolvent"])
+    def test_block_against_dense(self, fname):
+        g = _mixed_components()
+        A = g.adjacency.toarray()
+        lam = np.max(np.abs(np.linalg.eigvalsh(A)))
+        f = {"exp": Exp(), "sinh": Sinh(), "resolvent": Resolvent(0.5 / lam)}[fname]
+        V = _mixed_block(g.n)
+        Y = _lanczos_lockstep(g, f, V, quadratic=False, tol=1e-10)
+        want = oracles.matrix_function(f, A) @ V
+        assert np.array_equal(Y[:, 2], np.zeros(g.n))
+        for c in (0, 1, 3, 4, 5):
+            assert np.linalg.norm(Y[:, c] - want[:, c]) <= 1e-8 * np.linalg.norm(want[:, c])
+
+    def test_columns_do_not_depend_on_their_batch(self):
+        g = _mixed_components()
+        V = _mixed_block(g.n)
+        Y = _lanczos_lockstep(g, Exp(), V, quadratic=False)
+        for c in range(V.shape[1]):
+            alone = fun_action(g, Exp(), V[:, c])
+            assert np.linalg.norm(Y[:, c] - alone) <= 1e-11 * max(np.linalg.norm(alone), 1.0)
+
+    def test_exhausted_columns_are_exact(self):
+        g = _mixed_components()
+        V = _mixed_block(g.n)
+        Y = _lanczos_lockstep(g, Exp(), V[:, [3, 4]], quadratic=False, tol=1e-2)
+        want = oracles.matrix_function(Exp(), g.adjacency.toarray()) @ V[:, [3, 4]]
+        assert np.allclose(Y, want, rtol=1e-12, atol=1e-12)
+
+    def test_quadratic_forms_against_dense(self):
+        g = _mixed_components()
+        V = _mixed_block(g.n)
+        forms = _lanczos_lockstep(g, Exp(), V, quadratic=True, tol=1e-10)
+        F = oracles.matrix_function(Exp(), g.adjacency.toarray())
+        want = np.einsum("ij,ij->j", V, F @ V)
+        assert forms[2] == 0.0
+        assert np.allclose(forms, want, rtol=1e-9, atol=0.0)
+
+    def test_against_per_vector_reference(self):
+        g = random_connected_graph(300, 900, seed=28)
+        V = np.random.default_rng(29).standard_normal((300, 5))
+        Y = _lanczos_lockstep(g, Exp(), V, quadratic=False)
+        for c in range(5):
+            want = oracles.lanczos_action(g, Exp(), V[:, c])
+            assert np.linalg.norm(Y[:, c] - want) <= 1e-11 * np.linalg.norm(want)
+
 
 class TestEstimateTrace:
     def test_zero_matrix_exact(self):
@@ -347,3 +422,22 @@ class TestEstimateTrace:
         a = estimate_trace_f(g, Exp(), n_probes=12, seed=9)
         b = estimate_trace_f(g, Exp(), n_probes=12, seed=9)
         assert a == b
+
+    def test_matches_per_probe_hutchpp(self):
+        g = random_connected_graph(2000, 8000, seed=1)
+        want = oracles.hutchpp_per_probe(g, Exp(), n_probes=40, seed=0)
+        got = estimate_trace_f(g, Exp(), n_probes=40, seed=0)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_hub_graph_matches_per_probe_hutchpp(self):
+        # with one orthogonalization pass per step instead of two, one probe
+        # of this graph is still moving after 80 steps
+        g = barabasi_albert(2000, 5, seed=[921, 1, 5])
+        want = oracles.hutchpp_per_probe(g, Exp(), n_probes=40, seed=0)
+        got = estimate_trace_f(g, Exp(), n_probes=40, seed=0)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_action_m_max_too_small_raises(self):
+        g = random_connected_graph(200, 600, seed=30)
+        with pytest.raises(ConvergenceError):
+            estimate_trace_f(g, Exp(), n_probes=8, seed=1, action_m_max=4)
