@@ -22,12 +22,10 @@ from .errors import (
 )
 from .graph import (
     CentralityRanking,
-    Comparison,
     Ordering,
     SearchSpaceState,
     SparseSymGraph,
     Strategy,
-    compare_edges,
     eigenvector_centrality,
     load_graph,
     save_graph,
@@ -37,7 +35,6 @@ from .greedy import GreedyConfig, Mode, ModificationPlan, eigenv_baseline, greed
 from .krylov import (
     LowRankUpdate,
     estimate_trace_f,
-    frechet_eval,
     fun_action,
     fun_update,
     multiple_frechet_eval,

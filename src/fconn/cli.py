@@ -304,9 +304,8 @@ def compare(specs):
         graph, f, n_probes=specs[0].probes, seed=specs[0].seed
     )
     rows = []
-    plans = []
     for spec in specs:
-        report, plan_or_x = _run_unweighted(spec, graph, f)
+        report, _ = _run_unweighted(spec, graph, f)
         report.denominator = denominator
         report.delta_t = abs(report.numerator) / abs(denominator)
         rows.append(
@@ -318,7 +317,6 @@ def compare(specs):
                 "edges": {(i, j) for i, j, _ in report.edges},
             }
         )
-        plans.append(plan_or_x)
     for a, row in enumerate(rows):
         for b, other in enumerate(rows):
             if a != b:
@@ -329,14 +327,14 @@ def compare(specs):
 
 
 def _write_compare_csv(rows, path):
-    fields = list(rows[0].keys())
+    fields = list(dict.fromkeys(key for row in rows for key in row))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
 
 
-def _add_common(p, weighted=False):
+def _add_common(p):
     p.add_argument("--input", required=True, help="graph file")
     p.add_argument(
         "--format", default="auto", choices=["auto", "edge-list", "matrix-market"]
@@ -346,12 +344,16 @@ def _add_common(p, weighted=False):
         default="exp",
         help="exp | sinh | cosh | resolvent:alpha=A | poly:c0,c1,...",
     )
-    p.add_argument("--tol", type=float, default=None, help="Krylov stopping tolerance")
-    p.add_argument("--lag", type=int, default=2)
-    p.add_argument("--m-max", type=int, default=100)
     p.add_argument("--probes", type=int, default=40, help="Hutch++ probes")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None, help="basename for .csv/.json artifacts")
+
+
+def _add_krylov(p):
+    """Controls of the greedy Krylov scoring (break, make and compare only)."""
+    p.add_argument("--tol", type=float, default=None, help="Krylov stopping tolerance")
+    p.add_argument("--lag", type=int, default=2)
+    p.add_argument("--m-max", type=int, default=100)
 
 
 def _build_parser():
@@ -364,6 +366,7 @@ def _build_parser():
     for name in ("break", "make"):
         p = sub.add_parser(name, help=f"greedy unweighted {name}")
         _add_common(p)
+        _add_krylov(p)
         p.add_argument("--budget", type=int, required=True, help="number of edges")
         p.add_argument("--q", type=int, default=250, help="search-space size")
         p.add_argument(
@@ -377,7 +380,7 @@ def _build_parser():
 
     for name in ("downgrade", "add", "tune", "rewire"):
         p = sub.add_parser(name, help=f"weighted {name} via interior point")
-        _add_common(p, weighted=True)
+        _add_common(p)
         p.add_argument("--budget", type=float, required=True, help="cumulative weight")
         p.add_argument("--n-p", type=int, default=100, help="centrality candidates")
         p.add_argument("--n-f", type=int, default=30, help="optimized edges")
@@ -394,6 +397,7 @@ def _build_parser():
 
     p = sub.add_parser("compare", help="compare unweighted methods on one input")
     _add_common(p)
+    _add_krylov(p)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--mode", required=True, choices=["break", "make"])
     p.add_argument("--methods", default="krylov,miobi,eigenv")
@@ -409,20 +413,15 @@ def _spec_from_args(args) -> RunSpec:
         input=args.input,
         fmt=args.format,
         function=args.function,
-        lag=args.lag,
-        m_max=args.m_max,
         probes=args.probes,
         seed=args.seed,
         output=args.output,
     )
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    for name in ("budget", "q", "strategy", "method", "upper", "eigenpairs"):
-        if hasattr(args, name) and getattr(args, name) is not None:
+    names = ("tol", "lag", "m_max", "budget", "q", "strategy", "method", "upper", "eigenpairs",
+             "n_p", "n_f")
+    for name in names:
+        if getattr(args, name, None) is not None:
             kwargs[name] = getattr(args, name)
-    if hasattr(args, "n_p"):
-        kwargs["n_p"] = args.n_p
-        kwargs["n_f"] = args.n_f
     return RunSpec(**kwargs)
 
 

@@ -29,9 +29,7 @@ __all__ = [
     "save_graph",
     "eigenvector_centrality",
     "Ordering",
-    "Comparison",
     "CentralityRanking",
-    "compare_edges",
     "Strategy",
     "SearchSpaceState",
     "ranked_candidates",
@@ -175,9 +173,6 @@ class SparseSymGraph:
             A = self.adjacency
             self._norm1 = float(np.max(np.abs(A).sum(axis=0))) if A.nnz else 0.0
         return self._norm1
-
-    def matvec(self, x):
-        return self.adjacency @ x
 
     # -- modification (returns new graphs) -----------------------------
 
@@ -510,12 +505,6 @@ class Ordering(enum.Enum):
     MINMAX = "minmax"    # compare (min score, max score) lexicographically
 
 
-class Comparison(enum.IntEnum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-
 @dataclass(frozen=True)
 class CentralityRanking:
     """Node scores plus the ordering used to rank node pairs.
@@ -546,16 +535,6 @@ class CentralityRanking:
         if self.ordering is Ordering.PRODUCT:
             return (si * sj,)
         return (min(si, sj), max(si, sj))
-
-
-def compare_edges(e1, e2, ranking: CentralityRanking) -> Comparison:
-    """Compare two node pairs under the ranking; EQUAL on exact key ties."""
-    k1, k2 = ranking.key(e1), ranking.key(e2)
-    if k1 < k2:
-        return Comparison.LESS
-    if k1 > k2:
-        return Comparison.GREATER
-    return Comparison.EQUAL
 
 
 def _pair_array(pairs):
@@ -657,10 +636,10 @@ class Strategy(enum.Enum):
 class SearchSpaceState:
     """Greedy bookkeeping: strategy, search size q, picks so far, step index.
 
-    ``ranked`` may carry the ranked strategies' candidates of the initial
-    graph in rank order (at least q + step of them, see
+    The ranked strategies need ``ranked``: their candidates of the initial
+    graph in rank order, at least q + step of them (see
     :func:`ranked_candidates`), so that a greedy run ranks them once rather
-    than at every step.
+    than at every step. The other strategies ignore it.
     """
 
     strategy: Strategy
@@ -692,35 +671,26 @@ def ranked_candidates(n, edges, strategy: Strategy, ranking, count):
     return top_missing_pairs(n, ranking, count, edges)
 
 
-def select_search_space(g: SparseSymGraph, state: SearchSpaceState, ranking=None):
+def select_search_space(g: SparseSymGraph, state: SearchSpaceState):
     """Candidate pairs for the next greedy step; empty list signals exhaustion.
 
-    Ranked strategies (DG_1/DG_2/AD_1/AD_2) index the *initial* edge or
-    non-edge sets and keep the ranking fixed across steps: the top q + step
-    candidates minus the chosen ones. They use ``state.ranked`` when given,
-    and otherwise rank the initial graph, reconstructed from the working
-    graph plus the chosen set. The ordering is implied by the strategy;
-    ``ranking`` supplies the node scores.
+    DG_FULL takes the working graph's edges minus the chosen ones, AD_3 the
+    missing pairs among its d highest-degree nodes. The ranked strategies
+    (DG_1/DG_2/AD_1/AD_2) index the *initial* edge or non-edge sets and keep
+    the ranking fixed across steps: the top q + step candidates of
+    ``state.ranked`` minus the chosen ones. Without ``state.ranked`` they
+    raise ValueError.
     """
     strat = state.strategy
     chosen = state.chosen
-    budgeted = state.q + state.step
 
     if strat is Strategy.DG_FULL:
         return [p for p in g.edge_pairs if p not in chosen]
 
     if strat.implied_ordering is not None:
-        ranked = state.ranked
-        if ranked is None:
-            i, j, _ = g.edge_arrays
-            edges = np.column_stack([i, j])
-            picks = np.array(sorted(chosen), dtype=np.int64).reshape(-1, 2)
-            if strat.is_removal:
-                edges = np.vstack([edges, picks])
-            else:
-                edges = edges[~np.isin(i * g.n + j, picks[:, 0] * g.n + picks[:, 1])]
-            ranked = ranked_candidates(g.n, edges, strat, ranking, budgeted)
-        return [p for p in ranked[:budgeted] if p not in chosen]
+        if state.ranked is None:
+            raise ValueError(f"{strat} requires the ranked candidates of the initial graph")
+        return [p for p in state.ranked[: state.q + state.step] if p not in chosen]
 
     if strat is Strategy.AD_3:
         deg = g.degrees()

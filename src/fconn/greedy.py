@@ -1,12 +1,17 @@
 """Greedy optimizers for unweighted edge removal (break) and addition (make).
 
-Three methods share the same sequential template: at each of k steps, score
-every candidate edge of the current search space by the trace variation its
-modification would cause, apply the best one to the working graph, repeat.
+One greedy loop, ``_greedy``, serves two scorers: at each of k steps it
+scores every candidate edge of the current search space by the trace
+variation its modification would cause, keeps the first best one, applies it
+to the working graph and repeats.
 
 * ``greedy_krylov``   -- scores candidates with :func:`fconn.krylov.trace_fun_update`
 * ``miobi``           -- scores with a first-order update of the dominant
-                         eigenpairs ("make it or break it" baseline)
+                         eigenpairs ("make it or break it" baseline), which
+                         it advances after each accepted edge
+
+A third method skips the loop:
+
 * ``eigenv_baseline`` -- one-shot top-k selection by centrality products,
                          no rescoring
 """
@@ -123,67 +128,49 @@ def _candidate_delta(graph, pair, mode):
     return 1.0
 
 
-def _ranking_for(graph, strategy):
-    ordering = strategy.implied_ordering
-    if ordering is None:
-        return None
-    return CentralityRanking(eigenvector_centrality(graph), ordering)
+def _greedy(graph, cfg, strategy, score, on_accept=None):
+    """The greedy step loop shared by the scored methods.
 
-
-def greedy_krylov(graph: SparseSymGraph, cfg: GreedyConfig, f) -> ModificationPlan:
-    """Sequential greedy edge selection scored by Krylov trace updates.
-
-    Each step evaluates Tr(f(A+X)) - Tr(f(A)) for a rank-2 candidate update X
-    over the search space, keeps the minimizer (BREAK) or maximizer (MAKE) --
-    first candidate wins ties -- and applies it to the working graph. The
-    centrality ranking behind the DG_1/DG_2/AD_1/AD_2 strategies, and the
-    candidate order it induces, are computed once on the initial graph.
+    Each step selects the search space of ``strategy`` on the working graph,
+    scores every candidate with ``score(work, pair, delta)``, keeps the
+    minimizer (BREAK) or maximizer (MAKE) -- first candidate wins ties --
+    calls ``on_accept(pair, delta)`` and applies it to the working graph.
+    The centrality ranking behind the DG_1/DG_2/AD_1/AD_2 strategies, and
+    the candidate order it induces, are computed once on the initial graph.
     """
     if cfg.mode is Mode.BREAK and graph.num_edges < cfg.budget:
         raise ValidationError(
             f"budget {cfg.budget} exceeds the number of edges {graph.num_edges}"
         )
-    ranking = _ranking_for(graph, cfg.strategy)
     ranked = None
-    if ranking is not None:
+    if strategy.implied_ordering is not None:
+        ranking = CentralityRanking(eigenvector_centrality(graph), strategy.implied_ordering)
         edges = np.column_stack(graph.edge_arrays[:2])
         count = cfg.q + cfg.budget - 1
-        ranked = tuple(ranked_candidates(graph.n, edges, cfg.strategy, ranking, count))
+        ranked = tuple(ranked_candidates(graph.n, edges, strategy, ranking, count))
     work = graph
     chosen, deltas = [], []
     exhausted = False
-    eval_count = 0
+    evaluations = 0
     for step in range(cfg.budget):
         state = SearchSpaceState(
-            cfg.strategy,
-            cfg.q,
-            frozenset(normalize_pair(i, j) for i, j, _ in chosen),
-            step,
-            ranked,
+            strategy, cfg.q, frozenset(normalize_pair(i, j) for i, j, _ in chosen), step, ranked
         )
-        space = select_search_space(work, state, ranking)
+        space = select_search_space(work, state)
         if not space:
             exhausted = True
             break
-
-        def score(pair):
-            d = _candidate_delta(work, pair, cfg.mode)
-            upd = LowRankUpdate.from_edge(work.n, pair[0], pair[1], d)
-            res = trace_fun_update(work, upd, f, lag=cfg.lag, tol=cfg.tol, m_max=cfg.m_max)
-            return res.delta
-
-        scores = [score(p) for p in space]
-        eval_count += len(space)
-
+        evaluations += len(space)
         best_idx = None
         best = np.inf if cfg.mode is Mode.BREAK else -np.inf
-        for idx, val in enumerate(scores):
-            if (cfg.mode is Mode.BREAK and val < best) or (
-                cfg.mode is Mode.MAKE and val > best
-            ):
+        for idx, pair in enumerate(space):
+            val = score(work, pair, _candidate_delta(work, pair, cfg.mode))
+            if (cfg.mode is Mode.BREAK and val < best) or (cfg.mode is Mode.MAKE and val > best):
                 best, best_idx = val, idx
         pair = space[best_idx]
         d = _candidate_delta(work, pair, cfg.mode)
+        if on_accept is not None:
+            on_accept(pair, d)
         work = work.with_edge_delta(pair[0], pair[1], d)
         chosen.append((pair[0], pair[1], d))
         deltas.append(best)
@@ -193,8 +180,22 @@ def greedy_krylov(graph: SparseSymGraph, cfg: GreedyConfig, f) -> ModificationPl
         step_deltas=deltas,
         predicted_total=float(np.sum(deltas)) if deltas else 0.0,
         exhausted=exhausted,
-        diagnostics={"evaluations": eval_count},
+        diagnostics={"evaluations": evaluations},
     )
+
+
+def greedy_krylov(graph: SparseSymGraph, cfg: GreedyConfig, f) -> ModificationPlan:
+    """Sequential greedy edge selection scored by Krylov trace updates.
+
+    Each step evaluates Tr(f(A+X)) - Tr(f(A)) for a rank-2 candidate update X
+    over the search space of ``cfg.strategy``.
+    """
+
+    def score(work, pair, d):
+        upd = LowRankUpdate.from_edge(work.n, pair[0], pair[1], d)
+        return trace_fun_update(work, upd, f, lag=cfg.lag, tol=cfg.tol, m_max=cfg.m_max).delta
+
+    return _greedy(graph, cfg, cfg.strategy, score)
 
 
 # ---------------------------------------------------------------------
@@ -265,47 +266,18 @@ def miobi(graph: SparseSymGraph, cfg: GreedyConfig, f, h: int = 25) -> Modificat
     MAKE. After each accepted edge both the eigenvalues and the eigenvectors
     are advanced by the first-order formulas.
     """
-    if cfg.mode is Mode.BREAK and graph.num_edges < cfg.budget:
-        raise ValidationError(
-            f"budget {cfg.budget} exceeds the number of edges {graph.num_edges}"
-        )
     h = min(h, graph.n)
-    state_strategy = Strategy.DG_FULL if cfg.mode is Mode.BREAK else Strategy.AD_3
     eig = MiobiState.initialize(graph, h)
-    work = graph
-    chosen, deltas = [], []
-    exhausted = False
-    for step in range(cfg.budget):
-        state = SearchSpaceState(
-            state_strategy, cfg.q, frozenset(normalize_pair(i, j) for i, j, _ in chosen), step
-        )
-        space = select_search_space(work, state, None)
-        if not space:
-            exhausted = True
-            break
-        best_idx = None
-        best = np.inf if cfg.mode is Mode.BREAK else -np.inf
-        for idx, pair in enumerate(space):
-            d = _candidate_delta(work, pair, cfg.mode)
-            val = eig.score(pair[0], pair[1], d, f)
-            if (cfg.mode is Mode.BREAK and val < best) or (
-                cfg.mode is Mode.MAKE and val > best
-            ):
-                best, best_idx = val, idx
-        pair = space[best_idx]
-        d = _candidate_delta(work, pair, cfg.mode)
-        eig.apply_update(pair[0], pair[1], d)
-        work = work.with_edge_delta(pair[0], pair[1], d)
-        chosen.append((pair[0], pair[1], d))
-        deltas.append(best)
-    return ModificationPlan(
-        edges=chosen,
-        mode=cfg.mode,
-        step_deltas=deltas,
-        predicted_total=float(np.sum(deltas)) if deltas else 0.0,
-        exhausted=exhausted,
-        diagnostics={"orthonormality_drift": eig.orthonormality_drift(), "eigenpairs": h},
+    strategy = Strategy.DG_FULL if cfg.mode is Mode.BREAK else Strategy.AD_3
+    plan = _greedy(
+        graph,
+        cfg,
+        strategy,
+        lambda work, pair, d: eig.score(pair[0], pair[1], d, f),
+        on_accept=lambda pair, d: eig.apply_update(pair[0], pair[1], d),
     )
+    plan.diagnostics.update(orthonormality_drift=eig.orthonormality_drift(), eigenpairs=h)
+    return plan
 
 
 # ---------------------------------------------------------------------

@@ -5,12 +5,20 @@ them:
 
 * ``fun_update``            -- factored approximation of f(A+X) - f(A)
 * ``trace_fun_update``      -- Tr(f(A+X)) - Tr(f(A)) from projected eigenvalues
-* ``frechet_eval``          -- factored derivative of f at M along a rank-one
-                               indicator direction
-* ``multiple_frechet_eval`` -- the same, batched over an edge set with shared
-                               per-node bases
+* ``multiple_frechet_eval`` -- factored derivatives of f at M along the
+                               indicator directions 1_i 1_j^T of an edge set,
+                               with one shared basis per node (a single
+                               derivative is a one-pair call)
 * ``fun_action``            -- f(A) v for a single vector
 * ``estimate_trace_f``      -- Hutch++ stochastic estimate of Tr(f(A))
+
+The first three grow a Krylov space one order at a time until the projected
+quantity stops moving, and share one driver, ``_lagged``, for that loop: it
+keeps the last ``lag`` values, stops at the first order m with
+``moved(value_m, value_{m-lag}) <= tol`` or at the order whose extension
+exhausts the space (the value is then exact), and otherwise returns the value
+at ``m_max`` with ``converged=False``. Callers supply only the step that
+extends the space to order m and evaluates the quantity there.
 
 ``fun_action`` and ``estimate_trace_f`` share one lockstep Lanczos kernel:
 b independent single-vector recurrences advance together, with one CSR
@@ -34,6 +42,7 @@ its cached 1-norm for the deflation threshold.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +59,6 @@ __all__ = [
     "fun_update",
     "TraceUpdateResult",
     "trace_fun_update",
-    "FrechetResult",
-    "frechet_eval",
     "MultiFrechetResult",
     "multiple_frechet_eval",
     "fun_action",
@@ -178,9 +185,9 @@ class BlockKrylov:
     """Incrementally built block Krylov factorization A U_m = U_m H_m + residual.
 
     ``mode='arnoldi'`` fully reorthogonalizes each new block against the whole
-    basis (the basis is always kept). ``mode='lanczos'`` uses the symmetric
-    two-term recurrence plus one reorthogonalization pass against the previous
-    two blocks; with ``keep_basis=False`` only those two blocks are stored.
+    basis, which is kept. ``mode='lanczos'`` uses the symmetric two-term
+    recurrence plus one reorthogonalization pass against the previous two
+    blocks, and stores only those two blocks.
 
     ``extend()`` orthogonalizes A times the newest block, filling one more
     block column of the projected matrix, and appends the next basis block.
@@ -189,7 +196,7 @@ class BlockKrylov:
     blocks are handled by column deflation through pivoted QR.
     """
 
-    def __init__(self, A, start, mode="arnoldi", keep_basis=True, deflation_tol=None):
+    def __init__(self, A, start, mode="arnoldi", deflation_tol=None):
         if deflation_tol is None:
             deflation_tol = _deflation_tol(A)
         A = _as_matrix(A)
@@ -200,18 +207,16 @@ class BlockKrylov:
             raise ValidationError("matrix must be square and match the start block")
         if mode not in ("arnoldi", "lanczos"):
             raise ValueError(f"unknown mode {mode!r}")
-        if mode == "arnoldi" and not keep_basis:
-            raise ValueError("arnoldi mode requires the full basis")
         self._A = A
         self._mode = mode
-        self._keep = keep_basis
+        self._keep = mode == "arnoldi"
         self.n = A.shape[0]
         self._thr = deflation_tol
         self._start = start
         Q0, _ = _qr_deflate(start, 1e-14 * max(1.0, float(np.linalg.norm(start))))
         if Q0.shape[1] == 0:
             raise ValidationError("start block is numerically zero")
-        self._blocks = [Q0] if keep_basis else None
+        self._blocks = [Q0] if self._keep else None
         self._recent = [Q0]
         self._offsets = [0, Q0.shape[1]]
         self._H = np.zeros((Q0.shape[1], Q0.shape[1]))
@@ -288,7 +293,7 @@ class BlockKrylov:
         return np.vstack(self._Wrows)[:k, :]
 
     def basis(self, m=None):
-        """Basis matrix with the first m blocks as columns (requires keep_basis)."""
+        """Basis matrix with the first m blocks as columns (Arnoldi mode only)."""
         if not self._keep:
             raise ValueError("basis was not kept")
         m = self.filled if m is None else m
@@ -300,10 +305,38 @@ class BlockKrylov:
         return self.basis(m)[i, :]
 
 
-def _pad_diff(curr, prev):
+def _core_change(curr, prev):
+    """Spectral norm of curr - prev, with the smaller prev zero-padded."""
     d = curr.copy()
     d[: prev.shape[0], : prev.shape[1]] -= prev
-    return d
+    return np.linalg.norm(d, 2)
+
+
+def _lagged(step, moved, lag, tol, m_max):
+    """The lagged stopping loop over the orders m = 1, ..., m_max of a Krylov space.
+
+    ``step(m)`` extends the space to order m and returns ``(value, grew)``:
+    the projected quantity at order m, and whether the extension added a
+    basis block. The loop stops at the first m > lag with
+    ``moved(value_m, value_{m-lag}) <= tol``, or at the first order whose
+    extension exhausted the space (the value is then exact); both count as
+    converged. Otherwise it returns the value at ``m_max`` unconverged.
+    Returns ``(value, m, converged)``; ``lag`` and ``m_max`` below 1 raise
+    ValidationError.
+    """
+    if lag < 1:
+        raise ValidationError(f"lag must be >= 1, got {lag}")
+    if m_max < 1:
+        raise ValidationError(f"m_max must be >= 1, got {m_max}")
+    recent = deque(maxlen=lag)  # values at orders m - lag, ..., m - 1
+    for m in range(1, m_max + 1):
+        value, grew = step(m)
+        if len(recent) == lag and moved(value, recent[0]) <= tol:
+            return value, m, True
+        if not grew:
+            return value, m, True
+        recent.append(value)
+    return value, m_max, False
 
 
 # ---------------------------------------------------------------------
@@ -330,27 +363,42 @@ class FunUpdateResult:
         return float(np.trace(self.core))
 
 
+def _update_cores(A, X: LowRankUpdate, fs, lag, tol, m_max):
+    """Cores of fn(A+X) - fn(A) for every fn in ``fs`` on one block Arnoldi basis.
+
+    One pair of projected eigendecompositions per order serves all the
+    functions; the lagged test takes the largest change over the cores.
+    Returns ``(basis, cores, m, converged)``.
+    """
+    kry = BlockKrylov(A, X.U, mode="arnoldi")
+
+    def step(m):
+        grew = kry.extend()
+        H = kry.projected()
+        W = kry.start_projection()
+        w0, Q0 = matfun.sym_eig(H)
+        w1, Q1 = matfun.sym_eig(H + W @ X.B @ W.T)
+        cores = []
+        for fn in fs:
+            fn.check_spectrum(w1)
+            fn.check_spectrum(w0)
+            cores.append((Q1 * fn(w1)) @ Q1.T - (Q0 * fn(w0)) @ Q0.T)
+        return cores, grew
+
+    cores, m, converged = _lagged(
+        step, lambda curr, prev: max(map(_core_change, curr, prev)), lag, tol, m_max
+    )
+    return kry.basis(m), cores, m, converged
+
+
 def fun_update(A, X: LowRankUpdate, f, lag=DEFAULT_LAG, tol=1e-6, m_max=DEFAULT_M_MAX):
     """Low-rank approximation of f(A+X) - f(A) by block Arnoldi projection.
 
-    Iterates until the lagged stopping test
-    ``||core_m - pad(core_{m-lag})||_2 <= tol`` fires, the Krylov space is
-    exhausted (result exact, converged=True), or ``m_max`` is hit
-    (converged=False). Exact at order m for polynomials of degree <= m - 1.
+    Runs the lagged stopping loop on ``||core_m - pad(core_{m-lag})||_2``.
+    Exact at order m for polynomials of degree <= m - 1.
     """
-    kry = BlockKrylov(A, X.U, mode="arnoldi", keep_basis=True)
-    history = {}
-    for m in range(1, m_max + 1):
-        grew = kry.extend()
-        H = kry.projected(m)
-        W = kry.start_projection(m)
-        core = matfun.apply_fun_sym(f, H + W @ X.B @ W.T) - matfun.apply_fun_sym(f, H)
-        if m > lag and np.linalg.norm(_pad_diff(core, history[m - lag]), 2) <= tol:
-            return FunUpdateResult(kry.basis(m), core, m, True)
-        history[m] = core
-        if not grew:
-            return FunUpdateResult(kry.basis(m), core, m, True)
-    return FunUpdateResult(kry.basis(m_max), history[m_max], m_max, False)
+    basis, (core,), m, converged = _update_cores(A, X, (f,), lag, tol, m_max)
+    return FunUpdateResult(basis, core, m, converged)
 
 
 # ---------------------------------------------------------------------
@@ -365,112 +413,39 @@ class TraceUpdateResult:
     converged: bool
 
 
-def trace_fun_update(
-    A,
-    X: LowRankUpdate,
-    f,
-    lag=DEFAULT_LAG,
-    tol=1e-6,
-    m_max=DEFAULT_M_MAX,
-    m_fixed=None,
-):
+def trace_fun_update(A, X: LowRankUpdate, f, lag=DEFAULT_LAG, tol=1e-6, m_max=DEFAULT_M_MAX):
     """Tr(f(A+X)) - Tr(f(A)) from eigenvalues of the projected matrices.
 
     Uses the block Lanczos recurrence (two-term orthogonalization, only the
     last two blocks retained), so only the small projected eigenproblems are
-    solved: Delta = sum f(eig(H_m + W B W^T)) - sum f(eig(H_m)). Stops on
-    ``|Delta_m - Delta_{m-lag}| < tol``.
-
-    ``m_fixed`` requests a fixed-order evaluation: exactly that many Lanczos
-    steps (fewer on exhaustion) with a single evaluation at the end and no
-    stopping tests.
+    solved: Delta = sum f(eig(H_m + W B W^T)) - sum f(eig(H_m)). Runs the
+    lagged stopping loop on ``|Delta_m - Delta_{m-lag}|``.
     """
-    kry = BlockKrylov(A, X.U, mode="lanczos", keep_basis=False)
+    kry = BlockKrylov(A, X.U, mode="lanczos")
 
-    def evaluate(m):
-        H = kry.projected(m)
-        W = kry.start_projection(m)
+    def step(m):
+        grew = kry.extend()
+        H = kry.projected()
+        W = kry.start_projection()
         w_pert = np.linalg.eigvalsh(H + W @ X.B @ W.T)
         w_base = np.linalg.eigvalsh(H)
         f.check_spectrum(w_pert)
         f.check_spectrum(w_base)
-        return float(np.sum(f(w_pert)) - np.sum(f(w_base)))
+        return float(np.sum(f(w_pert)) - np.sum(f(w_base))), grew
 
-    if m_fixed is not None:
-        for _ in range(m_fixed):
-            if not kry.extend():
-                break
-        m = kry.filled
-        return TraceUpdateResult(evaluate(m), m, True)
-
-    history = {}
-    for m in range(1, m_max + 1):
-        grew = kry.extend()
-        delta = evaluate(m)
-        if m > lag and abs(delta - history[m - lag]) < tol:
-            return TraceUpdateResult(delta, m, True)
-        history[m] = delta
-        if not grew:
-            return TraceUpdateResult(delta, m, True)
-    return TraceUpdateResult(history[m_max], m_max, False)
+    delta, m, converged = _lagged(step, lambda a, b: abs(a - b), lag, tol, m_max)
+    return TraceUpdateResult(delta, m, converged)
 
 
 # ---------------------------------------------------------------------
-# Frechet derivative along indicator directions
+# Frechet derivatives along indicator directions
 # ---------------------------------------------------------------------
-
-
-@dataclass
-class FrechetResult:
-    """L_f(M, 1_i 1_j^T) ~ left_basis @ core @ right_basis.T."""
-
-    left_basis: np.ndarray
-    right_basis: np.ndarray
-    core: np.ndarray
-    iterations: int
-    converged: bool
-
-    def implied_matrix(self):
-        return self.left_basis @ self.core @ self.right_basis.T
-
-    def entry(self, h, k):
-        return float(self.left_basis[h, :] @ self.core @ self.right_basis[k, :])
 
 
 def _indicator(n, i):
     e = np.zeros((n, 1))
     e[i, 0] = 1.0
     return e
-
-
-def frechet_eval(M, i, j, f, lag=DEFAULT_LAG, tol=1e-8, m_max=DEFAULT_M_MAX):
-    """Derivative of f at symmetric M along 1_i 1_j^T, in factored form.
-
-    Builds Krylov spaces for (M, 1_i) and (M, 1_j); the core is the (1,2)
-    block of f of the projected 2x2 block upper-triangular matrix, evaluated
-    through divided differences. ``i == j`` (diagonal direction) shares a
-    single basis.
-    """
-    thr = _deflation_tol(M)
-    M = _as_matrix(M)
-    n = M.shape[0]
-    ku = BlockKrylov(M, _indicator(n, i), mode="arnoldi", deflation_tol=thr)
-    kv = ku if i == j else BlockKrylov(M, _indicator(n, j), mode="arnoldi", deflation_tol=thr)
-    history = {}
-    for m in range(1, m_max + 1):
-        grew = ku.extend()
-        if kv is not ku:
-            grew = kv.extend() or grew
-        H = ku.projected()
-        G = kv.projected()
-        E = np.outer(ku.basis_row(i), kv.basis_row(j))
-        core = matfun.block_frechet(f, H, G, E)
-        if m > lag and np.linalg.norm(_pad_diff(core, history[m - lag]), 2) <= tol:
-            return FrechetResult(ku.basis(), kv.basis(), core, m, True)
-        history[m] = core
-        if not grew:
-            return FrechetResult(ku.basis(), kv.basis(), core, m, True)
-    return FrechetResult(ku.basis(), kv.basis(), history[m_max], m_max, False)
 
 
 @dataclass
@@ -507,9 +482,14 @@ def multiple_frechet_eval(
 ):
     """Frechet derivatives of f at M along 1_i 1_j^T for every (i, j) in F.
 
-    Nodes appearing in several edges get a single Krylov basis, extended while
-    any incident edge is unconverged. Raises MemoryBudgetError when storing
-    the bases would exceed ``max_floats`` doubles.
+    Each core is the (1,2) block of f of the projected 2x2 block
+    upper-triangular matrix, evaluated through divided differences, and
+    runs the lagged stopping loop on its own. Nodes appearing in several
+    edges get a single Krylov basis, extended to the largest order any
+    incident edge asks for; an edge reads the first m blocks of it. A
+    diagonal direction (i, i) uses one basis for both sides. Raises
+    MemoryBudgetError when storing the bases would exceed ``max_floats``
+    doubles.
     """
     F = list(dict.fromkeys(tuple(p) for p in F))
     if not F:
@@ -523,46 +503,43 @@ def multiple_frechet_eval(
             f"{len(nodes)} bases of length {n} exceed the budget of {max_floats} floats"
         )
     kry = {v: BlockKrylov(M, _indicator(n, v), mode="arnoldi", deflation_tol=thr) for v in nodes}
-    pending = set(F)
-    cores, orders = {}, {}
-    history = {p: {} for p in F}
-    m = 0
-    while pending and m < m_max:
-        active = sorted({v for p in pending for v in p})
-        total = sum(kry[v].total_cols for v in nodes)
-        if n * (total + len(active)) > max_floats:
-            raise MemoryBudgetError(
-                f"extending {len(active)} bases would exceed the budget of {max_floats} floats"
-            )
-        grew = {v: kry[v].extend() for v in active}
-        m += 1
-        for pair in sorted(pending):
-            i, j = pair
-            ku, kv = kry[i], kry[j]
-            E = np.outer(ku.basis_row(i), kv.basis_row(j))
-            core = matfun.block_frechet(f, ku.projected(), kv.projected(), E)
-            done = False
-            if m > lag:
-                prev = history[pair][m - lag]
-                done = np.linalg.norm(_pad_diff(core, prev), 2) <= tol
-            if not done and not grew[i] and not grew[j]:
-                done = True  # both spaces exhausted: core is exact
-            if done:
-                cores[pair] = core
-                orders[pair] = m
-                pending.discard(pair)
-            else:
-                history[pair][m] = core
-    converged = not pending
-    for pair in sorted(pending):
-        cores[pair] = history[pair][m]
-        orders[pair] = m
+    used = sum(k.total_cols for k in kry.values())
+
+    def reach(k, m):
+        """Extend k to order m if needed; False once its space is exhausted by order m."""
+        nonlocal used
+        if k.filled < m and not k.exhausted:
+            if n * (used + 1) > max_floats:
+                raise MemoryBudgetError(
+                    f"extending a basis would exceed the budget of {max_floats} floats"
+                )
+            used -= k.total_cols
+            k.extend()
+            used += k.total_cols
+        return not (k.exhausted and k.filled <= m)
+
+    cores, orders, pending = {}, {}, set()
+    for i, j in F:
+        ku, kv = kry[i], kry[j]
+
+        def step(m):
+            grew = reach(ku, m)
+            grew = reach(kv, m) or grew
+            mu, mv = min(m, ku.filled), min(m, kv.filled)
+            E = np.outer(ku.basis_row(i, mu), kv.basis_row(j, mv))
+            return matfun.block_frechet(f, ku.projected(mu), kv.projected(mv), E), grew
+
+        core, m, converged = _lagged(step, _core_change, lag, tol, m_max)
+        cores[(i, j)] = core
+        orders[(i, j)] = m
+        if not converged:
+            pending.add((i, j))
     return MultiFrechetResult(
         node_basis={v: kry[v].basis() for v in nodes},
         cores=cores,
         orders=orders,
-        iterations=m,
-        converged=converged,
+        iterations=max(orders.values()),
+        converged=not pending,
         pending=frozenset(pending),
     )
 

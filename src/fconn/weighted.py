@@ -21,10 +21,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
-from . import matfun
 from .errors import ExhaustedSearchSpaceError, ValidationError
 from .graph import (
     CentralityRanking,
@@ -36,8 +34,8 @@ from .graph import (
     top_missing_pairs,
 )
 from .krylov import (
-    BlockKrylov,
     LowRankUpdate,
+    _update_cores,
     fun_action,
     multiple_frechet_eval,
     trace_fun_update,
@@ -188,50 +186,17 @@ def _phi_and_grad(prob, x, cache, lag=2, tol=KRYLOV_TOL, m_max=100):
 
     The projection space of f(A+X) - f(A) depends only on (A, X), so the
     cores for f (whose trace is the objective) and for f' (whose entries
-    feed the gradient 2(f'(A)_ij + Delta_ij)) are evaluated on one basis;
-    for f = exp the two cores coincide.
+    feed the gradient 2(f'(A)_ij + Delta_ij)) come from one
+    :func:`fconn.krylov.fun_update` loop; for f = exp the two cores coincide.
     """
-    x = np.asarray(x, dtype=float)
-    X = _update_from_x(prob, x)
+    X = _update_from_x(prob, np.asarray(x, dtype=float))
     f = prob.f
     fp = f.derivative()
-    shared = fp is f
-    kry = BlockKrylov(prob.graph, X.U, mode="arnoldi", keep_basis=True)
-    hist_o, hist_g = {}, {}
-    core_obj = core_grad = None
-    m = 0
-    for m in range(1, m_max + 1):
-        grew = kry.extend()
-        H = kry.projected(m)
-        W = kry.start_projection(m)
-        w0, Q0 = matfun.sym_eig(H)
-        w1, Q1 = matfun.sym_eig(H + W @ X.B @ W.T)
-        for fn in (f, fp):
-            fn.check_spectrum(w0)
-            fn.check_spectrum(w1)
-        core_obj = (Q1 * f(w1)) @ Q1.T - (Q0 * f(w0)) @ Q0.T
-        core_grad = core_obj if shared else (Q1 * fp(w1)) @ Q1.T - (Q0 * fp(w0)) @ Q0.T
-        if m > lag:
-            do = np.linalg.norm(_pad(core_obj, hist_o[m - lag]), 2)
-            dg = do if shared else np.linalg.norm(_pad(core_grad, hist_g[m - lag]), 2)
-            if max(do, dg) <= tol:
-                break
-        hist_o[m] = core_obj
-        hist_g[m] = core_grad
-        if not grew:
-            break
-    phi = float(np.trace(core_obj))
-    basis = kry.basis(m)
-    grad = np.empty(prob.n_F)
-    for h, (i, j) in enumerate(prob.F):
-        grad[h] = 2.0 * (cache[(i, j)] + basis[i, :] @ core_grad @ basis[j, :])
-    return phi, grad, m
-
-
-def _pad(curr, prev):
-    d = curr.copy()
-    d[: prev.shape[0], : prev.shape[1]] -= prev
-    return d
+    basis, cores, m, _ = _update_cores(
+        prob.graph, X, (f,) if fp is f else (f, fp), lag, tol, m_max
+    )
+    grad = [2.0 * (cache[(i, j)] + basis[i, :] @ cores[-1] @ basis[j, :]) for i, j in prob.F]
+    return float(np.trace(cores[0])), np.array(grad), m
 
 
 def gradient(prob: WeightedProblem, x, cache=None) -> np.ndarray:
@@ -246,7 +211,7 @@ def gradient(prob: WeightedProblem, x, cache=None) -> np.ndarray:
     return grad
 
 
-def hessian(prob: WeightedProblem, x, symmetrize=True, max_floats=2**27) -> np.ndarray:
+def hessian(prob: WeightedProblem, x) -> np.ndarray:
     """Hessian of phi over the edge deltas, from batched Frechet derivatives.
 
     Each variable perturbs A by the symmetric pair 1_i 1_j^T + 1_j 1_i^T, so
@@ -256,20 +221,17 @@ def hessian(prob: WeightedProblem, x, symmetrize=True, max_floats=2**27) -> np.n
 
     both terms read off one factored core per edge of F. In exact arithmetic
     H is symmetric; the Krylov projection perturbs the two index orders by
-    O(tol), so the result is symmetrized by averaging unless
-    ``symmetrize=False``.
+    O(tol), so the result is symmetrized by averaging.
     """
     x = np.asarray(x, dtype=float)
     M = prob.graph.adjacency + _sparse_update(prob, x)
-    res = multiple_frechet_eval(
-        M, prob.F, prob.f.derivative(), tol=KRYLOV_TOL, max_floats=max_floats
-    )
+    res = multiple_frechet_eval(M, prob.F, prob.f.derivative(), tol=KRYLOV_TOL)
     nf = prob.n_F
     H = np.empty((nf, nf))
     for a, pair in enumerate(prob.F):
         for b, (h, k) in enumerate(prob.F):
             H[a, b] = 2.0 * (res.entry(pair, h, k) + res.entry(pair, k, h))
-    return 0.5 * (H + H.T) if symmetrize else H
+    return 0.5 * (H + H.T)
 
 
 def _sparse_update(prob, x):

@@ -1,8 +1,4 @@
-import os
-import pathlib
-
 import numpy as np
-import pytest
 
 from fconn import SparseSymGraph
 
@@ -69,26 +65,3 @@ def missing_pairs(g):
         if not g.has_edge(i, j)
     ]
 
-
-def data_dir() -> pathlib.Path:
-    return pathlib.Path(os.environ.get("FCONN_DATA", pathlib.Path(__file__).parent.parent / "data"))
-
-
-def find_dataset(*names):
-    """First existing dataset file among candidate names, else None."""
-    base = data_dir()
-    for name in names:
-        p = base / name
-        if p.exists():
-            return p
-    return None
-
-
-def require_dataset(*names):
-    p = find_dataset(*names)
-    if p is None:
-        pytest.skip(
-            f"benchmark dataset not available (looked for {', '.join(names)} under "
-            f"{data_dir()}; see data/README.md)"
-        )
-    return p

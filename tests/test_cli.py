@@ -64,3 +64,49 @@ def test_threads_option_is_rejected(edge_list):
     with pytest.raises(SystemExit) as exc:
         main(["break", "--input", edge_list, "--budget", "1", "--threads", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--lag", "0"), ("--lag", "-1"), ("--m-max", "0")])
+def test_bad_krylov_controls_exit_2(flag, value, edge_list, capsys):
+    argv = ["break", "--input", edge_list, "--budget", "1", "--probes", "8", flag, value]
+    assert main(argv) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["trace", "downgrade", "add", "tune", "rewire"])
+@pytest.mark.parametrize("flag,value", [("--tol", "1e-6"), ("--lag", "2"), ("--m-max", "50")])
+def test_krylov_controls_only_on_greedy_subcommands(subcommand, flag, value, edge_list):
+    argv = [subcommand, "--input", edge_list, flag, value]
+    if subcommand != "trace":
+        argv += ["--budget", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("mode", ["break", "make"])
+def test_miobi_run(mode, edge_list, tmp_path):
+    base = str(tmp_path / mode)
+    argv = [mode, "--input", edge_list, "--budget", "2", "--method", "miobi", "--eigenpairs", "6"]
+    assert main(argv + ["--probes", "8", "--output", base]) == 0
+    summary, rows = _artifacts(base)
+    assert summary["method"] == "miobi"
+    assert summary["iterations"]["steps"] == 2 and summary["iterations"]["eigenpairs"] == 6
+    assert summary["iterations"]["orthonormality_drift"] >= 0.0
+    assert len(rows) == 2 and all(row["cumulative_delta_trace"] for row in rows)
+    sign = -1.0 if mode == "break" else 1.0
+    assert all(d * sign > 0 for _, _, d in summary["edges"])
+
+
+def test_compare_run(edge_list, tmp_path, capsys):
+    base = str(tmp_path / "cmp")
+    argv = ["compare", "--input", edge_list, "--budget", "2", "--mode", "break", "--q", "5"]
+    assert main(argv + ["--probes", "8", "--eigenpairs", "6", "--output", base]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["method"] for r in rows] == ["krylov", "miobi", "eigenv"]
+    for row in rows:
+        assert row["iterations"] == 2 and row["delta_t"] > 0
+        others = [m for m in ("krylov", "miobi", "eigenv") if m != row["method"]]
+        assert all(0 <= row[f"common_{m}"] <= 2 for m in others)
+    with open(base + ".csv", newline="", encoding="utf-8") as fh:
+        assert [r["method"] for r in csv.DictReader(fh)] == ["krylov", "miobi", "eigenv"]

@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 from fconn.errors import ConvergenceError, InputFormatError, ValidationError
 from fconn.graph import (
     CentralityRanking,
-    Comparison,
     Ordering,
     SearchSpaceState,
     SparseSymGraph,
     Strategy,
-    compare_edges,
     eigenvector_centrality,
     load_graph,
     normalize_pair,
@@ -266,6 +264,8 @@ class TestEigenvectorCentrality:
 
 
 class TestCompareEdges:
+    """The pairwise order of node pairs under a ranking, as ``top_edges`` applies it."""
+
     SCORES = np.array([0.9, 0.5, 0.4, 0.1])
 
     def _ranking(self, ordering):
@@ -274,44 +274,40 @@ class TestCompareEdges:
 
     def test_product_ordering(self):
         r = self._ranking(Ordering.PRODUCT)
-        assert compare_edges((0, 3), (1, 2), r) is Comparison.LESS
+        assert top_edges([(0, 3), (1, 2)], r, 2) == [(1, 2), (0, 3)]
 
     def test_minmax_ordering(self):
         r = self._ranking(Ordering.MINMAX)
-        assert compare_edges((0, 3), (1, 2), r) is Comparison.LESS
+        assert top_edges([(0, 3), (1, 2)], r, 2) == [(1, 2), (0, 3)]
 
     def test_degenerate_tie(self):
         s = np.full(4, 0.5)
         r = CentralityRanking(s, Ordering.PRODUCT)
-        assert compare_edges((0, 1), (2, 3), r) is Comparison.EQUAL
+        assert r.key((0, 1)) == r.key((2, 3))
+        assert top_edges([(2, 3), (0, 1)], r, 2) == [(0, 1), (2, 3)]
 
     def test_minmax_breaks_on_max_after_min_tie(self):
         s = np.array([0.1, 0.8, 0.1, 0.3])
         r = CentralityRanking(s / np.linalg.norm(s), Ordering.MINMAX)
-        # min ties at 0.1; (0,1) has larger max than (2,3)
-        assert compare_edges((0, 1), (2, 3), r) is Comparison.GREATER
+        # min ties at 0.1; (0,1) has larger max than (2,3), and (1,2) larger
+        # than (0,3) even though (0,3) comes first by index
+        assert top_edges([(2, 3), (0, 1)], r, 2) == [(0, 1), (2, 3)]
+        assert top_edges([(0, 3), (1, 2)], r, 2) == [(1, 2), (0, 3)]
 
-    @given(
-        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=8),
-        st.data(),
-    )
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=8))
     @settings(max_examples=100, deadline=None)
-    def test_total_preorder(self, raw, data):
+    def test_total_preorder(self, raw):
         raw = np.asarray(raw) + 1e-3
         scores = raw / np.linalg.norm(raw)
         n = len(scores)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        e1 = data.draw(st.sampled_from(pairs))
-        e2 = data.draw(st.sampled_from(pairs))
-        e3 = data.draw(st.sampled_from(pairs))
         for ordering in Ordering:
             r = CentralityRanking(scores, ordering)
-            c12 = compare_edges(e1, e2, r)
-            c21 = compare_edges(e2, e1, r)
-            assert c12 is Comparison(-c21)  # antisymmetric, hence total
-            # transitivity of (non-strict) order on keys
-            if c12 is not Comparison.GREATER and compare_edges(e2, e3, r) is not Comparison.GREATER:
-                assert compare_edges(e1, e3, r) is not Comparison.GREATER
+            ranked = top_edges(pairs[::-1], r, len(pairs))
+            assert sorted(ranked) == pairs
+            # keys descending, equal keys in index order
+            for a, b in zip(ranked, ranked[1:]):
+                assert r.key(a) > r.key(b) or (r.key(a) == r.key(b) and a < b)
 
     def test_score_validation(self):
         with pytest.raises(ValidationError):
@@ -376,8 +372,9 @@ class TestSearchSpaces:
     def test_path3_dg2_tie_breaks_to_first_edge(self):
         g = path(3)
         r = CentralityRanking.from_graph(g, Ordering.MINMAX, tol=1e-12)
-        state = SearchSpaceState(Strategy.DG_2, q=1)
-        assert select_search_space(g, state, r) == [(0, 1)]
+        ranked = tuple(ranked_candidates(g.n, np.array(g.edge_pairs), Strategy.DG_2, r, 1))
+        state = SearchSpaceState(Strategy.DG_2, q=1, ranked=ranked)
+        assert select_search_space(g, state) == [(0, 1)]
 
     def test_ranked_strategies_need_ranking(self):
         with pytest.raises(ValueError):
@@ -392,13 +389,14 @@ class TestSearchSpaces:
         # after removing the top edge, it must not reappear, and the window grows
         g = random_connected_graph(12, 10, seed=3)
         r = CentralityRanking.from_graph(g, Ordering.PRODUCT)
-        state0 = SearchSpaceState(Strategy.DG_1, q=4)
-        first = select_search_space(g, state0, r)
+        ranked = tuple(ranked_candidates(g.n, np.array(g.edge_pairs), Strategy.DG_1, r, 5))
+        state0 = SearchSpaceState(Strategy.DG_1, q=4, ranked=ranked)
+        first = select_search_space(g, state0)
         assert len(first) == 4
         pick = first[0]
         g2 = g.with_edge_delta(pick[0], pick[1], -1.0)
-        state1 = SearchSpaceState(Strategy.DG_1, q=4, chosen=frozenset({pick}), step=1)
-        second = select_search_space(g2, state1, r)
+        state1 = SearchSpaceState(Strategy.DG_1, 4, frozenset({pick}), 1, ranked)
+        second = select_search_space(g2, state1)
         assert len(second) == 4
         assert pick not in second
         # ranked top-(q+1) of the initial edge set minus the pick
@@ -409,16 +407,18 @@ class TestSearchSpaces:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_search_space_invariants(self, strategy, seed):
         g = random_connected_graph(20, 25, seed=seed)
-        ranking = CentralityRanking.from_graph(
-            g, strategy.implied_ordering or Ordering.PRODUCT
-        )
+        q = 6
+        ranked = None
+        if strategy.implied_ordering is not None:
+            ranking = CentralityRanking.from_graph(g, strategy.implied_ordering)
+            edges = np.array(g.edge_pairs)
+            ranked = tuple(ranked_candidates(g.n, edges, strategy, ranking, q + 2))
         edge_set = g.edge_set()
         work = g
         chosen = set()
-        q = 6
         for step in range(3):
-            state = SearchSpaceState(strategy, q, frozenset(chosen), step)
-            space = select_search_space(work, state, ranking)
+            state = SearchSpaceState(strategy, q, frozenset(chosen), step, ranked)
+            space = select_search_space(work, state)
             if strategy is not Strategy.DG_FULL and strategy is not Strategy.AD_3:
                 assert len(space) <= q + step
             assert not (set(space) & chosen)
@@ -461,10 +461,8 @@ def test_ranked_selection_matches_sorted_order(strategy, graph):
     work, chosen = graph, set()
     for step in range(steps):
         want = [p for p in sorted_top(pool, ranking, q + step) if p not in chosen]
-        state = SearchSpaceState(strategy, q, frozenset(chosen), step)
-        assert select_search_space(work, state, ranking) == want
-        fixed = SearchSpaceState(strategy, q, frozenset(chosen), step, ranked)
-        assert select_search_space(work, fixed, None) == want
+        state = SearchSpaceState(strategy, q, frozenset(chosen), step, ranked)
+        assert select_search_space(work, state) == want
         if not want:
             break
         pick = want[-1]

@@ -7,9 +7,9 @@ from fconn.graph import SparseSymGraph
 from fconn.krylov import (
     BlockKrylov,
     LowRankUpdate,
+    _lagged,
     _lanczos_lockstep,
     estimate_trace_f,
-    frechet_eval,
     fun_action,
     fun_update,
     multiple_frechet_eval,
@@ -209,14 +209,6 @@ class TestTraceFunUpdate:
             back = trace_fun_update(g2, X.negated(), Exp(), tol=tol).delta
             assert abs(fwd + back) <= 10 * tol * max(1.0, abs(fwd))
 
-    def test_m_fixed_mode(self):
-        g = random_connected_graph(40, 50, seed=11)
-        X = LowRankUpdate.from_edge(40, 0, 2, -1.0)
-        res = trace_fun_update(g, X, Exp(), m_fixed=12)
-        assert res.iterations == 12 and res.converged
-        ref = trace_fun_update(g, X, Exp(), tol=1e-12)
-        assert res.delta == pytest.approx(ref.delta, rel=1e-6)
-
     def test_resolvent_and_sinh(self):
         g = random_connected_graph(30, 40, seed=12)
         A = g.adjacency.toarray()
@@ -229,30 +221,35 @@ class TestTraceFunUpdate:
             assert res.delta == pytest.approx(dense, rel=1e-7, abs=1e-9)
 
 
+def _frechet(M, i, j, f, **kw):
+    """One-pair multiple_frechet_eval: the derivative along 1_i 1_j^T, factored."""
+    return multiple_frechet_eval(M, [(i, j)], f, **kw)
+
+
 class TestFrechetEval:
     def test_identity_function_order_one(self):
         g = path(12)
-        res = frechet_eval(g, 3, 8, Polynomial([0.0, 1.0]), m_max=1)
+        res = _frechet(g, 3, 8, Polynomial([0.0, 1.0]), m_max=1)
         want = np.zeros((12, 12))
         want[3, 8] = 1.0
-        assert np.allclose(res.implied_matrix(), want, atol=1e-13)
+        assert np.allclose(res.implied_matrix((3, 8)), want, atol=1e-13)
 
     def test_zero_matrix_exp(self):
         A = scipy.sparse.csr_matrix((8, 8))
-        res = frechet_eval(A, 2, 5, Exp())
+        res = _frechet(A, 2, 5, Exp())
         want = np.zeros((8, 8))
         want[2, 5] = 1.0
         assert res.converged
-        assert np.allclose(res.implied_matrix(), want, atol=1e-13)
+        assert np.allclose(res.implied_matrix((2, 5)), want, atol=1e-13)
 
     def test_exp_against_augmented_oracle(self):
         g = random_connected_graph(30, 45, seed=13)
         A = g.adjacency.toarray()
         E = np.zeros((30, 30))
         E[2, 9] = 1.0
-        res = frechet_eval(g, 2, 9, Exp(), tol=1e-10)
+        res = _frechet(g, 2, 9, Exp(), tol=1e-10)
         want = oracles.frechet_block(Exp(), A, E)
-        err = np.linalg.norm(res.implied_matrix() - want) / np.linalg.norm(want)
+        err = np.linalg.norm(res.implied_matrix((2, 9)) - want) / np.linalg.norm(want)
         assert err <= 1e-6
 
     def test_diagonal_direction(self):
@@ -260,28 +257,38 @@ class TestFrechetEval:
         A = g.adjacency.toarray()
         E = np.zeros((20, 20))
         E[4, 4] = 1.0
-        res = frechet_eval(g, 4, 4, Exp(), tol=1e-10)
+        res = _frechet(g, 4, 4, Exp(), tol=1e-10)
         want = oracles.frechet_block(Exp(), A, E)
-        assert np.linalg.norm(res.implied_matrix() - want) <= 1e-8 * np.linalg.norm(want)
+        assert np.linalg.norm(res.implied_matrix((4, 4)) - want) <= 1e-8 * np.linalg.norm(want)
 
 
 class TestMultipleFrechetEval:
     def test_batch_of_one_matches_single(self):
         g = random_connected_graph(25, 35, seed=15)
-        single = frechet_eval(g, 2, 9, Exp())
-        multi = multiple_frechet_eval(g, [(2, 9)], Exp())
+        multi = multiple_frechet_eval(g, [(2, 9), (2, 14), (9, 14)], Exp())
+        single = _frechet(g, 2, 9, Exp())
         core = multi.cores[(2, 9)]
-        assert core.shape == single.core.shape
-        assert np.allclose(core, single.core, atol=1e-12)
+        assert core.shape == single.cores[(2, 9)].shape
+        assert np.allclose(core, single.cores[(2, 9)], atol=1e-12)
+        E = np.zeros((25, 25))
+        E[2, 9] = 1.0
+        want = oracles.frechet_block(Exp(), g.adjacency.toarray(), E)
+        err = np.linalg.norm(multi.implied_matrix((2, 9)) - want) / np.linalg.norm(want)
+        assert err <= 1e-6
 
     def test_shared_node_agrees_with_independent_calls(self):
         g = random_connected_graph(25, 35, seed=16)
+        A = g.adjacency.toarray()
         multi = multiple_frechet_eval(g, [(2, 9), (2, 14)], Exp(), tol=1e-9)
         for pair in [(2, 9), (2, 14)]:
-            single = frechet_eval(g, pair[0], pair[1], Exp(), tol=1e-9)
+            single = _frechet(g, pair[0], pair[1], Exp(), tol=1e-9)
             got = multi.implied_matrix(pair)
-            want = single.implied_matrix()
+            want = single.implied_matrix(pair)
             assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
+            E = np.zeros((25, 25))
+            E[pair] = 1.0
+            dense = oracles.frechet_block(Exp(), A, E)
+            assert np.linalg.norm(got - dense) <= 1e-6 * np.linalg.norm(dense)
 
     def test_linear_polynomial_indicators(self):
         g = random_connected_graph(15, 20, seed=17)
@@ -301,6 +308,48 @@ class TestMultipleFrechetEval:
         g = triangle()
         with pytest.raises(ValidationError):
             multiple_frechet_eval(g, [], Exp())
+
+
+class TestLaggedDriver:
+    @staticmethod
+    def _steps(values, exhausted_at=None):
+        def step(m):
+            return values[m - 1], m != exhausted_at
+
+        return step
+
+    def test_stops_on_lagged_tie(self):
+        # |3.5 - 3.0| equals tol exactly: the test is <=, not <
+        step = self._steps([5.0, 3.0, 4.0, 3.5, 9.0])
+        assert _lagged(step, lambda a, b: abs(a - b), 2, 0.5, 10) == (3.5, 4, True)
+
+    def test_exhaustion_is_converged(self):
+        step = self._steps([1.0, 2.0, 4.0, 8.0], exhausted_at=3)
+        assert _lagged(step, lambda a, b: abs(a - b), 1, 0.0, 10) == (4.0, 3, True)
+
+    def test_m_max_returns_last_value_unconverged(self):
+        step = self._steps([1.0, 2.0, 4.0, 8.0])
+        assert _lagged(step, lambda a, b: abs(a - b), 1, 0.5, 3) == (4.0, 3, False)
+
+    @pytest.mark.parametrize("lag,m_max", [(0, 10), (-1, 10), (2, 0)])
+    def test_invalid_lag_and_m_max_rejected(self, lag, m_max):
+        def step(m):
+            raise AssertionError("no order may be evaluated")
+
+        with pytest.raises(ValidationError):
+            _lagged(step, lambda a, b: abs(a - b), lag, 1e-6, m_max)
+
+    @pytest.mark.parametrize("lag,m_max", [(0, 10), (-1, 10), (2, 0)])
+    def test_entry_points_reject_invalid_lag_and_m_max(self, lag, m_max):
+        g = random_connected_graph(12, 10, seed=31)
+        X = LowRankUpdate.from_edge(12, *g.edge_pairs[0], -1.0)
+        for call in (
+            lambda: trace_fun_update(g, X, Exp(), lag=lag, m_max=m_max),
+            lambda: fun_update(g, X, Exp(), lag=lag, m_max=m_max),
+            lambda: multiple_frechet_eval(g, [(0, 1)], Exp(), lag=lag, m_max=m_max),
+        ):
+            with pytest.raises(ValidationError):
+                call()
 
 
 class TestFunAction:
