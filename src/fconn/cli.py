@@ -115,6 +115,10 @@ class RunSpec:
             raise ValidationError(
                 f"method {self.method!r} is not valid for {self.subcommand!r}"
             )
+        if self.lag < 1:
+            raise ValidationError(f"lag must be >= 1, got {self.lag}")
+        if self.m_max < 1:
+            raise ValidationError(f"m_max must be >= 1, got {self.m_max}")
 
 
 @dataclass
@@ -163,10 +167,11 @@ class TraceVariationReport:
         return payload
 
 
-def _aggregate_delta(graph, plan, f, tol):
+def _aggregate_delta(graph, plan, f, spec):
     """Trace variation of a whole plan in one Krylov evaluation."""
     upd = plan.as_update(graph.n)
-    return trace_fun_update(graph, upd, f, tol=tol).delta
+    tol = min(spec.tol, 1e-8)
+    return trace_fun_update(graph, upd, f, lag=spec.lag, tol=tol, m_max=spec.m_max)
 
 
 def _run_unweighted(spec: RunSpec, graph, f) -> TraceVariationReport:
@@ -191,11 +196,18 @@ def _run_unweighted(spec: RunSpec, graph, f) -> TraceVariationReport:
         else:
             plan = greedy_krylov(graph, cfg, f)
     report.wall_time = time.perf_counter() - t0
+    unconverged = plan.diagnostics.get("unconverged", 0)
     if plan.step_deltas:
         report.numerator = float(np.sum(plan.step_deltas))
         report.cumulative = list(np.cumsum(plan.step_deltas))
     else:
-        report.numerator = _aggregate_delta(graph, plan, f, min(spec.tol, 1e-8))
+        res = _aggregate_delta(graph, plan, f, spec)
+        report.numerator = res.delta
+        unconverged = int(not res.converged)
+    if unconverged:
+        report.warnings.append(
+            f"{unconverged} Krylov evaluation(s) reached m_max={spec.m_max} unconverged"
+        )
     report.edges = list(plan.edges)
     report.iterations = {"steps": len(plan.edges), **plan.diagnostics}
     if plan.exhausted:
@@ -351,7 +363,9 @@ def _add_common(p):
 
 def _add_krylov(p):
     """Controls of the greedy Krylov scoring (break, make and compare only)."""
-    p.add_argument("--tol", type=float, default=None, help="Krylov stopping tolerance")
+    p.add_argument(
+        "--tol", type=float, default=None, help="relative Krylov stopping tolerance"
+    )
     p.add_argument("--lag", type=int, default=2)
     p.add_argument("--m-max", type=int, default=100)
 

@@ -188,14 +188,29 @@ def greedy_krylov(graph: SparseSymGraph, cfg: GreedyConfig, f) -> ModificationPl
     """Sequential greedy edge selection scored by Krylov trace updates.
 
     Each step evaluates Tr(f(A+X)) - Tr(f(A)) for a rank-2 candidate update X
-    over the search space of ``cfg.strategy``.
+    over the search space of ``cfg.strategy``. Besides ``evaluations``, the
+    plan's diagnostics hold the min, median and max Krylov order of those
+    evaluations (None when there were none) and the number that reached
+    ``cfg.m_max`` unconverged.
     """
+    orders, unconverged = [], 0
 
     def score(work, pair, d):
+        nonlocal unconverged
         upd = LowRankUpdate.from_edge(work.n, pair[0], pair[1], d)
-        return trace_fun_update(work, upd, f, lag=cfg.lag, tol=cfg.tol, m_max=cfg.m_max).delta
+        res = trace_fun_update(work, upd, f, lag=cfg.lag, tol=cfg.tol, m_max=cfg.m_max)
+        orders.append(res.iterations)
+        unconverged += not res.converged
+        return res.delta
 
-    return _greedy(graph, cfg, cfg.strategy, score)
+    plan = _greedy(graph, cfg, cfg.strategy, score)
+    plan.diagnostics.update(
+        order_min=min(orders, default=None),
+        order_median=float(np.median(orders)) if orders else None,
+        order_max=max(orders, default=None),
+        unconverged=unconverged,
+    )
+    return plan
 
 
 # ---------------------------------------------------------------------

@@ -20,6 +20,16 @@ exhausts the space (the value is then exact), and otherwise returns the value
 at ``m_max`` with ``converged=False``. Callers supply only the step that
 extends the space to order m and evaluates the quantity there.
 
+Every lagged test is relative to the size of what it measures, so ``tol`` is
+a relative tolerance: the change |Delta_m - Delta_{m-lag}| of a trace update
+is compared with tol * |Delta_m|, and the spectral norm of a core's change
+with tol * ||core_m||_2. A change at or below the quantity's rounding level
+(a small multiple of eps times the summed |f| of the projected spectra for a
+trace, times max |f| for a core) also stops the loop, so an update that is
+zero stops at order lag + 1. An absolute test cannot serve both a trace
+update of 1e8, which it never lets stop, and one of 1e-3, which it stops
+before a single digit is right.
+
 ``fun_action`` and ``estimate_trace_f`` share one lockstep Lanczos kernel:
 b independent single-vector recurrences advance together, with one CSR
 SpMM over the active vectors per step, vector-wise recurrence updates and
@@ -32,8 +42,11 @@ basis vectors of each recurrence are kept: a batch of b vectors holds fewer
 than ten n x b blocks of doubles at once, input, output and temporaries
 included, instead of b bases of n x m. Quadratic forms v^T f(A) v, which
 make up most of Hutch++, come straight from the tridiagonal matrices as
-||v||^2 w^T f(T_m) w, w being the start vector in basis coordinates; the
-vectors f(A) v are rebuilt by replaying the recurrences in a second pass.
+||v||^2 e_1^T f(T_m) e_1, and f(A) v is ||v|| V_m f(T_m) e_1: the start
+vector is taken to be the first basis vector exactly, never recomputed from
+inner products with the basis, which lose their meaning once the basis loses
+orthogonality (Musco, Musco & Sidford, SODA 2018). The vectors f(A) v are
+rebuilt by replaying the recurrences in a second pass.
 
 All routines accept a :class:`fconn.graph.SparseSymGraph`, a scipy sparse
 matrix or a dense ndarray as the large symmetric matrix. A graph supplies
@@ -312,6 +325,25 @@ def _core_change(curr, prev):
     return np.linalg.norm(d, 2)
 
 
+# Rounding level of a projected quantity, per unit of its scale. The lagged
+# differences of a converged trace update level off at 30-120 eps times the
+# summed |f| of the projected spectra on 1000-1500-node graphs.
+_ROUNDING = 100.0 * np.finfo(float).eps
+
+
+def _relative(change, size, floor):
+    """Lagged change of a quantity relative to its size, for the ``moved`` tests.
+
+    A change at or below ``floor``, the rounding level of the quantity, counts
+    as no change (0); otherwise the result is change / size. Compared with
+    ``tol``, it stops the loop once change <= max(tol * size, floor), so a
+    quantity that is exactly or numerically zero still stops.
+    """
+    if change <= floor:
+        return 0.0
+    return change / size if size > 0.0 else np.inf
+
+
 def _lagged(step, moved, lag, tol, m_max):
     """The lagged stopping loop over the orders m = 1, ..., m_max of a Krylov space.
 
@@ -321,8 +353,9 @@ def _lagged(step, moved, lag, tol, m_max):
     ``moved(value_m, value_{m-lag}) <= tol``, or at the first order whose
     extension exhausted the space (the value is then exact); both count as
     converged. Otherwise it returns the value at ``m_max`` unconverged.
-    Returns ``(value, m, converged)``; ``lag`` and ``m_max`` below 1 raise
-    ValidationError.
+    Every caller's ``moved`` is relative (see :func:`_relative`), so ``tol``
+    is a relative tolerance. Returns ``(value, m, converged)``; ``lag`` and
+    ``m_max`` below 1 raise ValidationError.
     """
     if lag < 1:
         raise ValidationError(f"lag must be >= 1, got {lag}")
@@ -367,7 +400,10 @@ def _update_cores(A, X: LowRankUpdate, fs, lag, tol, m_max):
     """Cores of fn(A+X) - fn(A) for every fn in ``fs`` on one block Arnoldi basis.
 
     One pair of projected eigendecompositions per order serves all the
-    functions; the lagged test takes the largest change over the cores.
+    functions. Each core's lagged change ``||core_m - pad(core_{m-lag})||_2``
+    is taken relative to ``||core_m||_2``, with a floor at the rounding level
+    of eps * max |fn(w)| over both projected spectra; the loop stops when the
+    largest of these relative changes is at most ``tol``.
     Returns ``(basis, cores, m, converged)``.
     """
     kry = BlockKrylov(A, X.U, mode="arnoldi")
@@ -378,24 +414,33 @@ def _update_cores(A, X: LowRankUpdate, fs, lag, tol, m_max):
         W = kry.start_projection()
         w0, Q0 = matfun.sym_eig(H)
         w1, Q1 = matfun.sym_eig(H + W @ X.B @ W.T)
-        cores = []
+        cores, floors = [], []
         for fn in fs:
             fn.check_spectrum(w1)
             fn.check_spectrum(w0)
-            cores.append((Q1 * fn(w1)) @ Q1.T - (Q0 * fn(w0)) @ Q0.T)
-        return cores, grew
+            f1, f0 = fn(w1), fn(w0)
+            cores.append((Q1 * f1) @ Q1.T - (Q0 * f0) @ Q0.T)
+            floors.append(_ROUNDING * max(np.max(np.abs(f1)), np.max(np.abs(f0))))
+        return (cores, floors), grew
 
-    cores, m, converged = _lagged(
-        step, lambda curr, prev: max(map(_core_change, curr, prev)), lag, tol, m_max
-    )
+    def moved(curr, prev):
+        return max(
+            _relative(_core_change(c, p), np.linalg.norm(c, 2), floor)
+            for c, p, floor in zip(curr[0], prev[0], curr[1])
+        )
+
+    (cores, _), m, converged = _lagged(step, moved, lag, tol, m_max)
     return kry.basis(m), cores, m, converged
 
 
 def fun_update(A, X: LowRankUpdate, f, lag=DEFAULT_LAG, tol=1e-6, m_max=DEFAULT_M_MAX):
     """Low-rank approximation of f(A+X) - f(A) by block Arnoldi projection.
 
-    Runs the lagged stopping loop on ``||core_m - pad(core_{m-lag})||_2``.
-    Exact at order m for polynomials of degree <= m - 1.
+    Runs the lagged stopping loop on the relative core change
+    ``||core_m - pad(core_{m-lag})||_2 <= tol * ||core_m||_2``; a change at
+    the rounding level eps * max |f(w)| of the projected spectra also stops
+    it, so a zero update stops at order lag + 1. Exact at order m for
+    polynomials of degree <= m - 1.
     """
     basis, (core,), m, converged = _update_cores(A, X, (f,), lag, tol, m_max)
     return FunUpdateResult(basis, core, m, converged)
@@ -419,7 +464,12 @@ def trace_fun_update(A, X: LowRankUpdate, f, lag=DEFAULT_LAG, tol=1e-6, m_max=DE
     Uses the block Lanczos recurrence (two-term orthogonalization, only the
     last two blocks retained), so only the small projected eigenproblems are
     solved: Delta = sum f(eig(H_m + W B W^T)) - sum f(eig(H_m)). Runs the
-    lagged stopping loop on ``|Delta_m - Delta_{m-lag}|``.
+    lagged stopping loop on the relative change
+    ``|Delta_m - Delta_{m-lag}| <= tol * |Delta_m|``. A change at or below
+    the rounding level of the difference, a small multiple of
+    eps * (sum |f(eig(H_m + W B W^T))| + sum |f(eig(H_m))|), also stops it,
+    so a Delta that is zero, such as that of a zero-delta X, stops at order
+    lag + 1.
     """
     kry = BlockKrylov(A, X.U, mode="lanczos")
 
@@ -431,9 +481,14 @@ def trace_fun_update(A, X: LowRankUpdate, f, lag=DEFAULT_LAG, tol=1e-6, m_max=DE
         w_base = np.linalg.eigvalsh(H)
         f.check_spectrum(w_pert)
         f.check_spectrum(w_base)
-        return float(np.sum(f(w_pert)) - np.sum(f(w_base))), grew
+        f_pert, f_base = f(w_pert), f(w_base)
+        floor = _ROUNDING * (np.sum(np.abs(f_pert)) + np.sum(np.abs(f_base)))
+        return (float(np.sum(f_pert) - np.sum(f_base)), floor), grew
 
-    delta, m, converged = _lagged(step, lambda a, b: abs(a - b), lag, tol, m_max)
+    def moved(curr, prev):
+        return _relative(abs(curr[0] - prev[0]), abs(curr[0]), curr[1])
+
+    (delta, _), m, converged = _lagged(step, moved, lag, tol, m_max)
     return TraceUpdateResult(delta, m, converged)
 
 
@@ -484,7 +539,10 @@ def multiple_frechet_eval(
 
     Each core is the (1,2) block of f of the projected 2x2 block
     upper-triangular matrix, evaluated through divided differences, and
-    runs the lagged stopping loop on its own. Nodes appearing in several
+    runs the lagged stopping loop on its own, on the relative change
+    ``||core_m - pad(core_{m-lag})||_2 <= tol * ||core_m||_2``; a change at
+    the rounding level eps * max |f(w)| over the two projected spectra also
+    stops it. Nodes appearing in several
     edges get a single Krylov basis, extended to the largest order any
     incident edge asks for; an edge reads the first m blocks of it. A
     diagonal direction (i, i) uses one basis for both sides. Raises
@@ -518,6 +576,17 @@ def multiple_frechet_eval(
             used += k.total_cols
         return not (k.exhausted and k.filled <= m)
 
+    scales = {}  # (node, order) -> max |f| over the projected spectrum
+
+    def scale(v, m):
+        if (v, m) not in scales:
+            w = np.linalg.eigvalsh(kry[v].projected(m))
+            scales[(v, m)] = float(np.max(np.abs(f(w))))
+        return scales[(v, m)]
+
+    def moved(curr, prev):
+        return _relative(_core_change(curr[0], prev[0]), np.linalg.norm(curr[0], 2), curr[1])
+
     cores, orders, pending = {}, {}, set()
     for i, j in F:
         ku, kv = kry[i], kry[j]
@@ -527,9 +596,10 @@ def multiple_frechet_eval(
             grew = reach(kv, m) or grew
             mu, mv = min(m, ku.filled), min(m, kv.filled)
             E = np.outer(ku.basis_row(i, mu), kv.basis_row(j, mv))
-            return matfun.block_frechet(f, ku.projected(mu), kv.projected(mv), E), grew
+            core = matfun.block_frechet(f, ku.projected(mu), kv.projected(mv), E)
+            return (core, _ROUNDING * max(scale(i, mu), scale(j, mv))), grew
 
-        core, m, converged = _lagged(step, _core_change, lag, tol, m_max)
+        (core, _), m, converged = _lagged(step, moved, lag, tol, m_max)
         cores[(i, j)] = core
         orders[(i, j)] = m
         if not converged:
@@ -636,8 +706,8 @@ def _lanczos_lockstep(A, f, V, quadratic, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
     space is exhausted (the result is then exact); zero columns give zero.
     All columns advance together and each drops out when it stops.
 
-    With ``quadratic`` the result is ``||v||^2 w^T f(T_m) w``, with w the
-    basis coordinates of the start vector, and needs no basis. Otherwise a
+    The coefficient vector is y_m = ||v|| f(T_m) e_1. With ``quadratic``
+    the result is ``||v||^2 e_1^T f(T_m) e_1`` and needs no basis. Otherwise a
     second pass replays the recurrences to sum the basis vectors with their
     coefficients, so memory stays at a few (n, b) blocks instead of b bases.
     Raises ConvergenceError if any column is still moving after ``m_max``
@@ -653,9 +723,7 @@ def _lanczos_lockstep(A, f, V, quadratic, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
     starts = V[:, cols].T / norms[cols, None]
     coef = np.zeros((b, m_max))  # final coefficient vectors, zero-padded
     orders = np.zeros(b, dtype=int)
-    proj = np.zeros((b, m_max + 1))  # start vector in basis coordinates
     run = _LanczosBatch(A, starts, thr, m_max)
-    proj[cols, 0] = _rowdot(run.Q, starts)
     history = {}
     while len(run.ids):
         m = run.steps + 1
@@ -671,7 +739,7 @@ def _lanczos_lockstep(A, f, V, quadratic, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
         w, Z = np.linalg.eigh(run.tridiagonal())
         f.check_spectrum(w)
         act = cols[run.ids]
-        y = np.einsum("bkj,bj->bk", Z, f(w) * np.einsum("bkj,bk->bj", Z, proj[act, :m]))
+        y = np.einsum("bkj,bj->bk", Z, f(w) * Z[:, 0, :])  # f(T_m) e_1
         y *= norms[act, None]
         padded = np.zeros((b, m_max))
         padded[act, :m] = y
@@ -685,11 +753,9 @@ def _lanczos_lockstep(A, f, V, quadratic, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
         orders[act[done]] = m
         if done.any():
             run.drop(~done)
-            starts = starts[~done]
-        proj[cols[run.ids], m] = _rowdot(run.Q, starts)
 
     if quadratic:
-        return norms * np.einsum("bk,bk->b", coef, proj[:, :m_max])
+        return norms * coef[:, 0]
     out = np.zeros_like(V)
     run = _LanczosBatch(A, V[:, cols].T / norms[cols, None], thr, m_max)
     acc = np.zeros_like(run.Q)

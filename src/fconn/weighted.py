@@ -56,7 +56,13 @@ __all__ = [
     "select_candidates",
 ]
 
-KRYLOV_TOL = 1e-8  # gradient/Hessian-grade Krylov tolerance
+KRYLOV_TOL = 1e-8  # relative tolerance of the f'(A) e_i columns; line-search noise level
+# Relative tolerance of the update cores behind phi, grad phi and the Hessian.
+# grad phi reads single entries of basis @ core @ basis.T, which are far
+# smaller than the core's norm, so the core must be much tighter than the
+# gradient: with 1e-8 a 60-node downgrade solve took 263 inner iterations and
+# did not converge, with 1e-12 it took 72.
+UPDATE_TOL = 1e-12
 
 
 class WeightedMode(enum.Enum):
@@ -162,7 +168,7 @@ def _update_from_x(prob: WeightedProblem, x):
 def objective(prob: WeightedProblem, x) -> float:
     """phi(x) = Tr(f(A+X)) - Tr(f(A)) for the edge-delta vector x."""
     x = np.asarray(x, dtype=float)
-    res = trace_fun_update(prob.graph, _update_from_x(prob, x), prob.f, tol=KRYLOV_TOL)
+    res = trace_fun_update(prob.graph, _update_from_x(prob, x), prob.f, tol=UPDATE_TOL)
     return res.delta
 
 
@@ -181,7 +187,7 @@ def _entry_values(graph, fn, pairs, tol=KRYLOV_TOL, m_max=80):
     return {(i, j): 0.5 * (cols[j][i] + cols[i][j]) for i, j in pairs}
 
 
-def _phi_and_grad(prob, x, cache, lag=2, tol=KRYLOV_TOL, m_max=100):
+def _phi_and_grad(prob, x, cache, lag=2, tol=UPDATE_TOL, m_max=100):
     """Objective and gradient from a single Krylov subspace.
 
     The projection space of f(A+X) - f(A) depends only on (A, X), so the
@@ -225,7 +231,7 @@ def hessian(prob: WeightedProblem, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     M = prob.graph.adjacency + _sparse_update(prob, x)
-    res = multiple_frechet_eval(M, prob.F, prob.f.derivative(), tol=KRYLOV_TOL)
+    res = multiple_frechet_eval(M, prob.F, prob.f.derivative(), tol=UPDATE_TOL)
     nf = prob.n_F
     H = np.empty((nf, nf))
     for a, pair in enumerate(prob.F):
@@ -332,7 +338,7 @@ class _BarrierProblem:
     positivity term), and log of the budget slack k - sum(z).
     """
 
-    def __init__(self, prob: WeightedProblem, cache, krylov_tol=KRYLOV_TOL):
+    def __init__(self, prob: WeightedProblem, cache, krylov_tol=UPDATE_TOL):
         self.prob = prob
         self.cache = cache
         self.krylov_tol = krylov_tol
@@ -496,7 +502,7 @@ def interior_point_solve(
     bp = _BarrierProblem(prob, cache)
     z = bp.initial_z()
     t0 = time.perf_counter()
-    phi0, gphi0, _ = _phi_and_grad(prob, bp.x_of(z), cache, tol=KRYLOV_TOL)
+    phi0, gphi0, _ = _phi_and_grad(prob, bp.x_of(z), cache, tol=UPDATE_TOL)
     if bc.mu0 is not None:
         mu = bc.mu0
     else:

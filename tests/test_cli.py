@@ -73,6 +73,31 @@ def test_bad_krylov_controls_exit_2(flag, value, edge_list, capsys):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method,flag", [("miobi", "--lag"), ("eigenv", "--m-max")])
+def test_bad_krylov_controls_exit_2_for_every_method(method, flag, edge_list, capsys):
+    argv = ["break", "--input", edge_list, "--budget", "1", "--probes", "8", "--method", method]
+    assert main(argv + [flag, "0"]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_unconverged_scoring_is_reported(edge_list, capsys):
+    argv = ["break", "--input", edge_list, "--budget", "1", "--q", "3", "--probes", "8"]
+    assert main(argv + ["--m-max", "2"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    it = summary["iterations"]
+    assert it["evaluations"] == 3 and it["unconverged"] == 3
+    assert it["order_min"] == it["order_median"] == it["order_max"] == 2
+    assert any("unconverged" in w for w in summary["warnings"])
+
+
+def test_eigenv_numerator_uses_the_krylov_controls(edge_list, capsys):
+    argv = ["break", "--input", edge_list, "--budget", "2", "--probes", "8", "--method", "eigenv"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["warnings"] == []
+    assert main(argv + ["--m-max", "1"]) == 0
+    assert any("unconverged" in w for w in json.loads(capsys.readouterr().out)["warnings"])
+
+
 @pytest.mark.parametrize("subcommand", ["trace", "downgrade", "add", "tune", "rewire"])
 @pytest.mark.parametrize("flag,value", [("--tol", "1e-6"), ("--lag", "2"), ("--m-max", "50")])
 def test_krylov_controls_only_on_greedy_subcommands(subcommand, flag, value, edge_list):

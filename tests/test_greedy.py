@@ -17,7 +17,14 @@ from fconn.greedy import (
 from fconn.matfun import Exp, Resolvent
 
 import oracles
-from conftest import cycle, missing_pairs, path, random_connected_graph, star
+from conftest import (
+    barabasi_albert,
+    cycle,
+    missing_pairs,
+    path,
+    random_connected_graph,
+    star,
+)
 
 
 def brute_force_break_one(g, f):
@@ -173,6 +180,22 @@ class TestGreedyKrylov:
         A = oracles.dense_adjacency(g)
         total_dense = oracles.trace_delta(Exp(), A, plan.as_update(g.n).dense())
         assert plan.predicted_total == pytest.approx(total_dense, rel=1e-6, abs=1e-7)
+
+
+class TestKrylovDiagnostics:
+    def test_orders_and_convergence_on_hub_graph(self):
+        g = barabasi_albert(1000, 5, seed=[201, 1, 0])
+        cfg = GreedyConfig(budget=1, q=8, strategy=Strategy.AD_2, mode=Mode.MAKE)
+        d = greedy_krylov(g, cfg, Exp()).diagnostics
+        assert d["evaluations"] == 8 and d["unconverged"] == 0
+        assert 1 <= d["order_min"] <= d["order_median"] <= d["order_max"] <= 20
+
+    def test_unconverged_evaluations_are_counted(self):
+        g = random_connected_graph(30, 45, seed=14)
+        cfg = GreedyConfig(budget=2, q=4, mode=Mode.BREAK, m_max=2)
+        d = greedy_krylov(g, cfg, Exp()).diagnostics
+        assert d["evaluations"] == 8 and d["unconverged"] == 8
+        assert d["order_min"] == d["order_max"] == 2
 
 
 class TestMiobi:

@@ -209,6 +209,13 @@ class TestTraceFunUpdate:
             back = trace_fun_update(g2, X.negated(), Exp(), tol=tol).delta
             assert abs(fwd + back) <= 10 * tol * max(1.0, abs(fwd))
 
+    @pytest.mark.parametrize("lag", [1, 2, 3])
+    def test_zero_delta_stops_at_lag_plus_one(self, lag):
+        g = random_connected_graph(300, 900, seed=32)
+        X = LowRankUpdate.from_edge_deltas(300, [(4, 17, 0.0)])
+        res = trace_fun_update(g, X, Exp(), lag=lag)
+        assert res.delta == 0.0 and res.converged and res.iterations == lag + 1
+
     def test_resolvent_and_sinh(self):
         g = random_connected_graph(30, 40, seed=12)
         A = g.adjacency.toarray()
@@ -219,6 +226,46 @@ class TestTraceFunUpdate:
             res = trace_fun_update(g, X, f, tol=1e-10)
             dense = oracles.trace_delta(f, A, X.dense())
             assert res.delta == pytest.approx(dense, rel=1e-7, abs=1e-9)
+
+
+def _dense_trace_delta(g, X):
+    """Tr exp(A+X) - Tr exp(A) from dense eigvalsh."""
+    A = g.adjacency.toarray()
+    return float(
+        np.sum(np.exp(np.linalg.eigvalsh(A + X.dense()))) - np.sum(np.exp(np.linalg.eigvalsh(A)))
+    )
+
+
+class TestRelativeStop:
+    """At n >= 1000 Lanczos loses orthogonality within 30 orders; the relative
+    stop must end in the plateau before that, and converged must mean accurate."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        # an absolute stop of 1e-8 or 1e-10 runs this removal to order 76,
+        # past the loss of orthogonality, and reports a 199% error as converged
+        g = random_connected_graph(1500, 12000, seed=3)
+        X = LowRankUpdate.from_edge(1500, 289, 366, -1.0)
+        return g, X, _dense_trace_delta(g, X)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    def test_edge_removal_against_dense(self, wide, tol):
+        g, X, want = wide
+        res = trace_fun_update(g, X, Exp(), tol=tol)
+        assert res.converged and res.iterations <= 20
+        assert abs(res.delta - want) <= 10 * tol * abs(want)
+
+    @pytest.mark.parametrize("pair", [(2, 3), (8, 9)])
+    def test_hub_edge_addition_against_dense(self, pair):
+        # Delta is about 4e7, so an absolute stop of 1e-6 never fires and the
+        # unconverged order-100 value is 3.6-3.7 times too large
+        g = barabasi_albert(1000, 5, seed=[201, 1, 0])
+        assert not g.has_edge(*pair)
+        X = LowRankUpdate.from_edge(1000, *pair, 1.0)
+        res = trace_fun_update(g, X, Exp())
+        want = _dense_trace_delta(g, X)
+        assert res.converged and res.iterations <= 20
+        assert abs(res.delta - want) <= 1e-5 * abs(want)
 
 
 def _frechet(M, i, j, f, **kw):
@@ -485,6 +532,24 @@ class TestEstimateTrace:
         want = oracles.hutchpp_per_probe(g, Exp(), n_probes=40, seed=0)
         got = estimate_trace_f(g, Exp(), n_probes=40, seed=0)
         assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_wide_spectrum_hub_graph_against_dense(self):
+        # start coordinates taken from inner products with a basis that has
+        # lost orthogonality make one probe of this graph diverge
+        g = barabasi_albert(2000, 5, seed=[2002, 1, 29])
+        got = estimate_trace_f(g, Exp(), n_probes=40, seed=0)
+        want = oracles.trace_function(Exp(), g.adjacency.toarray())
+        assert abs(got - want) <= 1e-6 * abs(want)
+
+    @pytest.mark.parametrize("probes,rtol", [(8, 0.05), (40, 1e-10)])
+    def test_small_graph_with_null_eigenvalues(self, probes, rtol):
+        # two null eigenvalues: start coordinates taken from inner products end
+        # both probe counts in ConvergenceError; 40 probes span all 12
+        # dimensions, which makes the estimate exact
+        g = random_connected_graph(12, 6, seed=40)
+        got = estimate_trace_f(g, Exp(), n_probes=probes, seed=0)
+        want = oracles.trace_function(Exp(), g.adjacency.toarray())
+        assert abs(got - want) <= rtol * abs(want)
 
     def test_action_m_max_too_small_raises(self):
         g = random_connected_graph(200, 600, seed=30)
