@@ -9,9 +9,12 @@ trace                 stochastic estimate of Tr(f(A))
 compare               run several unweighted methods on one input side by side
 
 Every optimizing run writes a CSV with one row per chosen edge and a JSON
-summary (printed to stdout, optionally written next to the CSV). Reported
-wall time covers the optimizer only; the denominator estimate of the
-relative trace variation is excluded. Exit codes: 0 success, 2 validation or
+summary (printed to stdout, optionally written next to the CSV). The
+denominator of the relative trace variation, a Hutch++ estimate of Tr(f(A))
+reported with its standard error, runs on one worker thread beside the
+optimizer; the reported wall time still covers the optimizer only. If the
+estimate fails, its error decides the exit code, even when the optimizer
+failed too, and no artifact is written. Exit codes: 0 success, 2 validation or
 usage, 3 input parsing, 4 convergence, 5 function domain, 6 memory budget,
 7 exhausted search space.
 """
@@ -23,6 +26,7 @@ import csv
 import json
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,11 +132,13 @@ class TraceVariationReport:
     delta_t: float = None
     numerator: float = None
     denominator: float = None
+    denominator_stderr: float = None
     wall_time: float = None
     iterations: dict = field(default_factory=dict)
     edges: list = field(default_factory=list)  # (i, j, delta), 0-based
     cumulative: list = None
     trace_estimate: float = None
+    trace_stderr: float = None
     warnings: list = field(default_factory=list)
 
     def summary(self, spec: RunSpec) -> dict:
@@ -158,7 +164,9 @@ class TraceVariationReport:
             "delta_t": self.delta_t,
             "numerator": self.numerator,
             "denominator": self.denominator,
+            "denominator_stderr": self.denominator_stderr,
             "trace_estimate": self.trace_estimate,
+            "trace_stderr": self.trace_stderr,
             "wall_time_s": self.wall_time,
             "iterations": self.iterations,
             "edges": [[i + 1, j + 1, d] for i, j, d in self.edges],
@@ -254,6 +262,29 @@ def _run_weighted(spec: RunSpec, graph, f) -> TraceVariationReport:
     return report, x
 
 
+def _beside_denominator(graph, f, spec, optimize):
+    """Return ``optimize()`` and the Hutch++ estimate of Tr f(A), run at once.
+
+    The estimate runs on one worker thread while ``optimize`` runs in this
+    one (their large SpMM and ufunc calls release the GIL). The worker is
+    joined before this returns or raises; an error of the estimate is raised
+    in preference to one of ``optimize``.
+    """
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(estimate_trace_f, graph, f, n_probes=spec.probes, seed=spec.seed)
+        try:
+            result = optimize()
+        finally:
+            estimate = future.result()
+    return result, estimate
+
+
+def _set_denominator(report, estimate):
+    report.denominator = estimate.value
+    report.denominator_stderr = estimate.stderr
+    report.delta_t = abs(report.numerator) / abs(estimate.value)
+
+
 def run(spec: RunSpec):
     """Execute one run and write its artifacts. Returns the report."""
     graph = load_graph(spec.input, spec.fmt)
@@ -261,25 +292,23 @@ def run(spec: RunSpec):
 
     if spec.subcommand == "trace":
         report = TraceVariationReport()
-        report.trace_estimate = estimate_trace_f(
-            graph, f, n_probes=spec.probes, seed=spec.seed
-        )
+        estimate = estimate_trace_f(graph, f, n_probes=spec.probes, seed=spec.seed)
+        report.trace_estimate, report.trace_stderr = estimate.value, estimate.stderr
         _write_artifacts(spec, report)
         return report
 
     if spec.budget is None:
         raise ValidationError(f"{spec.subcommand} requires --budget")
-    denominator = estimate_trace_f(graph, f, n_probes=spec.probes, seed=spec.seed)
-
     if spec.subcommand in _UNWEIGHTED:
-        report, _ = _run_unweighted(spec, graph, f)
+        optimizer = _run_unweighted
     elif spec.subcommand in _WEIGHTED:
-        report, _ = _run_weighted(spec, graph, f)
+        optimizer = _run_weighted
     else:
         raise ValidationError(f"unknown subcommand {spec.subcommand!r}")
-
-    report.denominator = denominator
-    report.delta_t = abs(report.numerator) / abs(denominator)
+    (report, _), estimate = _beside_denominator(
+        graph, f, spec, lambda: optimizer(spec, graph, f)
+    )
+    _set_denominator(report, estimate)
     _write_artifacts(spec, report)
     return report
 
@@ -312,14 +341,12 @@ def compare(specs):
         raise ValidationError("compare requires specs sharing input, budget and function")
     graph = load_graph(specs[0].input, specs[0].fmt)
     f = function_from_spec(specs[0].function)
-    denominator = estimate_trace_f(
-        graph, f, n_probes=specs[0].probes, seed=specs[0].seed
+    runs, estimate = _beside_denominator(
+        graph, f, specs[0], lambda: [_run_unweighted(spec, graph, f) for spec in specs]
     )
     rows = []
-    for spec in specs:
-        report, _ = _run_unweighted(spec, graph, f)
-        report.denominator = denominator
-        report.delta_t = abs(report.numerator) / abs(denominator)
+    for spec, (report, _) in zip(specs, runs):
+        _set_denominator(report, estimate)
         rows.append(
             {
                 "method": spec.method,

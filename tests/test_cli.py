@@ -1,12 +1,20 @@
 import csv
 import json
+import os
+import threading
 
+import numpy as np
 import pytest
 
+import fconn.cli
 from fconn.cli import main
-from fconn.graph import save_graph
+from fconn.errors import ConvergenceError
+from fconn.graph import Strategy, load_graph, save_graph
+from fconn.greedy import GreedyConfig, Mode, greedy_krylov
+from fconn.krylov import estimate_trace_f
+from fconn.matfun import Exp
 
-from conftest import random_connected_graph
+from conftest import barabasi_albert, random_connected_graph
 
 
 @pytest.fixture
@@ -50,7 +58,83 @@ def test_trace_run(edge_list, tmp_path):
     assert main(["trace", "--input", edge_list, "--probes", "8", "--output", base]) == 0
     summary, rows = _artifacts(base)
     assert summary["trace_estimate"] > 30  # Tr(exp(A)) >= n
+    want = estimate_trace_f(load_graph(edge_list), Exp(), n_probes=8, seed=0)
+    assert (summary["trace_estimate"], summary["trace_stderr"]) == (want.value, want.stderr)
+    assert summary["denominator"] is None and summary["denominator_stderr"] is None
     assert rows == []
+
+
+_GRAPHS = {
+    "tree-plus-chords": lambda: random_connected_graph(30, 45, seed=40),
+    "barabasi-albert": lambda: barabasi_albert(40, 3, seed=5),
+}
+
+
+@pytest.mark.parametrize("graph", sorted(_GRAPHS))
+@pytest.mark.parametrize("mode", ["break", "make"])
+def test_overlapped_run_matches_direct_calls(mode, graph, tmp_path, monkeypatch):
+    path = str(tmp_path / "g.edges")
+    save_graph(_GRAPHS[graph](), path)
+    workers = []
+
+    def estimate(*args, **kwargs):
+        workers.append(threading.current_thread() is not threading.main_thread())
+        return estimate_trace_f(*args, **kwargs)
+
+    monkeypatch.setattr(fconn.cli, "estimate_trace_f", estimate)
+    threads = threading.active_count()
+    base = str(tmp_path / mode)
+    argv = [mode, "--input", path, "--budget", "2", "--q", "6", "--probes", "10", "--seed", "3"]
+    assert main(argv + ["--output", base]) == 0
+    assert threading.active_count() == threads and workers == [True]
+    summary, _ = _artifacts(base)
+
+    g = load_graph(path)
+    den = estimate_trace_f(g, Exp(), n_probes=10, seed=3)
+    if mode == "break":
+        cfg = GreedyConfig(budget=2, q=6, strategy=Strategy.DG_2, mode=Mode.BREAK)
+    else:
+        cfg = GreedyConfig(budget=2, q=6, strategy=Strategy.AD_2, mode=Mode.MAKE)
+    plan = greedy_krylov(g, cfg, Exp())
+    assert summary["denominator"] == den.value
+    assert summary["denominator_stderr"] == den.stderr
+    assert summary["numerator"] == float(np.sum(plan.step_deltas))
+    assert summary["edges"] == [[i + 1, j + 1, d] for i, j, d in plan.edges]
+    assert summary["delta_t"] == abs(summary["numerator"]) / abs(den.value)
+
+
+def _failing_estimate(*args, **kwargs):
+    raise ConvergenceError("Lanczos action of f did not converge")
+
+
+@pytest.mark.parametrize("budget", ["2", "1000"])  # 1000 > the 74 edges: the optimizer fails too
+def test_denominator_error_wins(budget, edge_list, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(fconn.cli, "estimate_trace_f", _failing_estimate)
+    threads = threading.active_count()
+    base = str(tmp_path / "out")
+    argv = ["break", "--input", edge_list, "--budget", budget, "--probes", "8"]
+    assert main(argv + ["--output", base]) == 4
+    assert threading.active_count() == threads
+    assert "did not converge" in capsys.readouterr().err
+    assert not os.path.exists(base + ".json") and not os.path.exists(base + ".csv")
+
+
+def test_optimizer_error_keeps_its_exit_code(edge_list, tmp_path, capsys):
+    threads = threading.active_count()
+    base = str(tmp_path / "out")
+    argv = ["break", "--input", edge_list, "--budget", "1000", "--probes", "8"]
+    assert main(argv + ["--output", base]) == 2
+    assert threading.active_count() == threads
+    assert "exceeds the number of edges" in capsys.readouterr().err
+    assert not os.path.exists(base + ".json")
+
+
+def test_compare_denominator_error_wins(edge_list, monkeypatch):
+    monkeypatch.setattr(fconn.cli, "estimate_trace_f", _failing_estimate)
+    threads = threading.active_count()
+    argv = ["compare", "--input", edge_list, "--budget", "1", "--mode", "break", "--q", "3"]
+    assert main(argv + ["--methods", "krylov", "--probes", "8"]) == 4
+    assert threading.active_count() == threads
 
 
 def test_malformed_file_exits_3(tmp_path, capsys):

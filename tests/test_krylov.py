@@ -492,17 +492,17 @@ class TestLockstepKernel:
 class TestEstimateTrace:
     def test_zero_matrix_exact(self):
         A = scipy.sparse.csr_matrix((9, 9))
-        est = estimate_trace_f(A, Exp(), n_probes=20, seed=3)
+        est = estimate_trace_f(A, Exp(), n_probes=20, seed=3).value
         assert est == pytest.approx(9.0, abs=1e-9)
 
     def test_traceless_polynomial_exact_regime(self):
         g = random_connected_graph(12, 15, seed=21)
-        est = estimate_trace_f(g, Polynomial([0.0, 1.0]), n_probes=24, seed=4)
+        est = estimate_trace_f(g, Polynomial([0.0, 1.0]), n_probes=24, seed=4).value
         assert est == pytest.approx(0.0, abs=1e-9)
 
     def test_exp_within_one_percent(self):
         g = random_connected_graph(100, 150, seed=22)
-        est = estimate_trace_f(g, Exp(), n_probes=40, seed=5)
+        est = estimate_trace_f(g, Exp(), n_probes=40, seed=5).value
         want = oracles.trace_function(Exp(), g.adjacency.toarray())
         assert abs(est - want) <= 0.01 * abs(want)
 
@@ -522,7 +522,7 @@ class TestEstimateTrace:
     def test_matches_per_probe_hutchpp(self):
         g = random_connected_graph(2000, 8000, seed=1)
         want = oracles.hutchpp_per_probe(g, Exp(), n_probes=40, seed=0)
-        got = estimate_trace_f(g, Exp(), n_probes=40, seed=0)
+        got = estimate_trace_f(g, Exp(), n_probes=40, seed=0).value
         assert abs(got - want) <= 1e-10 * abs(want)
 
     def test_hub_graph_matches_per_probe_hutchpp(self):
@@ -530,14 +530,14 @@ class TestEstimateTrace:
         # of this graph is still moving after 80 steps
         g = barabasi_albert(2000, 5, seed=[921, 1, 5])
         want = oracles.hutchpp_per_probe(g, Exp(), n_probes=40, seed=0)
-        got = estimate_trace_f(g, Exp(), n_probes=40, seed=0)
+        got = estimate_trace_f(g, Exp(), n_probes=40, seed=0).value
         assert abs(got - want) <= 1e-10 * abs(want)
 
     def test_wide_spectrum_hub_graph_against_dense(self):
         # start coordinates taken from inner products with a basis that has
         # lost orthogonality make one probe of this graph diverge
         g = barabasi_albert(2000, 5, seed=[2002, 1, 29])
-        got = estimate_trace_f(g, Exp(), n_probes=40, seed=0)
+        got = estimate_trace_f(g, Exp(), n_probes=40, seed=0).value
         want = oracles.trace_function(Exp(), g.adjacency.toarray())
         assert abs(got - want) <= 1e-6 * abs(want)
 
@@ -547,7 +547,7 @@ class TestEstimateTrace:
         # both probe counts in ConvergenceError; 40 probes span all 12
         # dimensions, which makes the estimate exact
         g = random_connected_graph(12, 6, seed=40)
-        got = estimate_trace_f(g, Exp(), n_probes=probes, seed=0)
+        got = estimate_trace_f(g, Exp(), n_probes=probes, seed=0).value
         want = oracles.trace_function(Exp(), g.adjacency.toarray())
         assert abs(got - want) <= rtol * abs(want)
 
@@ -555,3 +555,41 @@ class TestEstimateTrace:
         g = random_connected_graph(200, 600, seed=30)
         with pytest.raises(ConvergenceError):
             estimate_trace_f(g, Exp(), n_probes=8, seed=1, action_m_max=4)
+
+    @staticmethod
+    def _one_batch(A, f, n_probes, seed):
+        """Q and residual forms from one kernel call on [Q, Z], as before the split."""
+        rng = np.random.default_rng(seed)
+        n, half = A.n, n_probes // 2
+        S = rng.integers(0, 2, size=(n, half)) * 2.0 - 1.0
+        Q, _ = np.linalg.qr(_lanczos_lockstep(A, f, S, quadratic=False))
+        Z = rng.integers(0, 2, size=(n, half)) * 2.0 - 1.0
+        Z -= Q @ (Q.T @ Z)
+        forms = _lanczos_lockstep(A, f, np.hstack([Q, Z]), quadratic=True)
+        return forms[: Q.shape[1]], forms[Q.shape[1] :]
+
+    @pytest.mark.parametrize(
+        "graph,probes,seed",
+        [
+            (lambda: random_connected_graph(2000, 8000, seed=1), 40, 0),
+            (lambda: barabasi_albert(2000, 5, seed=[921, 1, 5]), 12, 3),
+        ],
+        ids=["tree-plus-chords", "barabasi-albert"],
+    )
+    def test_split_batches_match_one_batch(self, graph, probes, seed):
+        g = graph()
+        top, resid = self._one_batch(g, Exp(), probes, seed)
+        got = estimate_trace_f(g, Exp(), n_probes=probes, seed=seed)
+        assert got.value == sum(top.tolist()) + sum(resid.tolist()) / (probes // 2)
+        assert got.stderr == float(np.std(resid, ddof=1) / np.sqrt(probes // 2))
+
+    def test_estimate_within_four_standard_errors(self):
+        g = barabasi_albert(1000, 3, seed=0)
+        want = oracles.trace_function(Exp(), g.adjacency.toarray())
+        got = estimate_trace_f(g, Exp(), n_probes=40, seed=0)
+        assert 0.0 < got.stderr <= 1e-2 * want
+        assert abs(got.value - want) <= 4.0 * got.stderr
+
+    def test_single_residual_probe_has_no_standard_error(self):
+        g = random_connected_graph(30, 40, seed=23)
+        assert estimate_trace_f(g, Exp(), n_probes=2, seed=1).stderr is None
