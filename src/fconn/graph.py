@@ -62,9 +62,18 @@ def _first_failure(checks):
 def _repeats(lo, hi):
     """Pairs (lo[k], hi[k]) that already occur at an earlier k, and the (lo, hi) sort order.
 
-    Returns ``(mask, order)``; ``order`` is a stable sort of the pairs.
+    Needs lo <= hi. Returns ``(mask, order)``; ``order`` is a stable sort of
+    the pairs, the order of ``np.lexsort((hi, lo))``. It is found by one
+    stable argsort of the int64 key (lo - base) * span + (hi - base), which
+    is distinct for distinct pairs and about twice as fast; a key that could
+    overflow int64 falls back to the lexsort.
     """
-    order = np.lexsort((hi, lo))
+    base = int(lo.min(initial=0))
+    span = int(hi.max(initial=0)) - base + 1
+    if span * span < 2**63:
+        order = np.argsort((lo - base) * span + (hi - base), kind="stable")
+    else:
+        order = np.lexsort((hi, lo))
     a, b = order[1:], order[:-1]
     rep = np.zeros(len(lo), dtype=bool)
     rep[a] = (lo[a] == lo[b]) & (hi[a] == hi[b])
@@ -99,12 +108,17 @@ class SparseSymGraph:
                 np.asarray(w, dtype=float))
         return g
 
-    def _init(self, n, i, j, w):
+    def _init(self, n, i, j, w, order=None):
+        """Check and store the edges.
+
+        ``order``, when given, is the edges' (lo, hi) sort order from a caller
+        that has already rejected duplicates; it saves sorting them again.
+        """
         if n < 1:
             raise ValidationError("graph must have at least one node")
         n = int(n)
         lo, hi = np.minimum(i, j), np.maximum(i, j)
-        repeated, order = _repeats(lo, hi)
+        repeated, order = _repeats(lo, hi) if order is None else (False, order)
         _first_failure([
             ((lo < 0) | (hi >= n),
              lambda k: f"node index out of range: ({i[k]}, {j[k]}) with n={n}"),
@@ -440,16 +454,19 @@ def load_graph(path, fmt="auto") -> SparseSymGraph:
     def at(k):
         return f"{path}:{lines[k]}: "
 
+    repeated, order = _repeats(lo, hi)
     _first_failure([
         (i == j, lambda k: at(k) + f"self-loop at node {i[k] + 1}"),
         (w < 0, lambda k: at(k) + f"negative weight {w[k]}"),
         (w == 0, lambda k: at(k) + "zero weight (omit the edge instead)"),
-        (_repeats(lo, hi)[0],
-         lambda k: at(k) + f"duplicate entry for edge ({lo[k] + 1}, {hi[k] + 1})"),
+        (repeated, lambda k: at(k) + f"duplicate entry for edge ({lo[k] + 1}, {hi[k] + 1})"),
     ])
     if not len(i):
         raise ValidationError(f"{path}: no edges found")
-    return SparseSymGraph.from_arrays(n, lo, hi, w)
+    # the edges are sorted once, here: the constructor reuses this order
+    g = object.__new__(SparseSymGraph)
+    g._init(n, lo, hi, w, order)
+    return g
 
 
 def save_graph(g: SparseSymGraph, path) -> None:
@@ -545,12 +562,25 @@ def _pair_array(pairs):
     return P.min(axis=1), P.max(axis=1)
 
 
-def _rank_order(ranking, lo, hi):
-    """Indices sorting pairs by ranking key descending; ties by (min index, max index)."""
+def _rank_order(ranking, lo, hi, count):
+    """Indices of the ``count`` best pairs by ranking key descending, ties by (min, max index).
+
+    Equal to the first ``count`` entries of the full lexsort, but only the
+    head is sorted: ``np.partition`` finds the count-th best primary key (the
+    product, or the min score for MINMAX), and only the pairs at least that
+    good, every pair tied with the cut included, are lexsorted.
+    """
     a, b = ranking.scores[lo], ranking.scores[hi]
     if ranking.ordering is Ordering.PRODUCT:
-        return np.lexsort((hi, lo, -(a * b)))
-    return np.lexsort((hi, lo, -np.maximum(a, b), -np.minimum(a, b)))
+        keys = (-(a * b),)
+    else:
+        keys = (-np.minimum(a, b), -np.maximum(a, b))
+    count = min(max(count, 0), len(lo))
+    head = np.arange(len(lo))
+    if 0 < count < len(lo):
+        head = np.flatnonzero(keys[0] <= np.partition(keys[0], count - 1)[count - 1])
+    order = np.lexsort((hi[head], lo[head]) + tuple(k[head] for k in reversed(keys)))
+    return head[order[:count]]
 
 
 def top_edges(pairs, ranking: CentralityRanking, count: int):
@@ -560,7 +590,7 @@ def top_edges(pairs, ranking: CentralityRanking, count: int):
     a list of (min, max) tuples, best first.
     """
     lo, hi = _pair_array(pairs)
-    top = _rank_order(ranking, lo, hi)[: max(count, 0)]
+    top = _rank_order(ranking, lo, hi, count)
     return list(zip(lo[top].tolist(), hi[top].tolist()))
 
 
@@ -586,7 +616,7 @@ def top_missing_pairs(n, ranking: CentralityRanking, count, forbidden):
         lo, hi = np.minimum(nodes[a], nodes[b]), np.maximum(nodes[a], nodes[b])
         allowed = ~np.isin(lo * n + hi, fkeys)
         lo, hi = lo[allowed], hi[allowed]
-        top = _rank_order(ranking, lo, hi)[:count]
+        top = _rank_order(ranking, lo, hi, count)
         cands = list(zip(lo[top].tolist(), hi[top].tolist()))
         if qp >= n:
             return cands

@@ -22,7 +22,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .errors import ValidationError
 from .graph import (
@@ -238,6 +237,8 @@ class MiobiState:
         if h >= n - 1 or n <= 3:
             w, V = np.linalg.eigh(A.toarray())
         else:
+            import scipy.sparse.linalg  # only here: keeps it out of every other job's start-up
+
             v0 = np.full(n, 1.0 / np.sqrt(n))
             w, V = scipy.sparse.linalg.eigsh(A, k=h, which="LM", v0=v0)
         order = np.argsort(-np.abs(w))[:h]

@@ -52,6 +52,11 @@ which lose their meaning once the basis loses orthogonality (Musco, Musco &
 Sidford, SODA 2018). The vectors f(A) v are rebuilt by replaying the
 recurrences in a second pass.
 
+Each block of a block Krylov basis is orthonormalized by ``_qr_deflate``, a
+column-pivoted Gram-Schmidt with two orthogonalization passes written in
+numpy, so the module needs no ``scipy.linalg``; a column whose residual norm
+is at most the deflation threshold 1e-12 * max(1, ||A||_1) is deflated.
+
 All routines accept a :class:`fconn.graph.SparseSymGraph`, a scipy sparse
 matrix or a dense ndarray as the large symmetric matrix. A graph supplies
 its cached 1-norm for the deflation threshold.
@@ -63,7 +68,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from . import matfun
@@ -188,15 +192,49 @@ def _qr_deflate(V, thr):
     """Rank-revealing economic QR; columns with |R_ii| <= thr are deflated.
 
     Returns (Q, C) with V ~ Q @ C, Q having r <= V.shape[1] orthonormal
-    columns. r may be zero.
+    columns. r may be zero. The QR is a column-pivoted Gram-Schmidt: each
+    step takes the remaining column of largest residual norm as the pivot
+    (Businger & Golub, 1965), orthogonalizes it a second time against the
+    columns of Q taken so far ("twice is enough": Giraud, Langou &
+    Rozloznik, 2005), normalizes it, and projects it out of the columns still
+    remaining. Once the largest residual norm is at most ``thr``, the
+    remaining columns are deflated.
     """
-    Q, R, piv = scipy.linalg.qr(V, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    r = int(np.sum(diag > thr))
-    Q = Q[:, :r]
-    C = np.zeros((r, V.shape[1]))
-    C[:, piv] = R[:r, :]
-    return Q, C
+    W = np.array(np.asarray(V, dtype=float).T, order="C")  # row k becomes q_k
+    s = W.shape[0]
+    R = np.zeros((s, s))
+    piv = np.arange(s)
+    norms = np.sqrt(np.einsum("ij,ij->i", W, W))
+    r = 0
+    while r < s:
+        j = r + int(np.argmax(norms[r:]))
+        if norms[j] <= thr:
+            break
+        if j != r:
+            W[[r, j]] = W[[j, r]]
+            R[:, [r, j]] = R[:, [j, r]]
+            piv[[r, j]] = piv[[j, r]]
+            norms[[r, j]] = norms[[j, r]]
+        w = W[r]
+        if r:
+            c = W[:r] @ w
+            w -= W[:r].T @ c
+            R[:r, r] += c
+        nrm = np.sqrt(w @ w)
+        if nrm <= thr:
+            break
+        w *= 1.0 / nrm
+        R[r, r] = nrm
+        r += 1
+        if r < s:
+            rest = W[r:]
+            c = rest @ w
+            rest -= np.outer(c, w)
+            R[r - 1, r:] = c
+            norms[r:] = np.sqrt(np.einsum("ij,ij->i", rest, rest))
+    C = np.zeros((r, s))
+    C[:, piv] = R[:r]
+    return W[:r].T, C
 
 
 class BlockKrylov:
@@ -211,7 +249,10 @@ class BlockKrylov:
     block column of the projected matrix, and appends the next basis block.
     It returns False once the Krylov space is exhausted (new block deflates
     to nothing), in which case the factorization is exact. Rank-deficient
-    blocks are handled by column deflation through pivoted QR.
+    blocks are handled by column deflation: each block, the start block
+    included, is orthonormalized by a column-pivoted Gram-Schmidt with two
+    orthogonalization passes (numpy only, see :func:`_qr_deflate`), and a
+    column whose residual norm is at most the deflation threshold is dropped.
     """
 
     def __init__(self, A, start, mode="arnoldi", deflation_tol=None):

@@ -12,7 +12,6 @@ large sparse work lives in :mod:`fconn.krylov`.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError
 
@@ -264,11 +263,13 @@ def sym_eig(H):
     """Eigendecomposition of a (defensively symmetrized) matrix.
 
     Returns ``(w, Q)`` with eigenvalues ascending and ``H ~ Q diag(w) Q.T``.
+    Uses ``numpy.linalg.eigh``, whose LAPACK driver is the divide-and-conquer
+    ``syevd``.
     """
     H = symmetrize(H)
     if H.shape[0] < 1:
         raise ValueError("matrix order must be >= 1")
-    return scipy.linalg.eigh(H)
+    return np.linalg.eigh(H)
 
 
 def apply_fun_sym(f: ScalarFunction, H):

@@ -1,11 +1,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+import fconn
 import fconn.cli
 from fconn.cli import main
 from fconn.errors import ConvergenceError
@@ -219,3 +222,35 @@ def test_compare_run(edge_list, tmp_path, capsys):
         assert all(0 <= row[f"common_{m}"] <= 2 for m in others)
     with open(base + ".csv", newline="", encoding="utf-8") as fh:
         assert [r["method"] for r in csv.DictReader(fh)] == ["krylov", "miobi", "eigenv"]
+
+
+_IMPORT_GUARD = """
+import json, sys
+
+import fconn
+
+heavy = ("scipy.linalg", "scipy.sparse.linalg")
+loaded = {"import fconn": [m for m in heavy if m in sys.modules]}
+import fconn.cli
+
+for mode in ("break", "make"):
+    argv = [mode, "--input", sys.argv[1], "--budget", "2", "--q", "5", "--probes", "8"]
+    assert fconn.cli.main(argv + ["--output", sys.argv[2] + mode]) == 0
+    loaded[mode] = [m for m in heavy if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_break_and_make_do_not_import_scipy_linalg(edge_list, tmp_path):
+    # Importing scipy.linalg or scipy.sparse.linalg adds about 0.1 s to every
+    # job's start-up; only the miobi baseline needs one (eigsh), lazily.
+    src = os.path.dirname(os.path.dirname(fconn.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, edge_list, str(tmp_path / "out-")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {"import fconn": [], "break": [], "make": []}

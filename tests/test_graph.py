@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,6 +125,29 @@ class TestFileIO:
         g = load_graph(p)
         assert g.n == 3 and g.num_edges == 3
         assert all(w == 1.0 for _, _, w in g.edges)
+
+    def test_shuffled_edge_list_loads_byte_identical(self, tmp_path):
+        # reference: a (lo, hi) lexsort of the edges and scipy's own CSR of them
+        g = random_connected_graph(300, 900, seed=35, weighted=True)
+        i, j, w = g.edge_arrays
+        rng = np.random.default_rng(36)
+        perm = rng.permutation(len(i))
+        flip = rng.random(len(i)) < 0.5
+        a, b = np.where(flip, j, i)[perm], np.where(flip, i, j)[perm]
+        p = tmp_path / "shuffled.edges"
+        lines = zip(a.tolist(), b.tolist(), w[perm].tolist())
+        p.write_text("".join(f"{x + 1} {y + 1} {v:.17g}\n" for x, y, v in lines))
+        got = load_graph(p)
+        order = np.lexsort((np.maximum(a, b), np.minimum(a, b)))
+        want = (np.minimum(a, b)[order], np.maximum(a, b)[order], w[perm][order])
+        for x, y in zip(got.edge_arrays, want):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        rows, cols = np.concatenate(want[:2]), np.concatenate(want[1::-1])
+        ref = scipy.sparse.csr_matrix((np.concatenate([want[2]] * 2), (rows, cols)), shape=(300, 300))
+        ref.sort_indices()
+        for name in ("indptr", "indices", "data"):
+            x, y = getattr(got.adjacency, name), getattr(ref, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
     def test_mixed_two_and_three_field_lines(self, tmp_path):
         p = tmp_path / "mixed.edges"
@@ -308,6 +332,9 @@ class TestCompareEdges:
             # keys descending, equal keys in index order
             for a, b in zip(ranked, ranked[1:]):
                 assert r.key(a) > r.key(b) or (r.key(a) == r.key(b) and a < b)
+            # a shorter list, which sorts only its head, is a prefix of the full one
+            for count in range(len(pairs)):
+                assert top_edges(pairs[::-1], r, count) == ranked[:count]
 
     def test_score_validation(self):
         with pytest.raises(ValidationError):
@@ -329,6 +356,22 @@ class TestSelection:
         r = CentralityRanking(s, Ordering.PRODUCT)
         pairs = [(2, 3), (0, 1), (1, 3)]
         assert top_edges(pairs, r, 2) == [(0, 1), (1, 3)]
+
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    @pytest.mark.parametrize("shape", ["star", "cycle"])
+    def test_top_edges_many_ties_at_the_cut(self, shape, ordering):
+        # star scores: the 11 hub pairs tie, and so do the 55 leaf pairs;
+        # cycle scores: all 66 pairs tie; so most cuts fall inside a tie
+        n = 12
+        s = np.full(n, 1.0)
+        if shape == "star":
+            s[0] = 3.0
+        r = CentralityRanking(s / np.linalg.norm(s), ordering)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        shuffled = [pairs[k] for k in np.random.default_rng(3).permutation(len(pairs))]
+        want = sorted(pairs, key=lambda p: tuple(-c for c in r.key(p)) + p)
+        for count in range(len(pairs) + 2):
+            assert top_edges(shuffled, r, count) == want[:count]
 
     def test_complete_graph_product_order(self):
         s = np.array([0.9, 0.5, 0.4, 0.1])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from fconn.errors import ConvergenceError, MemoryBudgetError, ValidationError
@@ -8,6 +9,7 @@ from fconn.krylov import (
     BlockKrylov,
     LowRankUpdate,
     _lagged,
+    _qr_deflate,
     _lanczos_lockstep,
     estimate_trace_f,
     fun_action,
@@ -56,6 +58,54 @@ class TestLowRankUpdate:
     def test_negated(self):
         X = LowRankUpdate.from_edge(4, 0, 1, 2.0)
         assert np.allclose(X.negated().dense(), -X.dense())
+
+
+def _qr_block(case):
+    """(V, thr) of one _qr_deflate contract case, on 50 rows."""
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((50, 3))
+    if case == "all zero":
+        return np.zeros((50, 2)), 1e-12
+    if case == "zero first column":
+        return np.column_stack([np.zeros(50), X[:, :2]]), 1e-12
+    if case == "duplicated columns":
+        return X[:, [0, 1, 0, 1]], 1e-12
+    if case == "dependent middle column":
+        return np.column_stack([X[:, 0], 0.5 * X[:, 0] - 2.0 * X[:, 2], X[:, 2]]), 1e-12
+    if case == "nearly dependent columns":  # one pass loses orthogonality here
+        return np.column_stack([X[:, 0], X[:, 0] + 1e-9 * X[:, 1]]), 1e-12
+    # orthogonal columns of norms 100, 1.01 thr and 0.99 thr, in both orders
+    U, _ = np.linalg.qr(X)
+    thr = 1e-13
+    small = [1.01 * thr, 0.99 * thr]
+    if case == "below then above thr":
+        small.reverse()
+    return U * ([100.0] + small), thr
+
+
+class TestQrDeflate:
+    """Contract of the pivoted Gram-Schmidt deflation, with scipy's pivoted QR as the oracle."""
+
+    @pytest.mark.parametrize(
+        "case, rank",
+        [
+            ("all zero", 0),
+            ("zero first column", 2),
+            ("duplicated columns", 2),
+            ("dependent middle column", 2),
+            ("nearly dependent columns", 2),
+            ("above then below thr", 2),
+            ("below then above thr", 2),
+        ],
+    )
+    def test_against_scipy_pivoted_qr(self, case, rank):
+        V, thr = _qr_block(case)
+        Q, C = _qr_deflate(V, thr)
+        _, R, _ = scipy.linalg.qr(V, mode="economic", pivoting=True)
+        assert int(np.sum(np.abs(np.diag(R)) > thr)) == rank
+        assert Q.shape == (V.shape[0], rank) and C.shape == (rank, V.shape[1])
+        assert np.linalg.norm(Q.T @ Q - np.eye(rank)) <= 1e-14
+        assert np.linalg.norm(V - Q @ C) <= 1e-14 * np.linalg.norm(V)
 
 
 class TestBlockKrylov:
