@@ -53,7 +53,6 @@ from .matfun import (
     sym_eig,
 )
 from .weighted import (
-    BarrierConfig,
     CandidateMode,
     SolveReport,
     WeightedMode,

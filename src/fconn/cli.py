@@ -45,7 +45,6 @@ from .greedy import GreedyConfig, Mode, eigenv_baseline, greedy_krylov, miobi
 from .krylov import estimate_trace_f, trace_fun_update
 from .matfun import function_from_spec
 from .weighted import (
-    BarrierConfig,
     CandidateMode,
     WeightedMode,
     WeightedProblem,
@@ -247,7 +246,7 @@ def _run_weighted(spec: RunSpec, graph, f) -> TraceVariationReport:
     prob = WeightedProblem.build(
         graph, F, _WEIGHTED_MODES[spec.subcommand], spec.budget, f, upper=spec.upper
     )
-    x, solve = interior_point_solve(prob, inner=spec.method, bc=BarrierConfig())
+    x, solve = interior_point_solve(prob, inner=spec.method)
     report.wall_time = time.perf_counter() - t0
     report.numerator = solve.objective
     report.edges = [

@@ -100,14 +100,6 @@ class SparseSymGraph:
         arr = np.array(list(edges), dtype=float).reshape(-1, 3)
         self._init(n, arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2])
 
-    @classmethod
-    def from_arrays(cls, n, i, j, w) -> "SparseSymGraph":
-        """Graph from parallel endpoint and weight arrays, with the constructor's checks."""
-        g = object.__new__(cls)
-        g._init(n, np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64),
-                np.asarray(w, dtype=float))
-        return g
-
     def _init(self, n, i, j, w, order=None):
         """Check and store the edges.
 

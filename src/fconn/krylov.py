@@ -308,12 +308,10 @@ class BlockKrylov:
         col = slice(self._offsets[m], self._offsets[m + 1])
         if self._mode == "arnoldi":
             targets = list(enumerate(self._blocks))
-            passes = 2
         else:
             lo = max(0, m - 1)
             targets = list(zip(range(lo, m + 1), self._recent[-2:]))
-            passes = 2
-        for _ in range(passes):
+        for _ in range(2):
             for idx, blk in targets:
                 C = blk.T @ V
                 V -= blk @ C
@@ -358,10 +356,6 @@ class BlockKrylov:
         m = self.filled if m is None else m
         k = self._offsets[min(m, len(self._offsets) - 1)]
         return np.hstack(self._blocks)[:, :k]
-
-    def basis_row(self, i, m=None):
-        """Row i of the basis matrix (cheap way to project indicator vectors)."""
-        return self.basis(m)[i, :]
 
 
 def _core_change(curr, prev):
@@ -641,7 +635,7 @@ def multiple_frechet_eval(
             grew = reach(ku, m)
             grew = reach(kv, m) or grew
             mu, mv = min(m, ku.filled), min(m, kv.filled)
-            E = np.outer(ku.basis_row(i, mu), kv.basis_row(j, mv))
+            E = np.outer(ku.start_projection(mu)[:, 0], kv.start_projection(mv)[:, 0])
             core = matfun.block_frechet(f, ku.projected(mu), kv.projected(mv), E)
             return (core, _ROUNDING * max(scale(i, mu), scale(j, mv))), grew
 

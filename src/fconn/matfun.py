@@ -42,8 +42,8 @@ def _sinhc(t):
 class ScalarFunction:
     """A scalar function together with its derivative and divided differences.
 
-    Subclasses provide ``__call__``, ``deriv`` and ``divided_difference``
-    (all vectorized over numpy arrays), a ``derivative()`` factory returning
+    Subclasses provide ``__call__`` and ``divided_difference`` (both
+    vectorized over numpy arrays), a ``derivative()`` factory returning
     the derivative as another :class:`ScalarFunction`, and ``check_spectrum``
     which raises :class:`DomainError` when eigenvalues fall outside the
     domain of analyticity/monotonicity.
@@ -52,9 +52,6 @@ class ScalarFunction:
     name = "abstract"
 
     def __call__(self, x):
-        raise NotImplementedError
-
-    def deriv(self, x):
         raise NotImplementedError
 
     def derivative(self) -> "ScalarFunction":
@@ -77,9 +74,6 @@ class Exp(ScalarFunction):
     def __call__(self, x):
         return np.exp(x)
 
-    def deriv(self, x):
-        return np.exp(x)
-
     def derivative(self):
         return self
 
@@ -96,9 +90,6 @@ class Sinh(ScalarFunction):
     def __call__(self, x):
         return np.sinh(x)
 
-    def deriv(self, x):
-        return np.cosh(x)
-
     def derivative(self):
         return Cosh()
 
@@ -113,9 +104,6 @@ class Cosh(ScalarFunction):
 
     def __call__(self, x):
         return np.cosh(x)
-
-    def deriv(self, x):
-        return np.sinh(x)
 
     def derivative(self):
         return Sinh()
@@ -159,10 +147,6 @@ class Resolvent(ScalarFunction):
     def __call__(self, x):
         return self.scale * self._u(x) ** (-self.power)
 
-    def deriv(self, x):
-        u = self._u(x)
-        return self.scale * self.power * self.alpha * u ** (-self.power - 1)
-
     def derivative(self):
         return Resolvent(self.alpha, self.power + 1, self.scale * self.power * self.alpha)
 
@@ -200,10 +184,6 @@ class Polynomial(ScalarFunction):
 
     def __call__(self, x):
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coeffs)
-
-    def deriv(self, x):
-        dc = np.polynomial.polynomial.polyder(self.coeffs)
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), dc)
 
     def derivative(self):
         dc = np.polynomial.polynomial.polyder(self.coeffs)

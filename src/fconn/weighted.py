@@ -9,16 +9,15 @@ Krylov-projected Hessian.
 
 The budget constraint is linearized by splitting each variable into
 nonnegative increase/decrease parts, so every constraint admits a log
-barrier; see :class:`SplitVariables`.
+barrier; see :class:`_BarrierProblem`.
 """
 
 from __future__ import annotations
 
 import enum
-import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -44,8 +43,6 @@ from .krylov import (
 __all__ = [
     "WeightedMode",
     "WeightedProblem",
-    "SplitVariables",
-    "BarrierConfig",
     "SolveReport",
     "objective",
     "entry_gradient_cache",
@@ -63,6 +60,20 @@ KRYLOV_TOL = 1e-8  # relative tolerance of the f'(A) e_i columns; line-search no
 # gradient: with 1e-8 a 60-node downgrade solve took 263 inner iterations and
 # did not converge, with 1e-12 it took 72.
 UPDATE_TOL = 1e-12
+
+# Barrier schedule and line search. The barrier weight mu shrinks by
+# MU_SHRINK after every inner solve and the outer loop stops once it falls
+# below MU_STOP; each inner solve runs until the barrier-gradient norm drops
+# under max(INNER_TOL, 0.1 mu).
+MU_SHRINK = 10.0
+MU_STOP = 1e-8
+INNER_TOL = 1e-6
+MAX_OUTER = 30
+MAX_INNER = 200
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 40
+LBFGS_HISTORY = 10
 
 
 class WeightedMode(enum.Enum):
@@ -91,10 +102,6 @@ class WeightedProblem:
     @property
     def n_F(self):
         return len(self.F)
-
-    @property
-    def index(self):
-        return {pair: h for h, pair in enumerate(self.F)}
 
     @classmethod
     def build(cls, graph, F, mode, budget, f, upper=None):
@@ -141,24 +148,6 @@ class WeightedProblem:
         object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
 
 
-@dataclass(frozen=True)
-class SplitVariables:
-    """Nonnegative split x = p - q with budget slack s = k - sum(p + q).
-
-    In the barrier phase all of p, q (where present) and s stay strictly
-    positive; since sum|p - q| <= sum(p + q), any interior iterate satisfies
-    the budget strictly.
-    """
-
-    p: np.ndarray
-    q: np.ndarray
-    slack: float
-
-    @property
-    def x(self):
-        return self.p - self.q
-
-
 def _update_from_x(prob: WeightedProblem, x):
     return LowRankUpdate.from_edge_deltas(
         prob.graph.n, [(i, j, x[h]) for h, (i, j) in enumerate(prob.F)]
@@ -172,22 +161,22 @@ def objective(prob: WeightedProblem, x) -> float:
     return res.delta
 
 
-def entry_gradient_cache(prob: WeightedProblem, tol=KRYLOV_TOL, m_max=80) -> dict:
+def entry_gradient_cache(prob: WeightedProblem) -> dict:
     """f'(A)_ij for every (i, j) in F, one Lanczos column per node of V(F)."""
-    return _entry_values(prob.graph, prob.f.derivative(), prob.F, tol=tol, m_max=m_max)
+    return _entry_values(prob.graph, prob.f.derivative(), prob.F)
 
 
-def _entry_values(graph, fn, pairs, tol=KRYLOV_TOL, m_max=80):
+def _entry_values(graph, fn, pairs):
     nodes = sorted({v for p in pairs for v in p})
     cols = {}
     for v in nodes:
         e = np.zeros(graph.n)
         e[v] = 1.0
-        cols[v] = fun_action(graph, fn, e, tol=tol, m_max=m_max)
+        cols[v] = fun_action(graph, fn, e, tol=KRYLOV_TOL, m_max=80)
     return {(i, j): 0.5 * (cols[j][i] + cols[i][j]) for i, j in pairs}
 
 
-def _phi_and_grad(prob, x, cache, lag=2, tol=UPDATE_TOL, m_max=100):
+def _phi_and_grad(prob, x, cache):
     """Objective and gradient from a single Krylov subspace.
 
     The projection space of f(A+X) - f(A) depends only on (A, X), so the
@@ -199,7 +188,7 @@ def _phi_and_grad(prob, x, cache, lag=2, tol=UPDATE_TOL, m_max=100):
     f = prob.f
     fp = f.derivative()
     basis, cores, m, _ = _update_cores(
-        prob.graph, X, (f,) if fp is f else (f, fp), lag, tol, m_max
+        prob.graph, X, (f,) if fp is f else (f, fp), lag=2, tol=UPDATE_TOL, m_max=100
     )
     grad = [2.0 * (cache[(i, j)] + basis[i, :] @ cores[-1] @ basis[j, :]) for i, j in prob.F]
     return float(np.trace(cores[0])), np.array(grad), m
@@ -255,50 +244,23 @@ def _sparse_update(prob, x):
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BarrierConfig:
-    """Schedule and line-search constants for the interior-point loop.
-
-    ``mu0=None`` picks max(1, |phi(x0)|, ||grad phi(x0)||_inf k) / n_F, which
-    balances the objective pull against the barrier at the starting point (the
-    start sits near x = 0 where phi itself is tiny but its gradient need not
-    be). The barrier weight shrinks by ``shrink`` after every inner solve and
-    the outer loop stops once it falls below ``outer_tol``; each inner solve
-    runs until the barrier-gradient norm drops under max(inner_tol, 0.1 mu).
-    """
-
-    mu0: float = None
-    shrink: float = 10.0
-    outer_tol: float = 1e-8
-    inner_tol: float = 1e-6
-    max_outer: int = 30
-    max_inner: int = 200
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 40
-    history: int = 10
-
-
 @dataclass
 class SolveReport:
     objective: float
     inner_iterations: int
     outer_iterations: int
     converged: bool
-    wall_time: float
-    outer_objectives: list = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
 
 
 class LbfgsState:
-    """Two-loop recursion over at most ``history`` curvature pairs.
+    """Two-loop recursion over at most LBFGS_HISTORY curvature pairs.
 
     Pairs with nonpositive s.y are discarded; the inverse-Hessian seed is
     gamma I with gamma = s.y / y.y from the newest retained pair.
     """
 
-    def __init__(self, history=10):
-        self.pairs = deque(maxlen=history)
+    def __init__(self):
+        self.pairs = deque(maxlen=LBFGS_HISTORY)
         self.gamma = None
 
     def push(self, s, y):
@@ -335,13 +297,13 @@ class _BarrierProblem:
     (increase where U > 0, decrease where l < 0), x = S z. Barriers: log z on
     every side, log(U - x) on edges that can increase, log(x - l) on edges
     that can decrease (skipping the ones that would duplicate a side
-    positivity term), and log of the budget slack k - sum(z).
+    positivity term), and log of the budget slack k - sum(z). Since
+    sum |x| <= sum(z), every interior iterate satisfies the budget strictly.
     """
 
-    def __init__(self, prob: WeightedProblem, cache, krylov_tol=UPDATE_TOL):
+    def __init__(self, prob: WeightedProblem, cache):
         self.prob = prob
         self.cache = cache
-        self.krylov_tol = krylov_tol
         self.sign = -1.0 if prob.mode.maximize else 1.0
         sides = []
         for h in range(prob.n_F):
@@ -370,32 +332,12 @@ class _BarrierProblem:
     def x_of(self, z):
         return self.S @ z
 
-    def split_of(self, z):
-        p = np.zeros(self.prob.n_F)
-        q = np.zeros(self.prob.n_F)
-        for col, (h, sgn) in enumerate(self.sides):
-            if sgn > 0:
-                p[h] = z[col]
-            else:
-                q[h] = z[col]
-        return SplitVariables(p, q, self.prob.budget - float(np.sum(z)))
-
     def gaps(self, z):
         x = self.x_of(z)
         up = self.prob.upper - x
         down = x - self.prob.lower
         slack = self.prob.budget - float(np.sum(z))
         return x, up, down, slack
-
-    def strictly_feasible(self, z):
-        if np.any(z <= 0):
-            return False
-        _, up, down, slack = self.gaps(z)
-        return bool(
-            slack > 0
-            and np.all(up[self.box_up] > 0)
-            and np.all(down[self.box_down] > 0)
-        )
 
     def eval(self, z, mu):
         """Barrier objective and gradient; (inf, None, ...) outside the interior."""
@@ -404,7 +346,7 @@ class _BarrierProblem:
         x, up, down, slack = self.gaps(z)
         if slack <= 0 or np.any(up[self.box_up] <= 0) or np.any(down[self.box_down] <= 0):
             return np.inf, None, None
-        phi, gphi, _ = _phi_and_grad(self.prob, x, self.cache, tol=self.krylov_tol)
+        phi, gphi, _ = _phi_and_grad(self.prob, x, self.cache)
         barrier = -np.sum(np.log(z)) - np.log(slack)
         barrier -= np.sum(np.log(up[self.box_up]))
         barrier -= np.sum(np.log(down[self.box_down]))
@@ -476,13 +418,7 @@ def _damped_newton_direction(H, g):
     return -g
 
 
-def interior_point_solve(
-    prob: WeightedProblem,
-    inner: str = "lbfgs",
-    bc: BarrierConfig = None,
-    cache=None,
-    callback=None,
-):
+def interior_point_solve(prob: WeightedProblem, inner: str = "lbfgs"):
     """Maximize (or minimize, for downgrading) phi over the feasible box/budget set.
 
     Outer loop: shrink the barrier weight mu; inner loop: minimize the
@@ -496,46 +432,34 @@ def interior_point_solve(
         raise ValueError(f"unknown inner solver {inner!r}")
     if prob.f is None:
         raise ValidationError("problem has no scalar function attached")
-    bc = bc or BarrierConfig()
-    if cache is None:
-        cache = entry_gradient_cache(prob)
+    cache = entry_gradient_cache(prob)
     bp = _BarrierProblem(prob, cache)
     z = bp.initial_z()
-    t0 = time.perf_counter()
-    phi0, gphi0, _ = _phi_and_grad(prob, bp.x_of(z), cache, tol=UPDATE_TOL)
-    if bc.mu0 is not None:
-        mu = bc.mu0
-    else:
-        gscale = float(np.max(np.abs(gphi0))) * prob.budget
-        mu = max(1.0, abs(phi0), gscale) / prob.n_F
+    phi0, gphi0, _ = _phi_and_grad(prob, bp.x_of(z), cache)
+    # Balance the objective pull against the barrier at the start: the start
+    # sits near x = 0, where phi itself is tiny but its gradient need not be.
+    gscale = float(np.max(np.abs(gphi0))) * prob.budget
+    mu = max(1.0, abs(phi0), gscale) / prob.n_F
     total_inner = 0
     outer = 0
     all_ok = True
-    outer_objectives = []
-    min_slack = np.inf
     phi_last = phi0
-    while mu >= bc.outer_tol and outer < bc.max_outer:
-        z, its, ok, phi_last = _minimize_barrier(bp, z, mu, inner, bc, callback)
+    while mu >= MU_STOP and outer < MAX_OUTER:
+        z, its, ok, phi_last = _minimize_barrier(bp, z, mu, inner)
         total_inner += its
         outer += 1
         all_ok = all_ok and ok
-        outer_objectives.append(phi_last)
-        min_slack = min(min_slack, bp.split_of(z).slack)
-        mu /= bc.shrink
-    x = bp.x_of(z)
+        mu /= MU_SHRINK
     report = SolveReport(
         objective=phi_last,
         inner_iterations=total_inner,
         outer_iterations=outer,
-        converged=all_ok and mu < bc.outer_tol,
-        wall_time=time.perf_counter() - t0,
-        outer_objectives=outer_objectives,
-        diagnostics={"min_slack": float(min_slack), "final_mu": mu * bc.shrink},
+        converged=all_ok and mu < MU_STOP,
     )
-    return x, report
+    return bp.x_of(z), report
 
 
-def _minimize_barrier(bp, z, mu, inner, bc, callback):
+def _minimize_barrier(bp, z, mu, inner):
     """One inner solve: minimize the barrier objective at fixed mu.
 
     The iteration runs in Jacobi-scaled variables w = z / c with
@@ -554,10 +478,10 @@ def _minimize_barrier(bp, z, mu, inner, bc, callback):
     val, grad, phi = ev(w)
     if grad is None:
         raise ValidationError("initial point is not strictly feasible")
-    tol = max(bc.inner_tol, 0.1 * mu) * (1.0 + float(np.linalg.norm(grad)))
-    state = LbfgsState(bc.history)
+    tol = max(INNER_TOL, 0.1 * mu) * (1.0 + float(np.linalg.norm(grad)))
+    state = LbfgsState()
     its = 0
-    while float(np.linalg.norm(grad)) > tol and its < bc.max_inner:
+    while float(np.linalg.norm(grad)) > tol and its < MAX_INNER:
         its += 1
         if inner == "lbfgs":
             d = state.direction(grad)
@@ -567,38 +491,34 @@ def _minimize_barrier(bp, z, mu, inner, bc, callback):
         if float(grad @ d) >= 0:
             state.reset()
             d = -grad
-        accepted, w_new, val_new, grad_new, phi_new = _armijo(bp, c, w, d, val, grad, mu, bc)
+        accepted, w_new, val_new, grad_new, phi_new = _armijo(bp, c, w, d, val, grad, mu)
         if not accepted and float(d @ -grad) < float(np.linalg.norm(d) * np.linalg.norm(grad)) * (1 - 1e-12):
             state.reset()
             d = -grad
-            accepted, w_new, val_new, grad_new, phi_new = _armijo(
-                bp, c, w, d, val, grad, mu, bc
-            )
+            accepted, w_new, val_new, grad_new, phi_new = _armijo(bp, c, w, d, val, grad, mu)
         if not accepted:
             # persistent line-search failure: accept when the best possible
             # Armijo decrease is below the Krylov evaluation noise in phi
             alpha0 = min(1.0, 0.995 * bp.max_step(c * w, c * d))
-            predicted = abs(bc.armijo_c * alpha0 * float(grad @ d))
+            predicted = abs(ARMIJO_C * alpha0 * float(grad @ d))
             noise = 10.0 * KRYLOV_TOL * (1.0 + abs(val))
             return c * w, its, predicted <= noise, phi
         if inner == "lbfgs":
             state.push(w_new - w, grad_new - grad)
         w, val, grad, phi = w_new, val_new, grad_new, phi_new
-        if callback is not None:
-            callback(bp.x_of(c * w), bp.split_of(c * w), mu)
     return c * w, its, float(np.linalg.norm(grad)) <= tol, phi
 
 
-def _armijo(bp, c, w, d, val, grad, mu, bc):
+def _armijo(bp, c, w, d, val, grad, mu):
     """Backtracking line search in scaled variables, capped inside the boundary."""
     slope = float(grad @ d)
     alpha = min(1.0, 0.995 * bp.max_step(c * w, c * d))
-    for _ in range(bc.max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         w_try = w + alpha * d
         val_try, gz_try, phi_try = bp.eval(c * w_try, mu)
-        if gz_try is not None and val_try <= val + bc.armijo_c * alpha * slope:
+        if gz_try is not None and val_try <= val + ARMIJO_C * alpha * slope:
             return True, w_try, val_try, c * gz_try, phi_try
-        alpha *= bc.backtrack
+        alpha *= BACKTRACK
     return False, w, val, grad, None
 
 

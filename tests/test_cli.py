@@ -210,6 +210,21 @@ def test_miobi_run(mode, edge_list, tmp_path):
     assert all(d * sign > 0 for _, _, d in summary["edges"])
 
 
+def test_weighted_add_run(edge_list, tmp_path):
+    base = str(tmp_path / "add")
+    argv = ["add", "--input", edge_list, "--budget", "1", "--n-p", "4", "--n-f", "2"]
+    assert main(argv + ["--method", "lbfgs", "--probes", "8", "--output", base]) == 0
+    summary, rows = _artifacts(base)
+    assert summary["subcommand"] == "add" and summary["method"] == "lbfgs"
+    assert set(summary["iterations"]) == {"inner", "outer"}
+    assert summary["iterations"]["inner"] > 0 and summary["iterations"]["outer"] > 0
+    assert summary["edges"] and len(rows) == len(summary["edges"])
+    for (i, j, d), row in zip(summary["edges"], rows):
+        assert (int(row["i"]), int(row["j"]), float(row["delta"])) == (i, j, d)
+        assert row["cumulative_delta_trace"] == ""
+        assert d > 0
+
+
 def test_compare_run(edge_list, tmp_path, capsys):
     base = str(tmp_path / "cmp")
     argv = ["compare", "--input", edge_list, "--budget", "2", "--mode", "break", "--q", "5"]
