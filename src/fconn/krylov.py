@@ -52,14 +52,19 @@ which lose their meaning once the basis loses orthogonality (Musco, Musco &
 Sidford, SODA 2018). The vectors f(A) v are rebuilt by replaying the
 recurrences in a second pass.
 
-Each block of a block Krylov basis is orthonormalized by ``_qr_deflate``, a
-column-pivoted Gram-Schmidt with two orthogonalization passes written in
-numpy, so the module needs no ``scipy.linalg``; a column whose residual norm
-is at most the deflation threshold 1e-12 * max(1, ||A||_1) is deflated.
+Every block Krylov space starts from graph nodes, since the space of an
+update X = U B U^T with indicator columns U depends only on A and the nodes
+(Beckermann, Kressner & Schweitzer, SIMAX 2018): its first block is the
+indicator block, and the basis applied to it is the basis rows at the nodes.
+Each later block is orthonormalized by ``_qr_deflate``, a column-pivoted
+Gram-Schmidt with two orthogonalization passes written in numpy, so the
+module needs no ``scipy.linalg``; a column whose residual norm is at most
+the deflation threshold 1e-12 * max(1, ||A||_1) is deflated.
 
 All routines accept a :class:`fconn.graph.SparseSymGraph`, a scipy sparse
-matrix or a dense ndarray as the large symmetric matrix. A graph supplies
-its cached 1-norm for the deflation threshold.
+matrix or a dense ndarray as the large symmetric matrix, and every Krylov
+start is a list of node indices. A graph supplies its cached 1-norm for the
+deflation threshold.
 """
 
 from __future__ import annotations
@@ -116,29 +121,20 @@ def _deflation_tol(A):
 
 
 class LowRankUpdate:
-    """Symmetric perturbation X = U B U^T with orthonormal-column U.
+    """Symmetric edge perturbation X = U B U^T of an n x n matrix.
 
-    Edge-based constructors place indicator vectors in U (exactly
-    orthonormal) and the signed weight deltas in B, so a single-edge update
-    ``from_edge(n, s, t, delta)`` reproduces X with X[s, t] = X[t, s] = delta
-    and zeros elsewhere.
+    U, the indicator columns of the sorted ``nodes`` the edges touch, is never
+    formed: a Krylov space starts from the nodes. B holds the signed weight
+    deltas, so ``from_edge(n, s, t, delta)`` reproduces X with
+    X[s, t] = X[t, s] = delta and zeros elsewhere.
     """
 
-    __slots__ = ("U", "B")
+    __slots__ = ("n", "nodes", "B")
 
-    def __init__(self, U, B, validate=True):
-        U = np.ascontiguousarray(U, dtype=float)
-        B = np.asarray(B, dtype=float)
-        if U.ndim != 2 or B.shape != (U.shape[1], U.shape[1]):
-            raise ValidationError("need U of shape (n, s) and B of shape (s, s)")
-        if validate:
-            s = U.shape[1]
-            if np.linalg.norm(U.T @ U - np.eye(s)) > 1e-12:
-                raise ValidationError("columns of U must be orthonormal")
-            if np.linalg.norm(B - B.T) > 1e-12 * max(1.0, np.linalg.norm(B)):
-                raise ValidationError("core B must be symmetric")
-        self.U = U
-        self.B = matfun.symmetrize(B)
+    def __init__(self, n, nodes, B):
+        self.n = n
+        self.nodes = nodes
+        self.B = B
 
     @classmethod
     def from_edge(cls, n, i, j, delta):
@@ -159,33 +155,28 @@ class LowRankUpdate:
         if nodes[0] < 0 or nodes[-1] >= n:
             raise ValidationError("node index out of range")
         pos = {v: a for a, v in enumerate(nodes)}
-        s = len(nodes)
-        U = np.zeros((n, s))
-        for v, a in pos.items():
-            U[v, a] = 1.0
-        B = np.zeros((s, s))
+        B = np.zeros((len(nodes), len(nodes)))
         seen = set()
         for i, j, d in deltas:
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise ValidationError(f"duplicate edge delta for {key}")
             seen.add(key)
-            if i == j:
-                B[pos[i], pos[i]] = d
-            else:
-                B[pos[i], pos[j]] = d
-                B[pos[j], pos[i]] = d
-        return cls(U, B, validate=False)
+            B[pos[i], pos[j]] = d
+            B[pos[j], pos[i]] = d
+        return cls(n, np.array(nodes, dtype=np.intp), B)
 
     @property
     def rank(self):
-        return self.U.shape[1]
+        return len(self.nodes)
 
     def dense(self):
-        return self.U @ self.B @ self.U.T
+        D = np.zeros((self.n, self.n))
+        D[np.ix_(self.nodes, self.nodes)] = self.B
+        return D
 
     def negated(self):
-        return LowRankUpdate(self.U, -self.B, validate=False)
+        return LowRankUpdate(self.n, self.nodes, -self.B)
 
 
 def _qr_deflate(V, thr):
@@ -240,6 +231,9 @@ def _qr_deflate(V, thr):
 class BlockKrylov:
     """Incrementally built block Krylov factorization A U_m = U_m H_m + residual.
 
+    The first block is the indicator columns of ``nodes``, in the order given;
+    no nodes, a repeated node or one out of range raise ValidationError.
+
     ``mode='arnoldi'`` fully reorthogonalizes each new block against the whole
     basis, which is kept. ``mode='lanczos'`` uses the symmetric two-term
     recurrence plus one reorthogonalization pass against the previous two
@@ -249,37 +243,38 @@ class BlockKrylov:
     block column of the projected matrix, and appends the next basis block.
     It returns False once the Krylov space is exhausted (new block deflates
     to nothing), in which case the factorization is exact. Rank-deficient
-    blocks are handled by column deflation: each block, the start block
-    included, is orthonormalized by a column-pivoted Gram-Schmidt with two
-    orthogonalization passes (numpy only, see :func:`_qr_deflate`), and a
-    column whose residual norm is at most the deflation threshold is dropped.
+    blocks are handled by column deflation: each new block is orthonormalized
+    by a column-pivoted Gram-Schmidt with two orthogonalization passes (numpy
+    only, see :func:`_qr_deflate`), and a column whose residual norm is at
+    most the deflation threshold is dropped.
     """
 
-    def __init__(self, A, start, mode="arnoldi", deflation_tol=None):
+    def __init__(self, A, nodes, mode="arnoldi", deflation_tol=None):
         if deflation_tol is None:
             deflation_tol = _deflation_tol(A)
         A = _as_matrix(A)
-        start = np.atleast_2d(np.asarray(start, dtype=float))
-        if start.shape[0] == 1 and A.shape[0] != 1:
-            start = start.T
-        if A.shape[0] != A.shape[1] or start.shape[0] != A.shape[0]:
-            raise ValidationError("matrix must be square and match the start block")
+        if A.shape[0] != A.shape[1]:
+            raise ValidationError("matrix must be square")
         if mode not in ("arnoldi", "lanczos"):
             raise ValueError(f"unknown mode {mode!r}")
+        n = A.shape[0]
+        nodes = np.asarray(nodes, dtype=np.intp)
+        if not len(nodes) or min(nodes) < 0 or max(nodes) >= n or len(set(nodes)) < len(nodes):
+            raise ValidationError("start nodes must be nonempty, distinct and in range")
         self._A = A
         self._mode = mode
         self._keep = mode == "arnoldi"
-        self.n = A.shape[0]
+        self.n = n
         self._thr = deflation_tol
-        self._start = start
-        Q0, _ = _qr_deflate(start, 1e-14 * max(1.0, float(np.linalg.norm(start))))
-        if Q0.shape[1] == 0:
-            raise ValidationError("start block is numerically zero")
+        self._nodes = nodes
+        s = len(nodes)
+        Q0 = np.zeros((n, s))
+        Q0[nodes, np.arange(s)] = 1.0
         self._blocks = [Q0] if self._keep else None
         self._recent = [Q0]
-        self._offsets = [0, Q0.shape[1]]
-        self._H = np.zeros((Q0.shape[1], Q0.shape[1]))
-        self._Wrows = [Q0.T @ start]
+        self._offsets = [0, s]
+        self._H = np.zeros((s, s))
+        self._W = np.eye(s)  # rows of the basis at the start nodes, transposed
         self.filled = 0
         self._exhausted = False
 
@@ -332,7 +327,7 @@ class BlockKrylov:
         if self._keep:
             self._blocks.append(Q)
         self._recent = [U_last, Q]
-        self._Wrows.append(Q.T @ self._start)
+        self._W = np.concatenate([self._W, Q[self._nodes].T])
         return True
 
     def projected(self, m=None):
@@ -344,10 +339,10 @@ class BlockKrylov:
         return matfun.symmetrize(self._H[:k, :k])
 
     def start_projection(self, m=None):
-        """W_m: the basis applied to the original start block (k_m x s)."""
+        """W_m (k_m x s): the basis applied to the start block, i.e. its rows at the nodes."""
         m = self.filled if m is None else m
         k = self._offsets[min(m, len(self._offsets) - 1)]
-        return np.vstack(self._Wrows)[:k, :]
+        return self._W[:k]
 
     def basis(self, m=None):
         """Basis matrix with the first m blocks as columns (Arnoldi mode only)."""
@@ -444,9 +439,10 @@ def _update_cores(A, X: LowRankUpdate, fs, lag, tol, m_max):
     is taken relative to ``||core_m||_2``, with a floor at the rounding level
     of eps * max |fn(w)| over both projected spectra; the loop stops when the
     largest of these relative changes is at most ``tol``.
-    Returns ``(basis, cores, m, converged)``.
+    Returns ``(kry, cores, m, converged)``: the cores live on the first m
+    blocks of the Arnoldi space ``kry``, started from the nodes of X.
     """
-    kry = BlockKrylov(A, X.U, mode="arnoldi")
+    kry = BlockKrylov(A, X.nodes, mode="arnoldi")
 
     def step(m):
         grew = kry.extend()
@@ -470,7 +466,7 @@ def _update_cores(A, X: LowRankUpdate, fs, lag, tol, m_max):
         )
 
     (cores, _), m, converged = _lagged(step, moved, lag, tol, m_max)
-    return kry.basis(m), cores, m, converged
+    return kry, cores, m, converged
 
 
 def fun_update(A, X: LowRankUpdate, f, lag=DEFAULT_LAG, tol=1e-6, m_max=DEFAULT_M_MAX):
@@ -482,8 +478,8 @@ def fun_update(A, X: LowRankUpdate, f, lag=DEFAULT_LAG, tol=1e-6, m_max=DEFAULT_
     it, so a zero update stops at order lag + 1. Exact at order m for
     polynomials of degree <= m - 1.
     """
-    basis, (core,), m, converged = _update_cores(A, X, (f,), lag, tol, m_max)
-    return FunUpdateResult(basis, core, m, converged)
+    kry, (core,), m, converged = _update_cores(A, X, (f,), lag, tol, m_max)
+    return FunUpdateResult(kry.basis(m), core, m, converged)
 
 
 # ---------------------------------------------------------------------
@@ -511,7 +507,7 @@ def trace_fun_update(A, X: LowRankUpdate, f, lag=DEFAULT_LAG, tol=1e-6, m_max=DE
     so a Delta that is zero, such as that of a zero-delta X, stops at order
     lag + 1.
     """
-    kry = BlockKrylov(A, X.U, mode="lanczos")
+    kry = BlockKrylov(A, X.nodes, mode="lanczos")
 
     def step(m):
         grew = kry.extend()
@@ -535,12 +531,6 @@ def trace_fun_update(A, X: LowRankUpdate, f, lag=DEFAULT_LAG, tol=1e-6, m_max=DE
 # ---------------------------------------------------------------------
 # Frechet derivatives along indicator directions
 # ---------------------------------------------------------------------
-
-
-def _indicator(n, i):
-    e = np.zeros((n, 1))
-    e[i, 0] = 1.0
-    return e
 
 
 @dataclass
@@ -600,7 +590,7 @@ def multiple_frechet_eval(
         raise MemoryBudgetError(
             f"{len(nodes)} bases of length {n} exceed the budget of {max_floats} floats"
         )
-    kry = {v: BlockKrylov(M, _indicator(n, v), mode="arnoldi", deflation_tol=thr) for v in nodes}
+    kry = {v: BlockKrylov(M, [v], mode="arnoldi", deflation_tol=thr) for v in nodes}
     used = sum(k.total_cols for k in kry.values())
 
     def reach(k, m):

@@ -32,13 +32,7 @@ from .graph import (
     top_edges,
     top_missing_pairs,
 )
-from .krylov import (
-    LowRankUpdate,
-    _update_cores,
-    fun_action,
-    multiple_frechet_eval,
-    trace_fun_update,
-)
+from .krylov import LowRankUpdate, _update_cores, fun_action, multiple_frechet_eval
 
 __all__ = [
     "WeightedMode",
@@ -154,11 +148,24 @@ def _update_from_x(prob: WeightedProblem, x):
     )
 
 
+def _update(prob, x):
+    """X, then (kry, cores, m) of ``_update_cores`` for f and, unless it is f, f'.
+
+    The one loop behind every phi, so :func:`objective` equals the solver's phi.
+    """
+    X = _update_from_x(prob, np.asarray(x, dtype=float))
+    f = prob.f
+    fp = f.derivative()
+    kry, cores, m, _ = _update_cores(
+        prob.graph, X, (f,) if fp is f else (f, fp), lag=2, tol=UPDATE_TOL, m_max=100
+    )
+    return X, kry, cores, m
+
+
 def objective(prob: WeightedProblem, x) -> float:
     """phi(x) = Tr(f(A+X)) - Tr(f(A)) for the edge-delta vector x."""
-    x = np.asarray(x, dtype=float)
-    res = trace_fun_update(prob.graph, _update_from_x(prob, x), prob.f, tol=UPDATE_TOL)
-    return res.delta
+    _, _, cores, _ = _update(prob, x)
+    return float(np.trace(cores[0]))
 
 
 def entry_gradient_cache(prob: WeightedProblem) -> dict:
@@ -181,16 +188,13 @@ def _phi_and_grad(prob, x, cache):
 
     The projection space of f(A+X) - f(A) depends only on (A, X), so the
     cores for f (whose trace is the objective) and for f' (whose entries
-    feed the gradient 2(f'(A)_ij + Delta_ij)) come from one
-    :func:`fconn.krylov.fun_update` loop; for f = exp the two cores coincide.
+    feed the gradient 2(f'(A)_ij + Delta_ij)) come from one :func:`_update`
+    loop; for f = exp the two cores coincide. Delta_ij reads the basis rows
+    at i and j from the start projection, as the space starts at F's nodes.
     """
-    X = _update_from_x(prob, np.asarray(x, dtype=float))
-    f = prob.f
-    fp = f.derivative()
-    basis, cores, m, _ = _update_cores(
-        prob.graph, X, (f,) if fp is f else (f, fp), lag=2, tol=UPDATE_TOL, m_max=100
-    )
-    grad = [2.0 * (cache[(i, j)] + basis[i, :] @ cores[-1] @ basis[j, :]) for i, j in prob.F]
+    X, kry, cores, m = _update(prob, x)
+    rows = dict(zip(X.nodes.tolist(), kry.start_projection(m).T))
+    grad = [2.0 * (cache[(i, j)] + rows[i] @ cores[-1] @ rows[j]) for i, j in prob.F]
     return float(np.trace(cores[0])), np.array(grad), m
 
 
@@ -533,7 +537,7 @@ class CandidateMode(enum.Enum):
     ADDITION = "addition"  # missing edges only
 
 
-def select_candidates(graph, mode: CandidateMode, n_P=100, n_F=30, f=None):
+def select_candidates(graph, mode: CandidateMode, f, n_P=100, n_F=30):
     """Pick the n_F most gradient-sensitive edges among n_P centrality candidates.
 
     TUNING ranks existing edges by score products; ADDITION ranks missing
@@ -542,8 +546,6 @@ def select_candidates(graph, mode: CandidateMode, n_P=100, n_F=30, f=None):
     the candidates with the largest entries 2 f'(A)_ij, i.e. the largest
     gradient components at x = 0.
     """
-    if f is None:
-        raise ValidationError("a scalar function is required to rank candidates")
     scores = eigenvector_centrality(graph)
     fprime = f.derivative()
 

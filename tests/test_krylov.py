@@ -29,7 +29,7 @@ class TestLowRankUpdate:
         D = X.dense()
         want = oracles.symmetric_edge_matrix(6, 1, 4, -2.5)
         assert np.array_equal(D, want)
-        assert np.linalg.norm(X.U.T @ X.U - np.eye(2)) <= 1e-12
+        assert X.n == 6 and X.nodes.tolist() == [1, 4]
 
     def test_multi_edge_and_diagonal(self):
         X = LowRankUpdate.from_edge_deltas(5, [(0, 2, 1.5), (2, 4, -0.5), (1, 1, 2.0)])
@@ -50,10 +50,9 @@ class TestLowRankUpdate:
             LowRankUpdate.from_edge_deltas(5, [(0, 2, 1.0), (2, 0, 1.0)])
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            LowRankUpdate(np.ones((4, 2)), np.eye(2))  # not orthonormal
-        with pytest.raises(ValidationError):
-            LowRankUpdate(np.eye(4)[:, :2], np.array([[0.0, 1.0], [0.0, 0.0]]))
+        for deltas in ([], [(0, 4, 1.0)], [(-1, 2, 1.0)]):  # no edge, out of range
+            with pytest.raises(ValidationError):
+                LowRankUpdate.from_edge_deltas(4, deltas)
 
     def test_negated(self):
         X = LowRankUpdate.from_edge(4, 0, 1, 2.0)
@@ -112,8 +111,7 @@ class TestBlockKrylov:
     def test_arnoldi_relation_and_orthonormality(self):
         g = random_connected_graph(40, 50, seed=0)
         A = g.adjacency
-        start = LowRankUpdate.from_edge(40, 3, 7, -1.0).U
-        kry = BlockKrylov(A, start, mode="arnoldi")
+        kry = BlockKrylov(A, [3, 7], mode="arnoldi")
         for _ in range(8):
             kry.extend()
         m = kry.filled
@@ -131,8 +129,7 @@ class TestBlockKrylov:
 
     def test_prefix_extension(self):
         g = random_connected_graph(30, 40, seed=1)
-        start = LowRankUpdate.from_edge(30, 0, 5, 1.0).U
-        kry = BlockKrylov(g.adjacency, start, mode="arnoldi")
+        kry = BlockKrylov(g.adjacency, [0, 5], mode="arnoldi")
         kry.extend()
         kry.extend()
         b2 = kry.basis(2).copy()
@@ -143,8 +140,7 @@ class TestBlockKrylov:
 
     def test_exhaustion_on_small_space(self):
         g = path(4)
-        start = LowRankUpdate.from_edge(4, 0, 1, 1.0).U
-        kry = BlockKrylov(g.adjacency, start, mode="arnoldi")
+        kry = BlockKrylov(g.adjacency, [0, 1], mode="arnoldi")
         grew = True
         steps = 0
         while grew and steps < 10:
@@ -153,9 +149,20 @@ class TestBlockKrylov:
         assert kry.exhausted
         assert kry.total_cols <= 4
 
-    def test_zero_start_rejected(self):
-        with pytest.raises(ValidationError):
-            BlockKrylov(np.eye(3), np.zeros((3, 1)))
+    def test_invalid_start_nodes_rejected(self):
+        for nodes in ([], [0, 2, 0], [3], [1, -1]):  # empty, duplicate, out of range
+            with pytest.raises(ValidationError):
+                BlockKrylov(np.eye(3), nodes)
+
+    def test_start_projection_is_the_rows_at_the_start_nodes(self):
+        # W_m = U_m^T U for the indicator block U of the start nodes, exactly
+        g = random_connected_graph(40, 60, seed=2)
+        nodes = [31, 4, 17]
+        U = np.eye(40)[:, nodes]
+        kry = BlockKrylov(g.adjacency, nodes, mode="arnoldi")
+        for m in range(1, 7):
+            kry.extend()
+            assert np.array_equal(kry.start_projection(m), kry.basis(m).T @ U)
 
 
 class TestFunUpdate:

@@ -129,5 +129,6 @@ def test_interior_point_reaches_the_best_vertex(mode, seed, inner):
     assert got <= best * (1.0 + 1e-12)
     assert best - got <= 1e-7 * abs(best)
     assert report.objective == pytest.approx(got, rel=1e-7)
+    assert objective(prob, x) == report.objective
     assert report.converged
     assert report.outer_iterations > 0 and report.inner_iterations > 0
