@@ -8,7 +8,13 @@ that score the most:
 * unweighted removal/addition by a greedy scheme whose candidate scoring is a
   Krylov-projected trace update (plus first-order and centrality baselines);
 * weighted downgrade/addition/tuning/rewiring by a log-barrier interior-point
-  method with L-BFGS or exact Krylov-Hessian inner solves.
+  method with L-BFGS or exact Krylov-Hessian inner solves; phi, its gradient
+  and its Hessian come from one Arnoldi space of A at F's nodes per solve.
+
+``multiple_frechet_eval`` and ``block_frechet`` have no pipeline caller: they
+are exported as the independent reference for the weighted Hessian (one
+Arnoldi space per node at A + X) and because the benchmark's tracer binds
+them by name.
 """
 
 from .errors import (
@@ -36,7 +42,6 @@ from .krylov import (
     LowRankUpdate,
     estimate_trace_f,
     fun_action,
-    fun_update,
     multiple_frechet_eval,
     trace_fun_update,
 )

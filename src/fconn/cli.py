@@ -42,7 +42,7 @@ from .errors import (
 )
 from .graph import Strategy, load_graph
 from .greedy import GreedyConfig, Mode, eigenv_baseline, greedy_krylov, miobi
-from .krylov import estimate_trace_f, trace_fun_update
+from .krylov import DEFAULT_M_MAX, estimate_trace_f, trace_fun_update
 from .matfun import function_from_spec
 from .weighted import (
     CandidateMode,
@@ -85,9 +85,9 @@ class RunSpec:
     n_f: int = 30
     method: str = None
     upper: float = None
-    tol: float = None
-    lag: int = 2
-    m_max: int = 100
+    tol: float = None  # tol, lag and m_max: greedy Krylov scoring (break, make) only
+    lag: int = None
+    m_max: int = None
     probes: int = 40
     seed: int = 0
     eigenpairs: int = 25
@@ -100,8 +100,10 @@ class RunSpec:
             self.method = "lbfgs"
         if self.strategy is None and self.subcommand in _UNWEIGHTED:
             self.strategy = "dg2" if self.subcommand == "break" else "ad2"
-        if self.tol is None:
-            self.tol = 1e-6 if self.subcommand in _UNWEIGHTED else 1e-8
+        if self.subcommand in _UNWEIGHTED:
+            self.tol = 1e-6 if self.tol is None else self.tol
+            self.lag = 2 if self.lag is None else self.lag
+            self.m_max = 100 if self.m_max is None else self.m_max
         ok = {
             "break": {"krylov", "miobi", "eigenv"},
             "make": {"krylov", "miobi", "eigenv"},
@@ -118,9 +120,9 @@ class RunSpec:
             raise ValidationError(
                 f"method {self.method!r} is not valid for {self.subcommand!r}"
             )
-        if self.lag < 1:
+        if self.lag is not None and self.lag < 1:
             raise ValidationError(f"lag must be >= 1, got {self.lag}")
-        if self.m_max < 1:
+        if self.m_max is not None and self.m_max < 1:
             raise ValidationError(f"m_max must be >= 1, got {self.m_max}")
 
 
@@ -255,7 +257,14 @@ def _run_weighted(spec: RunSpec, graph, f) -> TraceVariationReport:
     report.iterations = {
         "inner": solve.inner_iterations,
         "outer": solve.outer_iterations,
+        "krylov_order": solve.krylov_order,
+        "unconverged": solve.unconverged,
     }
+    if solve.unconverged:
+        report.warnings.append(
+            f"{solve.unconverged} Krylov model evaluation(s) reached order "
+            f"{DEFAULT_M_MAX} unconverged"
+        )
     if not solve.converged:
         report.warnings.append("interior-point solve did not fully converge")
     return report, x

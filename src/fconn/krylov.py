@@ -3,7 +3,6 @@
 Provides incremental block Arnoldi/Lanczos factorizations and, on top of
 them:
 
-* ``fun_update``            -- factored approximation of f(A+X) - f(A)
 * ``trace_fun_update``      -- Tr(f(A+X)) - Tr(f(A)) from projected eigenvalues
 * ``multiple_frechet_eval`` -- factored derivatives of f at M along the
                                indicator directions 1_i 1_j^T of an edge set,
@@ -12,12 +11,19 @@ them:
 * ``fun_action``            -- f(A) v for a single vector
 * ``estimate_trace_f``      -- Hutch++ stochastic estimate of Tr(f(A))
 
-The first three grow a Krylov space one order at a time until the projected
-quantity stops moving, and share one driver, ``_lagged``, for that loop: it
-keeps the last ``lag`` values, stops at the first order m with
-``moved(value_m, value_{m-lag}) <= tol`` or at the order whose extension
-exhausts the space (the value is then exact), and otherwise returns the value
-at ``m_max`` with ``converged=False``. Callers supply only the step that
+The weighted solver (:mod:`fconn.weighted`) builds its own model of phi, grad
+phi and the Hessian on one :class:`BlockKrylov` space per solve, with the
+driver and stopping test below. No pipeline path calls
+``multiple_frechet_eval`` any more; it stays because the tests use it as an
+independent reference for that Hessian (one Arnoldi space per node, at
+A + X) and because the benchmark's tracer binds it by name.
+
+``trace_fun_update``, ``multiple_frechet_eval`` and the weighted model grow a
+Krylov space one order at a time until the projected quantity stops moving,
+and share one driver, ``_lagged``, for that loop: it keeps the last ``lag``
+values, stops at the first order m with ``moved(value_m, value_{m-lag}) <=
+tol`` or at the order whose extension exhausts the space (the value is then
+exact), and otherwise returns the value at ``m_max`` with ``converged=False``. Callers supply only the step that
 extends the space to order m and evaluates the quantity there.
 
 Every lagged test is relative to the size of what it measures, so ``tol`` is
@@ -81,8 +87,6 @@ from .errors import ConvergenceError, MemoryBudgetError, ValidationError
 __all__ = [
     "LowRankUpdate",
     "BlockKrylov",
-    "FunUpdateResult",
-    "fun_update",
     "TraceUpdateResult",
     "trace_fun_update",
     "MultiFrechetResult",
@@ -405,81 +409,6 @@ def _lagged(step, moved, lag, tol, m_max):
             return value, m, True
         recent.append(value)
     return value, m_max, False
-
-
-# ---------------------------------------------------------------------
-# f(A+X) - f(A)
-# ---------------------------------------------------------------------
-
-
-@dataclass
-class FunUpdateResult:
-    """Factored approximation f(A+X) - f(A) ~ basis @ core @ basis.T."""
-
-    basis: np.ndarray
-    core: np.ndarray
-    iterations: int
-    converged: bool
-
-    def implied_matrix(self):
-        return self.basis @ self.core @ self.basis.T
-
-    def entry(self, i, j):
-        return float(self.basis[i, :] @ self.core @ self.basis[j, :])
-
-    def trace(self):
-        return float(np.trace(self.core))
-
-
-def _update_cores(A, X: LowRankUpdate, fs, lag, tol, m_max):
-    """Cores of fn(A+X) - fn(A) for every fn in ``fs`` on one block Arnoldi basis.
-
-    One pair of projected eigendecompositions per order serves all the
-    functions. Each core's lagged change ``||core_m - pad(core_{m-lag})||_2``
-    is taken relative to ``||core_m||_2``, with a floor at the rounding level
-    of eps * max |fn(w)| over both projected spectra; the loop stops when the
-    largest of these relative changes is at most ``tol``.
-    Returns ``(kry, cores, m, converged)``: the cores live on the first m
-    blocks of the Arnoldi space ``kry``, started from the nodes of X.
-    """
-    kry = BlockKrylov(A, X.nodes, mode="arnoldi")
-
-    def step(m):
-        grew = kry.extend()
-        H = kry.projected()
-        W = kry.start_projection()
-        w0, Q0 = matfun.sym_eig(H)
-        w1, Q1 = matfun.sym_eig(H + W @ X.B @ W.T)
-        cores, floors = [], []
-        for fn in fs:
-            fn.check_spectrum(w1)
-            fn.check_spectrum(w0)
-            f1, f0 = fn(w1), fn(w0)
-            cores.append((Q1 * f1) @ Q1.T - (Q0 * f0) @ Q0.T)
-            floors.append(_ROUNDING * max(np.max(np.abs(f1)), np.max(np.abs(f0))))
-        return (cores, floors), grew
-
-    def moved(curr, prev):
-        return max(
-            _relative(_core_change(c, p), np.linalg.norm(c, 2), floor)
-            for c, p, floor in zip(curr[0], prev[0], curr[1])
-        )
-
-    (cores, _), m, converged = _lagged(step, moved, lag, tol, m_max)
-    return kry, cores, m, converged
-
-
-def fun_update(A, X: LowRankUpdate, f, lag=DEFAULT_LAG, tol=1e-6, m_max=DEFAULT_M_MAX):
-    """Low-rank approximation of f(A+X) - f(A) by block Arnoldi projection.
-
-    Runs the lagged stopping loop on the relative core change
-    ``||core_m - pad(core_{m-lag})||_2 <= tol * ||core_m||_2``; a change at
-    the rounding level eps * max |f(w)| of the projected spectra also stops
-    it, so a zero update stops at order lag + 1. Exact at order m for
-    polynomials of degree <= m - 1.
-    """
-    kry, (core,), m, converged = _update_cores(A, X, (f,), lag, tol, m_max)
-    return FunUpdateResult(kry.basis(m), core, m, converged)
 
 
 # ---------------------------------------------------------------------

@@ -265,7 +265,8 @@ def block_frechet(f: ScalarFunction, H, G, E):
     Computed with divided differences on the two spectra: with H = Q L Q.T and
     G = P M P.T the block equals Q (D o (Q.T E P)) P.T where
     D[a, b] = f[L_a, M_b]. ``E`` may be rectangular when H and G have
-    different orders.
+    different orders. Its one caller, ``krylov.multiple_frechet_eval``, is
+    the tests' reference for the weighted Hessian.
     """
     w1, Q = sym_eig(H)
     w2, P = sym_eig(G)

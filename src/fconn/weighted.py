@@ -7,6 +7,9 @@ routines maximize (or, for downgrading, minimize) the trace variation
 Inner solves use either L-BFGS or a damped Newton step with the exact
 Krylov-projected Hessian.
 
+phi, grad phi and the Hessian of a whole solve come from one Krylov model,
+:class:`_KrylovModel`, so they are exact derivatives of one function.
+
 The budget constraint is linearized by splitting each variable into
 nonnegative increase/decrease parts, so every constraint admits a log
 barrier; see :class:`_BarrierProblem`.
@@ -20,8 +23,8 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
+from . import matfun
 from .errors import ExhaustedSearchSpaceError, ValidationError
 from .graph import (
     CentralityRanking,
@@ -32,7 +35,15 @@ from .graph import (
     top_edges,
     top_missing_pairs,
 )
-from .krylov import LowRankUpdate, _update_cores, fun_action, multiple_frechet_eval
+from .krylov import (
+    _ROUNDING,
+    DEFAULT_LAG,
+    DEFAULT_M_MAX,
+    BlockKrylov,
+    _lagged,
+    _relative,
+    fun_action,
+)
 
 __all__ = [
     "WeightedMode",
@@ -47,21 +58,24 @@ __all__ = [
     "select_candidates",
 ]
 
-KRYLOV_TOL = 1e-8  # relative tolerance of the f'(A) e_i columns; line-search noise level
-# Relative tolerance of the update cores behind phi, grad phi and the Hessian.
-# grad phi reads single entries of basis @ core @ basis.T, which are far
-# smaller than the core's norm, so the core must be much tighter than the
-# gradient: with 1e-8 a 60-node downgrade solve took 263 inner iterations and
-# did not converge, with 1e-12 it took 72.
+# Relative tolerance of select_candidates' f'(A) e_v columns; also the level
+# of phi noise below which a failed line search is accepted.
+KRYLOV_TOL = 1e-8
+# Relative tolerance of the lagged test on (phi, grad phi) that sets the
+# order of a solve's Krylov model.
 UPDATE_TOL = 1e-12
 
 # Barrier schedule and line search. The barrier weight mu shrinks by
 # MU_SHRINK after every inner solve and the outer loop stops once it falls
 # below MU_STOP; each inner solve runs until the barrier-gradient norm drops
-# under max(INNER_TOL, 0.1 mu).
+# under max(INNER_TOL, 0.1 mu), or, for Newton, until the decrement -g^T d
+# falls to NEWTON_STOP (1 + |value|) (Boyd & Vandenberghe, sec. 9.5.1): with
+# an exact Hessian the gradient test alone can stall at the rounding level of
+# the last barrier levels.
 MU_SHRINK = 10.0
 MU_STOP = 1e-8
 INNER_TOL = 1e-6
+NEWTON_STOP = 1e-13
 MAX_OUTER = 30
 MAX_INNER = 200
 ARMIJO_C = 1e-4
@@ -142,105 +156,132 @@ class WeightedProblem:
         object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
 
 
-def _update_from_x(prob: WeightedProblem, x):
-    return LowRankUpdate.from_edge_deltas(
-        prob.graph.n, [(i, j, x[h]) for h, (i, j) in enumerate(prob.F)]
-    )
+class _KrylovModel:
+    """phi, grad phi and the Hessian of one problem from one Krylov space of A.
 
+    X = U B(x) U^T with U the indicator columns of F's nodes, so
+    K_m(A + X, U) = K_m(A, U) for every x (Beckermann, Kressner & Schweitzer,
+    SIMAX 2018): one block Arnoldi space, started at the nodes and extended
+    only when an evaluation's lagged test asks for it, serves the whole
+    solve. With H the projected A and W the basis rows at the nodes, the
+    model is phi_m(x) = Tr f(H + W B(x) W^T) - Tr f(H). One eigendecomposition
+    Z diag(lam) Z^T of H + W B(x) W^T, with R = Z^T W and r_v its column at
+    node v, gives the gradient 2 r_a^T f'(lam) r_b of edge h = (a, b) and, by
+    Daleckii-Krein (Higham, Functions of Matrices, Thm. 3.11) with
+    Gamma[p, q] = f'[lam_p, lam_q], the Hessian entry of edges h and g = (c, d)
 
-def _update(prob, x):
-    """X, then (kry, cores, m) of ``_update_cores`` for f and, unless it is f, f'.
+        2 ((r_a o r_c)^T Gamma (r_b o r_d) + (r_a o r_d)^T Gamma (r_b o r_c)),
 
-    The one loop behind every phi, so :func:`objective` equals the solver's phi.
+    with no SpMM. Arnoldi keeps the basis orthogonal, so no order drifts.
     """
-    X = _update_from_x(prob, np.asarray(x, dtype=float))
-    f = prob.f
-    fp = f.derivative()
-    kry, cores, m, _ = _update_cores(
-        prob.graph, X, (f,) if fp is f else (f, fp), lag=2, tol=UPDATE_TOL, m_max=100
-    )
-    return X, kry, cores, m
+
+    def __init__(self, prob: WeightedProblem):
+        nodes = sorted({v for p in prob.F for v in p})
+        pos = {v: a for a, v in enumerate(nodes)}
+        self._a = np.array([pos[i] for i, _ in prob.F])
+        self._b = np.array([pos[j] for _, j in prob.F])
+        self._kry = BlockKrylov(prob.graph, nodes, mode="arnoldi")
+        self._f, self._fp = prob.f, prob.f.derivative()
+        self._base = {}  # order -> (Tr f(H), sum |f| over the spectrum of H)
+        self.order = 0
+        self.unconverged = 0  # evaluations that reached DEFAULT_M_MAX unconverged
+        self._last = None  # (x, order, result) of the newest evaluation
+
+    def _at(self, x, m):
+        """phi_m, grad phi_m, (lam, R) and the rounding levels of phi_m and grad phi_m."""
+        H, W = self._kry.projected(m), self._kry.start_projection(m)
+        if m not in self._base:
+            f0 = self._f(matfun.sym_eig(H)[0])
+            self._base[m] = (float(np.sum(f0)), float(np.sum(np.abs(f0))))
+        B = np.zeros((W.shape[1],) * 2)
+        B[self._a, self._b] = B[self._b, self._a] = x
+        lam, Z = matfun.sym_eig(H + W @ B @ W.T)
+        self._f.check_spectrum(lam)
+        R = Z.T @ W
+        fl = self._f(lam)
+        fpl = fl if self._fp is self._f else self._fp(lam)
+        grad = 2.0 * np.einsum("ph,p,ph->h", R[:, self._a], fpl, R[:, self._b])
+        floors = (
+            _ROUNDING * (float(np.sum(np.abs(fl))) + self._base[m][1]),
+            _ROUNDING * 2.0 * np.sqrt(len(grad)) * float(np.max(np.abs(fpl))),
+        )
+        return float(np.sum(fl)) - self._base[m][0], grad, (lam, R), floors
+
+    def evaluate(self, x):
+        """``(phi, grad phi, (lam, R))`` at x, by the lagged loop at UPDATE_TOL.
+
+        The loop starts lag orders below the model's order, so the first
+        order it can accept is the current one and the order never falls.
+        A repeat of the newest x at the same order, as when Newton asks for
+        the Hessian at the point its line search accepted, reuses that
+        evaluation; that halves a 60-node downgrade Newton solve (0.69 s to
+        0.37 s on one core).
+        """
+        x = np.asarray(x, dtype=float)
+        last = self._last
+        if last is not None and last[1] == self.order and np.array_equal(last[0], x):
+            return last[2]
+        kry, start = self._kry, max(self.order - DEFAULT_LAG, 1)
+
+        def step(m):
+            m = start + m - 1
+            if kry.filled < m and not kry.exhausted:
+                kry.extend()
+            grew = not (kry.exhausted and kry.filled <= m)
+            m = min(m, kry.filled)
+            return (m, *self._at(x, m)), grew
+
+        def moved(curr, prev):
+            _, phi, grad, _, (phi_floor, grad_floor) = curr
+            return max(
+                _relative(abs(phi - prev[1]), abs(phi), phi_floor),
+                _relative(np.linalg.norm(grad - prev[2]), np.linalg.norm(grad), grad_floor),
+            )
+
+        (m, phi, grad, spectrum, _), _, converged = _lagged(
+            step, moved, DEFAULT_LAG, UPDATE_TOL, DEFAULT_M_MAX - start + 1
+        )
+        self.order, self.unconverged = m, self.unconverged + (not converged)
+        self._last = (x.copy(), m, (phi, grad, spectrum))
+        return phi, grad, spectrum
+
+    def hessian(self, x):
+        """Hessian of phi at x by Daleckii-Krein, over the n_F^2 edge pairs."""
+        _, _, (lam, R) = self.evaluate(x)
+        gamma = self._fp.divided_difference(lam[:, None], lam[None, :])
+        Ra, Rb = R[:, self._a], R[:, self._b]
+        k, nf = Ra.shape
+        # [:, h, g] = r_a(h) o r_c(g), r_b(h) o r_d(g) and r_a(h) o r_d(g)
+        aa = Ra[:, :, None] * Ra[:, None, :]
+        bb = Rb[:, :, None] * Rb[:, None, :]
+        ab = Ra[:, :, None] * Rb[:, None, :]
+        g_bb = (gamma @ bb.reshape(k, -1)).reshape(k, nf, nf)
+        g_ab = (gamma @ ab.reshape(k, -1)).reshape(k, nf, nf)
+        H = 2.0 * (np.einsum("phg,phg->hg", aa, g_bb) + np.einsum("phg,pgh->hg", ab, g_ab))
+        return 0.5 * (H + H.T)
+
+
+def entry_gradient_cache(prob: WeightedProblem) -> _KrylovModel:
+    """The Krylov model of one solve; pass it to :func:`gradient` and :func:`hessian`."""
+    return _KrylovModel(prob)
 
 
 def objective(prob: WeightedProblem, x) -> float:
     """phi(x) = Tr(f(A+X)) - Tr(f(A)) for the edge-delta vector x."""
-    _, _, cores, _ = _update(prob, x)
-    return float(np.trace(cores[0]))
-
-
-def entry_gradient_cache(prob: WeightedProblem) -> dict:
-    """f'(A)_ij for every (i, j) in F, one Lanczos column per node of V(F)."""
-    return _entry_values(prob.graph, prob.f.derivative(), prob.F)
-
-
-def _entry_values(graph, fn, pairs):
-    nodes = sorted({v for p in pairs for v in p})
-    cols = {}
-    for v in nodes:
-        e = np.zeros(graph.n)
-        e[v] = 1.0
-        cols[v] = fun_action(graph, fn, e, tol=KRYLOV_TOL, m_max=80)
-    return {(i, j): 0.5 * (cols[j][i] + cols[i][j]) for i, j in pairs}
-
-
-def _phi_and_grad(prob, x, cache):
-    """Objective and gradient from a single Krylov subspace.
-
-    The projection space of f(A+X) - f(A) depends only on (A, X), so the
-    cores for f (whose trace is the objective) and for f' (whose entries
-    feed the gradient 2(f'(A)_ij + Delta_ij)) come from one :func:`_update`
-    loop; for f = exp the two cores coincide. Delta_ij reads the basis rows
-    at i and j from the start projection, as the space starts at F's nodes.
-    """
-    X, kry, cores, m = _update(prob, x)
-    rows = dict(zip(X.nodes.tolist(), kry.start_projection(m).T))
-    grad = [2.0 * (cache[(i, j)] + rows[i] @ cores[-1] @ rows[j]) for i, j in prob.F]
-    return float(np.trace(cores[0])), np.array(grad), m
+    return entry_gradient_cache(prob).evaluate(x)[0]
 
 
 def gradient(prob: WeightedProblem, x, cache=None) -> np.ndarray:
-    """Gradient of phi: component ind(i,j) equals 2 f'(A+X)_ij.
+    """Gradient of phi: component ind(i,j) equals 2 f'(A+X)_ij, projected."""
+    return (cache or entry_gradient_cache(prob)).evaluate(x)[1]
 
-    Assembled as 2 (f'(A)_ij + Delta_ij) where Delta is the factored update
-    of f'(A+X) - f'(A) and the cache holds the base entries f'(A)_ij.
+
+def hessian(prob: WeightedProblem, x, cache=None) -> np.ndarray:
+    """Hessian of phi: entry (ind(i,j), ind(h,k)) is 2 L_{f'}(A+X, E_hk)_ij.
+
+    E_hk = 1_h 1_k^T + 1_k 1_h^T; exact for the projected model, symmetrized.
     """
-    if cache is None:
-        cache = entry_gradient_cache(prob)
-    _, grad, _ = _phi_and_grad(prob, x, cache)
-    return grad
-
-
-def hessian(prob: WeightedProblem, x) -> np.ndarray:
-    """Hessian of phi over the edge deltas, from batched Frechet derivatives.
-
-    Each variable perturbs A by the symmetric pair 1_i 1_j^T + 1_j 1_i^T, so
-
-        H[ind(i,j), ind(h,k)] = 2 [(L_{f'}(A+X, 1_i 1_j^T))_{hk}
-                                   + (L_{f'}(A+X, 1_i 1_j^T))_{kh}],
-
-    both terms read off one factored core per edge of F. In exact arithmetic
-    H is symmetric; the Krylov projection perturbs the two index orders by
-    O(tol), so the result is symmetrized by averaging.
-    """
-    x = np.asarray(x, dtype=float)
-    M = prob.graph.adjacency + _sparse_update(prob, x)
-    res = multiple_frechet_eval(M, prob.F, prob.f.derivative(), tol=UPDATE_TOL)
-    nf = prob.n_F
-    H = np.empty((nf, nf))
-    for a, pair in enumerate(prob.F):
-        for b, (h, k) in enumerate(prob.F):
-            H[a, b] = 2.0 * (res.entry(pair, h, k) + res.entry(pair, k, h))
-    return 0.5 * (H + H.T)
-
-
-def _sparse_update(prob, x):
-    rows, cols, vals = [], [], []
-    for h, (i, j) in enumerate(prob.F):
-        if x[h] != 0.0:
-            rows += [i, j]
-            cols += [j, i]
-            vals += [x[h], x[h]]
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(prob.graph.n,) * 2)
+    return (cache or entry_gradient_cache(prob)).hessian(x)
 
 
 # ---------------------------------------------------------------------
@@ -254,6 +295,8 @@ class SolveReport:
     inner_iterations: int
     outer_iterations: int
     converged: bool
+    krylov_order: int  # final order of the solve's Krylov model
+    unconverged: int  # model evaluations that reached DEFAULT_M_MAX unconverged
 
 
 class LbfgsState:
@@ -305,9 +348,9 @@ class _BarrierProblem:
     sum |x| <= sum(z), every interior iterate satisfies the budget strictly.
     """
 
-    def __init__(self, prob: WeightedProblem, cache):
+    def __init__(self, prob: WeightedProblem, model):
         self.prob = prob
-        self.cache = cache
+        self.model = model
         self.sign = -1.0 if prob.mode.maximize else 1.0
         sides = []
         for h in range(prob.n_F):
@@ -350,7 +393,7 @@ class _BarrierProblem:
         x, up, down, slack = self.gaps(z)
         if slack <= 0 or np.any(up[self.box_up] <= 0) or np.any(down[self.box_down] <= 0):
             return np.inf, None, None
-        phi, gphi, _ = _phi_and_grad(self.prob, x, self.cache)
+        phi, gphi, _ = self.model.evaluate(x)
         barrier = -np.sum(np.log(z)) - np.log(slack)
         barrier -= np.sum(np.log(up[self.box_up]))
         barrier -= np.sum(np.log(down[self.box_down]))
@@ -365,7 +408,7 @@ class _BarrierProblem:
 
     def hess(self, z, mu):
         x, up, down, slack = self.gaps(z)
-        Hphi = hessian(self.prob, x)
+        Hphi = hessian(self.prob, x, self.model)
         H = self.sign * (self.S.T @ Hphi @ self.S)
         H += mu * np.diag(1.0 / z**2)
         c = np.zeros(self.prob.n_F)
@@ -436,10 +479,10 @@ def interior_point_solve(prob: WeightedProblem, inner: str = "lbfgs"):
         raise ValueError(f"unknown inner solver {inner!r}")
     if prob.f is None:
         raise ValidationError("problem has no scalar function attached")
-    cache = entry_gradient_cache(prob)
-    bp = _BarrierProblem(prob, cache)
+    model = entry_gradient_cache(prob)
+    bp = _BarrierProblem(prob, model)
     z = bp.initial_z()
-    phi0, gphi0, _ = _phi_and_grad(prob, bp.x_of(z), cache)
+    phi0, gphi0, _ = model.evaluate(bp.x_of(z))
     # Balance the objective pull against the barrier at the start: the start
     # sits near x = 0, where phi itself is tiny but its gradient need not be.
     gscale = float(np.max(np.abs(gphi0))) * prob.budget
@@ -459,6 +502,8 @@ def interior_point_solve(prob: WeightedProblem, inner: str = "lbfgs"):
         inner_iterations=total_inner,
         outer_iterations=outer,
         converged=all_ok and mu < MU_STOP,
+        krylov_order=model.order,
+        unconverged=model.unconverged,
     )
     return bp.x_of(z), report
 
@@ -470,7 +515,8 @@ def _minimize_barrier(bp, z, mu, inner):
     c = 1/sqrt(diag of the barrier Hessian at the warm start), which
     equilibrates the boundary layers (both side positivity and box gaps)
     whose raw conditioning grows like 1/mu^2. The stopping test is on the
-    scaled gradient, relative to its starting norm.
+    scaled gradient, relative to its starting norm; Newton also stops once its
+    decrement -g^T d is at most NEWTON_STOP (1 + |value|).
     """
     c = 1.0 / np.sqrt(bp.barrier_diag(z, mu))
 
@@ -486,12 +532,14 @@ def _minimize_barrier(bp, z, mu, inner):
     state = LbfgsState()
     its = 0
     while float(np.linalg.norm(grad)) > tol and its < MAX_INNER:
-        its += 1
         if inner == "lbfgs":
             d = state.direction(grad)
         else:
             Hw = (c[:, None] * bp.hess(c * w, mu)) * c[None, :]
             d = _damped_newton_direction(Hw, grad)
+            if -float(grad @ d) <= NEWTON_STOP * (1.0 + abs(val)):
+                return c * w, its, True, phi
+        its += 1
         if float(grad @ d) >= 0:
             state.reset()
             d = -grad
@@ -550,7 +598,12 @@ def select_candidates(graph, mode: CandidateMode, f, n_P=100, n_F=30):
     fprime = f.derivative()
 
     def grad_sorted(pairs, count):
-        vals = _entry_values(graph, fprime, pairs)
+        cols = {}  # f'(A) e_v, one Lanczos column per node the pairs touch
+        for v in sorted({v for p in pairs for v in p}):
+            e = np.zeros(graph.n)
+            e[v] = 1.0
+            cols[v] = fun_action(graph, fprime, e, tol=KRYLOV_TOL, m_max=80)
+        vals = {(i, j): 0.5 * (cols[j][i] + cols[i][j]) for i, j in pairs}
         ranked = sorted(pairs, key=lambda p: (-vals[p], p))
         return ranked[:count]
 

@@ -7,7 +7,9 @@ itself uses), so these can serve as oracles for it.
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
+from fconn.krylov import multiple_frechet_eval
 from fconn.matfun import Cosh, Exp, Polynomial, Resolvent, Sinh
 
 
@@ -67,6 +69,61 @@ def assemble_update(n, F, x):
         X[i, j] += x[h]
         X[j, i] += x[h]
     return X
+
+
+def hessian(fp, M, F):
+    """Hessian of Tr f at symmetric M over the edge weights of F, given fp = f'.
+
+    Entry (h, g) is 2 L_{f'}(M, E_g)[a, b] for h = (a, b) and
+    E_g = 1_c 1_d^T + 1_d 1_c^T, g = (c, d). With f' = exp the Frechet
+    derivative is the integral of e^{sM} E e^{(1-s)M} over [0, 1], taken by
+    40-point Gauss-Legendre with e^{sM} applied to the node columns by
+    scipy's ``expm_multiply``. For the resolvent power f' = c (I - alpha M)^{-q}
+    it is c alpha sum_{j=1..q} R^j E R^{q+1-j} with R = (I - alpha M)^{-1}.
+    Either way the derivative is a sum of terms left E right, and only the
+    rows and columns of left and right at F's nodes are needed. M is dense.
+    """
+    nodes = sorted({v for p in F for v in p})
+    pos = {v: k for k, v in enumerate(nodes)}
+    ia = np.array([pos[i] for i, _ in F])
+    ib = np.array([pos[j] for _, j in F])
+    n = M.shape[0]
+    U = np.zeros((n, len(nodes)))
+    U[nodes, np.arange(len(nodes))] = 1.0
+    if isinstance(fp, Exp):
+        s, w = np.polynomial.legendre.leggauss(40)
+        s, w = (s + 1.0) / 2.0, w / 2.0  # symmetric about 1/2: s[-1-k] = 1 - s[k]
+        M = scipy.sparse.csc_matrix(M)
+        powers = [scipy.sparse.linalg.expm_multiply(t * M, U)[nodes] for t in s]
+        terms = [(w[k], powers[k], powers[-1 - k]) for k in range(len(s))]
+    elif isinstance(fp, Resolvent):
+        R = np.linalg.inv(np.eye(n) - fp.alpha * M)
+        powers = [U]
+        for _ in range(fp.power):
+            powers.append(R @ powers[-1])
+        powers = [P[nodes] for P in powers]
+        c = fp.scale * fp.alpha
+        terms = [(c, powers[j], powers[fp.power + 1 - j]) for j in range(1, fp.power + 1)]
+    else:
+        raise TypeError(f"no dense Hessian oracle for {fp!r}")
+    H = np.zeros((len(F), len(F)))
+    for weight, left, right in terms:
+        H += weight * (
+            left[np.ix_(ia, ia)] * right[np.ix_(ib, ib)] + left[np.ix_(ia, ib)] * right[np.ix_(ib, ia)]
+        )
+    return 2.0 * H
+
+
+def frechet_hessian(fp, M, F, tol=1e-12):
+    """The same Hessian from ``multiple_frechet_eval`` at M = A + X.
+
+    One Arnoldi space per node of F, at A + X, and one divided-difference
+    core per edge: the formula the weighted solver used before a single
+    Krylov model served a whole solve.
+    """
+    res = multiple_frechet_eval(scipy.sparse.csr_matrix(M), F, fp, tol=tol)
+    H = np.array([[res.entry(p, h, k) + res.entry(p, k, h) for h, k in F] for p in F])
+    return H + H.T
 
 
 def lanczos_action(A, f, v, lag=2, tol=1e-8, m_max=80):

@@ -64,6 +64,7 @@ def test_traced_weighted(edge_list, tmp_path):
     argv = ["add", "--input", edge_list, "--budget", "1", "--n-p", "4", "--n-f", "2"]
     m = _traced(tmp_path, argv + ["--method", "hessian", "--probes", "8"])
     assert set(tracing.COUNTS) <= set(m)
-    assert m["weighted.hessian.calls"] == m["krylov.multiple_frechet_eval.calls"] > 0
-    assert m["krylov.multiple_frechet_eval.iterations_p50"] > 0
+    # the Hessian reads the solve's one Krylov model and builds no per-node spaces
+    assert m["weighted.hessian.calls"] > 0
+    assert m["krylov.multiple_frechet_eval.calls"] == 0
     assert m["weighted.select_candidates_s"] > 0 and m["weighted.outer_iterations"] > 0

@@ -10,6 +10,7 @@ import pytest
 
 import fconn
 import fconn.cli
+import fconn.weighted
 from fconn.cli import main
 from fconn.errors import ConvergenceError
 from fconn.graph import Strategy, load_graph, save_graph
@@ -64,6 +65,7 @@ def test_trace_run(edge_list, tmp_path):
     want = estimate_trace_f(load_graph(edge_list), Exp(), n_probes=8, seed=0)
     assert (summary["trace_estimate"], summary["trace_stderr"]) == (want.value, want.stderr)
     assert summary["denominator"] is None and summary["denominator_stderr"] is None
+    assert [summary["parameters"][k] for k in ("tol", "lag", "m_max")] == [None] * 3
     assert rows == []
 
 
@@ -216,13 +218,27 @@ def test_weighted_add_run(edge_list, tmp_path):
     assert main(argv + ["--method", "lbfgs", "--probes", "8", "--output", base]) == 0
     summary, rows = _artifacts(base)
     assert summary["subcommand"] == "add" and summary["method"] == "lbfgs"
-    assert set(summary["iterations"]) == {"inner", "outer"}
+    assert set(summary["iterations"]) == {"inner", "outer", "krylov_order", "unconverged"}
     assert summary["iterations"]["inner"] > 0 and summary["iterations"]["outer"] > 0
+    assert summary["iterations"]["krylov_order"] > 0 and summary["iterations"]["unconverged"] == 0
+    assert summary["warnings"] == []
+    # the weighted path has no Krylov controls to echo
+    assert [summary["parameters"][k] for k in ("tol", "lag", "m_max")] == [None] * 3
     assert summary["edges"] and len(rows) == len(summary["edges"])
     for (i, j, d), row in zip(summary["edges"], rows):
         assert (int(row["i"]), int(row["j"]), float(row["delta"])) == (i, j, d)
         assert row["cumulative_delta_trace"] == ""
         assert d > 0
+
+
+def test_unconverged_weighted_model_is_reported(edge_list, capsys, monkeypatch):
+    monkeypatch.setattr(fconn.weighted, "DEFAULT_M_MAX", 1)
+    argv = ["add", "--input", edge_list, "--budget", "1", "--n-p", "4", "--n-f", "2"]
+    assert main(argv + ["--probes", "8"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["iterations"]["krylov_order"] == 1
+    assert summary["iterations"]["unconverged"] > 0
+    assert any("unconverged" in w for w in summary["warnings"])
 
 
 def test_compare_run(edge_list, tmp_path, capsys):

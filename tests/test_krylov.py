@@ -13,7 +13,6 @@ from fconn.krylov import (
     _lanczos_lockstep,
     estimate_trace_f,
     fun_action,
-    fun_update,
     multiple_frechet_eval,
     trace_fun_update,
 )
@@ -165,57 +164,6 @@ class TestBlockKrylov:
             assert np.array_equal(kry.start_projection(m), kry.basis(m).T @ U)
 
 
-class TestFunUpdate:
-    def test_zero_core_converges_at_lag_plus_one(self):
-        g = random_connected_graph(25, 30, seed=2)
-        X = LowRankUpdate.from_edge_deltas(25, [(0, 3, 0.0)])
-        res = fun_update(g, X, Exp(), lag=2, tol=1e-10)
-        assert res.converged and res.iterations == 3
-        assert np.allclose(res.core, 0.0)
-
-    def test_linear_polynomial_exact_at_order_one(self):
-        g = path(10)
-        X = LowRankUpdate.from_edge(10, 2, 3, -1.0)
-        res = fun_update(g, X, Polynomial([0.0, 1.0]), m_max=1)
-        assert np.allclose(res.implied_matrix(), X.dense(), atol=1e-13)
-
-    def test_cubic_polynomial_exact_from_order_four(self):
-        g = random_connected_graph(30, 45, seed=3)
-        A = g.adjacency.toarray()
-        X = LowRankUpdate.from_edge(30, 1, 9, -1.0)
-        f = Polynomial([0.0, 0.0, 0.0, 1.0])
-        res = fun_update(g, X, f, tol=1e-12)
-        assert res.iterations >= 4
-        dense = oracles.matrix_function(f, A + X.dense()) - oracles.matrix_function(f, A)
-        err = np.linalg.norm(res.implied_matrix() - dense) / np.linalg.norm(dense)
-        assert err <= 1e-10
-
-    def test_exp_edge_removal_against_dense(self):
-        g = random_connected_graph(50, 70, seed=4)
-        A = g.adjacency.toarray()
-        i, j = g.edge_pairs[11]
-        X = LowRankUpdate.from_edge(50, i, j, -1.0)
-        res = fun_update(g, X, Exp(), tol=1e-10)
-        dense = oracles.matrix_function(Exp(), A + X.dense()) - oracles.matrix_function(
-            Exp(), A
-        )
-        err = np.linalg.norm(res.implied_matrix() - dense) / np.linalg.norm(dense)
-        assert res.converged and err <= 1e-8
-
-    def test_m_max_reached_flags_unconverged(self):
-        g = random_connected_graph(60, 90, seed=5)
-        X = LowRankUpdate.from_edge(60, 0, 1, -1.0)
-        res = fun_update(g, X, Exp(), tol=1e-14, m_max=3)
-        assert not res.converged and res.iterations == 3
-
-    def test_entry_matches_implied_matrix(self):
-        g = random_connected_graph(20, 25, seed=6)
-        X = LowRankUpdate.from_edge(20, 2, 5, 1.0)
-        res = fun_update(g, X, Exp(), tol=1e-10)
-        M = res.implied_matrix()
-        assert res.entry(3, 11) == pytest.approx(M[3, 11], rel=1e-12)
-
-
 class TestTraceFunUpdate:
     def test_zero_update(self):
         g = random_connected_graph(20, 20, seed=7)
@@ -244,16 +192,6 @@ class TestTraceFunUpdate:
         res = trace_fun_update(g, X, Exp(), tol=1e-10)
         dense = oracles.trace_delta(Exp(), A, X.dense())
         assert abs(res.delta - dense) <= 1e-8 * abs(dense)
-
-    def test_agreement_with_fun_update_trace(self):
-        tol = 1e-8
-        for seed in range(4):
-            g = random_connected_graph(35, 50, seed=seed, weighted=True)
-            i, j = g.edge_pairs[seed]
-            X = LowRankUpdate.from_edge(35, i, j, -g.weight(i, j))
-            t1 = trace_fun_update(g, X, Exp(), tol=tol).delta
-            t2 = fun_update(g, X, Exp(), tol=tol).trace()
-            assert abs(t1 - t2) <= 10 * tol * max(1.0, abs(t1))
 
     def test_deletion_insertion_inverse(self):
         tol = 1e-9
@@ -449,7 +387,6 @@ class TestLaggedDriver:
         X = LowRankUpdate.from_edge(12, *g.edge_pairs[0], -1.0)
         for call in (
             lambda: trace_fun_update(g, X, Exp(), lag=lag, m_max=m_max),
-            lambda: fun_update(g, X, Exp(), lag=lag, m_max=m_max),
             lambda: multiple_frechet_eval(g, [(0, 1)], Exp(), lag=lag, m_max=m_max),
         ):
             with pytest.raises(ValidationError):

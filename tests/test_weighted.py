@@ -1,16 +1,20 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 from fconn.matfun import Exp, Resolvent
 from fconn.weighted import (
+    CandidateMode,
     WeightedMode,
     WeightedProblem,
+    entry_gradient_cache,
     gradient,
     hessian,
     interior_point_solve,
     objective,
+    select_candidates,
 )
 
 import oracles
@@ -132,3 +136,98 @@ def test_interior_point_reaches_the_best_vertex(mode, seed, inner):
     assert objective(prob, x) == report.objective
     assert report.converged
     assert report.outer_iterations > 0 and report.inner_iterations > 0
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """n = 1000, where a Lanczos basis would lose orthogonality within 30 orders."""
+    g = random_connected_graph(1000, 3000, seed=0, weighted=True)
+    rng = np.random.default_rng(5)
+    missing = []
+    while len(missing) < 3:
+        i, j = sorted(int(v) for v in rng.choice(g.n, size=2, replace=False))
+        if not g.has_edge(i, j) and (i, j) not in missing:
+            missing.append((i, j))
+    F = list(g.edge_pairs[::1000][:3]) + missing
+    return g, g.adjacency.toarray(), F
+
+
+@pytest.mark.parametrize("fname", ["exp", "resolvent"])
+def test_one_model_against_dense_at_scale(wide, fname):
+    g, A, F = wide
+    lam = np.max(np.linalg.eigvalsh(A))
+    f = Exp() if fname == "exp" else Resolvent(0.5 / (lam + 2.0))
+    prob = WeightedProblem.build(g, F, WeightedMode.REWIRE, 5.0, f)
+    x = np.random.default_rng(6).uniform(-0.3, 0.3, len(F))
+    X = oracles.assemble_update(g.n, prob.F, x)
+    model = entry_gradient_cache(prob)
+    phi, grad, _ = model.evaluate(x)
+    got = hessian(prob, x, model)
+    assert phi == pytest.approx(oracles.trace_delta(f, A, X), rel=1e-9)
+    D = oracles.matrix_function(f.derivative(), A + X)
+    want = np.array([2.0 * D[i, j] for i, j in prob.F])
+    assert np.linalg.norm(grad - want) <= 1e-9 * np.linalg.norm(want)
+    assert np.array_equal(got, got.T)
+    want = oracles.hessian(f.derivative(), A + X, prob.F)
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+    reference = oracles.frechet_hessian(f.derivative(), A + X, prob.F)
+    assert np.linalg.norm(got - reference) <= 1e-9 * np.linalg.norm(reference)
+    assert model.unconverged == 0 and 2 < model.order < 40
+
+
+def test_model_order_never_falls():
+    prob, _, _, x = _case(0, "exp")
+    model = entry_gradient_cache(prob)
+    orders = []
+    for t in (1.0, 0.0, 0.5, 1.0):
+        model.evaluate(t * x)
+        orders.append(model.order)
+    assert orders == sorted(orders) and orders[0] > 0
+    # 12 nodes of a 30-node graph: the space is exhausted and the model exact,
+    # so a fresh model reaches the same order and the same bits
+    fresh = entry_gradient_cache(prob)
+    (phi, grad, _), (again, regrad, _) = fresh.evaluate(x), model.evaluate(x)
+    assert fresh.order == model.order
+    assert phi == again and np.array_equal(grad, regrad)
+
+
+# Newton solves that ended unconverged before phi, grad phi and the Hessian
+# came from one Krylov model and Newton stopped on its decrement: the
+# benchmark's downgrade-w input at seed 3 (454 inner iterations), and ADD and
+# REWIRE on the seed-1 graph (461 and 841). Each now takes under a second on
+# one core of a 2-core host; the bound leaves room for a loaded host.
+SOLVE_SECONDS = 60.0
+
+
+def _timed_solve(prob, inner):
+    t0 = time.perf_counter()
+    x, report = interior_point_solve(prob, inner=inner)
+    assert time.perf_counter() - t0 <= SOLVE_SECONDS
+    assert np.all(x >= prob.lower - 1e-12) and np.all(x <= prob.upper + 1e-12)
+    assert np.sum(np.abs(x)) <= prob.budget
+    assert objective(prob, x) == report.objective
+    return x, report
+
+
+def test_newton_converges_on_downgrade():
+    g = random_connected_graph(60, 240, seed=[3, 4, 0], weighted=True)
+    F = select_candidates(g, CandidateMode.TUNING, Exp(), n_P=18, n_F=6)
+    prob = WeightedProblem.build(g, F, WeightedMode.DOWNGRADE, 5.0, Exp())
+    x, report = _timed_solve(prob, "hessian")
+    assert report.converged and report.inner_iterations < 150
+    assert report.unconverged == 0
+    assert report.objective == pytest.approx(_dense_phi(prob, g.adjacency.toarray(), x), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "mode,candidates",
+    [(WeightedMode.ADD, CandidateMode.ADDITION), (WeightedMode.REWIRE, CandidateMode.REWIRING)],
+)
+def test_newton_and_lbfgs_agree(mode, candidates):
+    g = random_connected_graph(60, 240, seed=[1, 4, 0], weighted=True)
+    F = select_candidates(g, candidates, Exp(), n_P=8, n_F=3)
+    prob = WeightedProblem.build(g, F, mode, 2.0, Exp())
+    _, newton = _timed_solve(prob, "hessian")
+    _, lbfgs = _timed_solve(prob, "lbfgs")
+    assert newton.converged
+    assert lbfgs.objective == pytest.approx(newton.objective, rel=1e-10)
