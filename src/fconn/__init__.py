@@ -29,7 +29,6 @@ from .errors import (
 from .graph import (
     CentralityRanking,
     Ordering,
-    SearchSpaceState,
     SparseSymGraph,
     Strategy,
     eigenvector_centrality,

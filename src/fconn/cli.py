@@ -17,12 +17,18 @@ estimate fails, its error decides the exit code, even when the optimizer
 failed too, and no artifact is written. Exit codes: 0 success, 2 validation or
 usage, 3 input parsing, 4 convergence, 5 function domain, 6 memory budget,
 7 exhausted search space.
+
+Every default lives in :class:`RunSpec`: the parser leaves an option that is
+not given as None, and the spec fills it in and checks it. ``_METHODS`` lists
+each subcommand's methods, its default first; compare runs all of them unless
+``--methods`` says otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -42,7 +48,13 @@ from .errors import (
 )
 from .graph import Strategy, load_graph
 from .greedy import GreedyConfig, Mode, eigenv_baseline, greedy_krylov, miobi
-from .krylov import DEFAULT_M_MAX, estimate_trace_f, trace_fun_update
+from .krylov import (
+    DEFAULT_LAG,
+    DEFAULT_M_MAX,
+    DEFAULT_TOL,
+    estimate_trace_f,
+    trace_fun_update,
+)
 from .matfun import function_from_spec
 from .weighted import (
     CandidateMode,
@@ -58,6 +70,17 @@ _UNWEIGHTED = {"break", "make"}
 _WEIGHTED = {"downgrade", "add", "tune", "rewire"}
 
 _STRATEGIES = {s.value: s for s in Strategy}
+
+# The methods of each subcommand, its default first.
+_METHODS = {
+    "break": ("krylov", "miobi", "eigenv"),
+    "make": ("krylov", "miobi", "eigenv"),
+    "downgrade": ("lbfgs", "hessian"),
+    "add": ("lbfgs", "hessian"),
+    "tune": ("lbfgs", "hessian"),
+    "rewire": ("lbfgs", "hessian"),
+    "trace": (None,),
+}
 
 _EXIT_CODES = (
     (InputFormatError, 3),
@@ -94,32 +117,27 @@ class RunSpec:
     output: str = None
 
     def __post_init__(self):
-        if self.method is None and self.subcommand in _UNWEIGHTED:
-            self.method = "krylov"
-        if self.method is None and self.subcommand in _WEIGHTED:
-            self.method = "lbfgs"
-        if self.strategy is None and self.subcommand in _UNWEIGHTED:
-            self.strategy = "dg2" if self.subcommand == "break" else "ad2"
-        if self.subcommand in _UNWEIGHTED:
-            self.tol = 1e-6 if self.tol is None else self.tol
-            self.lag = 2 if self.lag is None else self.lag
-            self.m_max = 100 if self.m_max is None else self.m_max
-        ok = {
-            "break": {"krylov", "miobi", "eigenv"},
-            "make": {"krylov", "miobi", "eigenv"},
-            "downgrade": {"lbfgs", "hessian"},
-            "add": {"lbfgs", "hessian"},
-            "tune": {"lbfgs", "hessian"},
-            "rewire": {"lbfgs", "hessian"},
-            "trace": {None, "krylov", "lbfgs"},
-            "compare": {None},
-        }.get(self.subcommand)
-        if ok is None:
+        methods = _METHODS.get(self.subcommand)
+        if methods is None:
             raise ValidationError(f"unknown subcommand {self.subcommand!r}")
-        if self.subcommand not in ("trace", "compare") and self.method not in ok:
+        if self.method is None:
+            self.method = methods[0]
+        if self.method not in methods:
             raise ValidationError(
                 f"method {self.method!r} is not valid for {self.subcommand!r}"
             )
+        if self.subcommand in _UNWEIGHTED:
+            removal = self.subcommand == "break"
+            if self.strategy is None:
+                self.strategy = "dg2" if removal else "ad2"
+            strategy = _STRATEGIES.get(self.strategy)
+            if strategy is None or strategy.is_removal != removal:
+                raise ValidationError(
+                    f"strategy {self.strategy!r} is not valid for {self.subcommand!r}"
+                )
+            self.tol = DEFAULT_TOL if self.tol is None else self.tol
+            self.lag = DEFAULT_LAG if self.lag is None else self.lag
+            self.m_max = DEFAULT_M_MAX if self.m_max is None else self.m_max
         if self.lag is not None and self.lag < 1:
             raise ValidationError(f"lag must be >= 1, got {self.lag}")
         if self.m_max is not None and self.m_max < 1:
@@ -184,18 +202,16 @@ def _aggregate_delta(graph, plan, f, spec):
 
 
 def _run_unweighted(spec: RunSpec, graph, f) -> TraceVariationReport:
-    mode = Mode.BREAK if spec.subcommand == "break" else Mode.MAKE
     report = TraceVariationReport()
     t0 = time.perf_counter()
     if spec.method == "eigenv":
+        mode = Mode.BREAK if spec.subcommand == "break" else Mode.MAKE
         plan = eigenv_baseline(graph, int(spec.budget), mode)
     else:
-        strategy = _STRATEGIES[spec.strategy]
         cfg = GreedyConfig(
             budget=int(spec.budget),
             q=spec.q,
-            strategy=strategy,
-            mode=mode,
+            strategy=_STRATEGIES[spec.strategy],
             tol=spec.tol,
             lag=spec.lag,
             m_max=spec.m_max,
@@ -383,26 +399,26 @@ def _write_compare_csv(rows, path):
 
 def _add_common(p):
     p.add_argument("--input", required=True, help="graph file")
-    p.add_argument(
-        "--format", default="auto", choices=["auto", "edge-list", "matrix-market"]
-    )
-    p.add_argument(
-        "--function",
-        default="exp",
-        help="exp | sinh | cosh | resolvent:alpha=A | poly:c0,c1,...",
-    )
-    p.add_argument("--probes", type=int, default=40, help="Hutch++ probes")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None, help="basename for .csv/.json artifacts")
+    p.add_argument("--format", dest="fmt", choices=["auto", "edge-list", "matrix-market"])
+    p.add_argument("--function", help="exp | sinh | cosh | resolvent:alpha=A | poly:c0,c1,...")
+    p.add_argument("--probes", type=int, help="Hutch++ probes")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--output", help="basename for .csv/.json artifacts")
 
 
-def _add_krylov(p):
-    """Controls of the greedy Krylov scoring (break, make and compare only)."""
+def _add_greedy(p):
+    """Search space and Krylov scoring of the greedy methods (break, make, compare)."""
+    p.add_argument("--budget", type=int, required=True, help="number of edges")
+    p.add_argument("--q", type=int, help="search-space size")
     p.add_argument(
-        "--tol", type=float, default=None, help="relative Krylov stopping tolerance"
+        "--strategy",
+        choices=sorted(_STRATEGIES),
+        help="search-space strategy (default dg2 for break, ad2 for make)",
     )
-    p.add_argument("--lag", type=int, default=2)
-    p.add_argument("--m-max", type=int, default=100)
+    p.add_argument("--eigenpairs", type=int, help="retained pairs for miobi")
+    p.add_argument("--tol", type=float, help="relative Krylov stopping tolerance")
+    p.add_argument("--lag", type=int)
+    p.add_argument("--m-max", type=int)
 
 
 def _build_parser():
@@ -415,29 +431,19 @@ def _build_parser():
     for name in ("break", "make"):
         p = sub.add_parser(name, help=f"greedy unweighted {name}")
         _add_common(p)
-        _add_krylov(p)
-        p.add_argument("--budget", type=int, required=True, help="number of edges")
-        p.add_argument("--q", type=int, default=250, help="search-space size")
-        p.add_argument(
-            "--strategy",
-            default=None,
-            choices=sorted(_STRATEGIES),
-            help="search-space strategy (default dg2 for break, ad2 for make)",
-        )
-        p.add_argument("--method", default="krylov", choices=["krylov", "miobi", "eigenv"])
-        p.add_argument("--eigenpairs", type=int, default=25, help="retained pairs for miobi")
+        _add_greedy(p)
+        p.add_argument("--method", choices=_METHODS[name])
 
     for name in ("downgrade", "add", "tune", "rewire"):
         p = sub.add_parser(name, help=f"weighted {name} via interior point")
         _add_common(p)
         p.add_argument("--budget", type=float, required=True, help="cumulative weight")
-        p.add_argument("--n-p", type=int, default=100, help="centrality candidates")
-        p.add_argument("--n-f", type=int, default=30, help="optimized edges")
-        p.add_argument("--method", default="lbfgs", choices=["lbfgs", "hessian"])
+        p.add_argument("--n-p", type=int, help="centrality candidates")
+        p.add_argument("--n-f", type=int, help="optimized edges")
+        p.add_argument("--method", choices=_METHODS[name])
         p.add_argument(
             "--upper",
             type=float,
-            default=None,
             help="per-edge weight cap (default: largest existing weight)",
         )
 
@@ -446,65 +452,34 @@ def _build_parser():
 
     p = sub.add_parser("compare", help="compare unweighted methods on one input")
     _add_common(p)
-    _add_krylov(p)
-    p.add_argument("--budget", type=int, required=True)
+    _add_greedy(p)
     p.add_argument("--mode", required=True, choices=["break", "make"])
-    p.add_argument("--methods", default="krylov,miobi,eigenv")
-    p.add_argument("--q", type=int, default=250)
-    p.add_argument("--strategy", default=None, choices=sorted(_STRATEGIES))
-    p.add_argument("--eigenpairs", type=int, default=25)
+    p.add_argument("--methods", help="comma-separated methods (default: all of the mode's)")
     return parser
 
 
 def _spec_from_args(args) -> RunSpec:
-    kwargs = dict(
-        subcommand=args.subcommand,
-        input=args.input,
-        fmt=args.format,
-        function=args.function,
-        probes=args.probes,
-        seed=args.seed,
-        output=args.output,
-    )
-    names = ("tol", "lag", "m_max", "budget", "q", "strategy", "method", "upper", "eigenpairs",
-             "n_p", "n_f")
-    for name in names:
-        if getattr(args, name, None) is not None:
-            kwargs[name] = getattr(args, name)
-    return RunSpec(**kwargs)
+    """The RunSpec of the parsed options; compare's runs take its ``--mode``."""
+    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunSpec)}
+    if args.subcommand == "compare":
+        given["subcommand"] = args.mode
+    return RunSpec(**{name: value for name, value in given.items() if value is not None})
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        spec = _spec_from_args(args)
         if args.subcommand == "compare":
-            methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-            specs = []
-            for method in methods:
-                specs.append(
-                    RunSpec(
-                        subcommand=args.mode,
-                        input=args.input,
-                        fmt=args.format,
-                        function=args.function,
-                        budget=args.budget,
-                        q=args.q,
-                        strategy=args.strategy,
-                        method=method,
-                        lag=args.lag,
-                        m_max=args.m_max,
-                        probes=args.probes,
-                        seed=args.seed,
-                        eigenpairs=args.eigenpairs,
-                        **({"tol": args.tol} if args.tol is not None else {}),
-                    )
-                )
-            rows = compare(specs)
+            methods = _METHODS[spec.subcommand]
+            if args.methods is not None:
+                methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+            rows = compare([dataclasses.replace(spec, method=m) for m in methods])
             print(json.dumps(rows, sort_keys=True, indent=2))
             if args.output:
                 _write_compare_csv(rows, args.output + ".csv")
         else:
-            run(_spec_from_args(args))
+            run(spec)
     except FconnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for cls, code in _EXIT_CODES:

@@ -16,7 +16,7 @@ change with the original, so instances are safe to share between threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -31,8 +31,6 @@ __all__ = [
     "Ordering",
     "CentralityRanking",
     "Strategy",
-    "SearchSpaceState",
-    "ranked_candidates",
     "select_search_space",
     "top_edges",
     "top_missing_pairs",
@@ -654,67 +652,27 @@ class Strategy(enum.Enum):
         return None
 
 
-@dataclass(frozen=True)
-class SearchSpaceState:
-    """Greedy bookkeeping: strategy, search size q, picks so far, step index.
-
-    The ranked strategies need ``ranked``: their candidates of the initial
-    graph in rank order, at least q + step of them (see
-    :func:`ranked_candidates`), so that a greedy run ranks them once rather
-    than at every step. The other strategies ignore it.
-    """
-
-    strategy: Strategy
-    q: int
-    chosen: frozenset = field(default_factory=frozenset)
-    step: int = 0
-    ranked: tuple = None
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValidationError("search size q must be >= 1")
-        object.__setattr__(
-            self, "chosen", frozenset(normalize_pair(*p) for p in self.chosen)
-        )
-
-
-def ranked_candidates(n, edges, strategy: Strategy, ranking, count):
-    """The ``count`` best candidates of DG_1/DG_2/AD_1/AD_2, best first.
-
-    ``edges`` holds the initial graph's edges as an (E, 2) array; DG_* rank
-    those edges, AD_* the node pairs missing from them. The ordering is the
-    one the strategy implies; ``ranking`` supplies the node scores.
-    """
-    if ranking is None:
-        raise ValueError(f"{strategy} requires a centrality ranking")
-    ranking = CentralityRanking(ranking.scores, strategy.implied_ordering)
-    if strategy.is_removal:
-        return top_edges(edges, ranking, count)
-    return top_missing_pairs(n, ranking, count, edges)
-
-
-def select_search_space(g: SparseSymGraph, state: SearchSpaceState):
+def select_search_space(g: SparseSymGraph, strategy: Strategy, chosen, ranked=None):
     """Candidate pairs for the next greedy step; empty list signals exhaustion.
 
-    DG_FULL takes the working graph's edges minus the chosen ones, AD_3 the
-    missing pairs among its d highest-degree nodes. The ranked strategies
-    (DG_1/DG_2/AD_1/AD_2) index the *initial* edge or non-edge sets and keep
-    the ranking fixed across steps: the top q + step candidates of
-    ``state.ranked`` minus the chosen ones. Without ``state.ranked`` they
-    raise ValueError.
+    ``chosen`` holds the (min, max) pairs picked so far. DG_FULL takes the
+    working graph's edges minus the chosen ones, AD_3 the missing pairs among
+    its d highest-degree nodes. The ranked strategies (DG_1/DG_2/AD_1/AD_2)
+    keep the ranking of the *initial* graph fixed across steps: ``ranked``
+    holds its best candidates in rank order (the top q + step of them at
+    greedy step ``step``, from :func:`top_edges` or
+    :func:`top_missing_pairs`), and they return those not chosen. Without
+    ``ranked`` they raise ValueError.
     """
-    strat = state.strategy
-    chosen = state.chosen
-
-    if strat is Strategy.DG_FULL:
+    if strategy is Strategy.DG_FULL:
         return [p for p in g.edge_pairs if p not in chosen]
 
-    if strat.implied_ordering is not None:
-        if state.ranked is None:
-            raise ValueError(f"{strat} requires the ranked candidates of the initial graph")
-        return [p for p in state.ranked[: state.q + state.step] if p not in chosen]
+    if strategy.implied_ordering is not None:
+        if ranked is None:
+            raise ValueError(f"{strategy} requires the ranked candidates of the initial graph")
+        return [p for p in ranked if p not in chosen]
 
-    if strat is Strategy.AD_3:
+    if strategy is Strategy.AD_3:
         deg = g.degrees()
         d = int(deg.max()) if g.num_edges else 0
         if d == 0:
@@ -728,4 +686,4 @@ def select_search_space(g: SparseSymGraph, state: SearchSpaceState):
             if normalize_pair(a, b) not in edge_set and normalize_pair(a, b) not in chosen
         ]
 
-    raise ValueError(f"unknown strategy {strat}")
+    raise ValueError(f"unknown strategy {strategy}")

@@ -27,17 +27,15 @@ from .errors import ValidationError
 from .graph import (
     CentralityRanking,
     Ordering,
-    SearchSpaceState,
     SparseSymGraph,
     Strategy,
     eigenvector_centrality,
     normalize_pair,
-    ranked_candidates,
     select_search_space,
     top_edges,
     top_missing_pairs,
 )
-from .krylov import LowRankUpdate, trace_fun_update
+from .krylov import DEFAULT_LAG, DEFAULT_M_MAX, DEFAULT_TOL, LowRankUpdate, trace_fun_update
 
 __all__ = [
     "Mode",
@@ -57,42 +55,43 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class GreedyConfig:
-    """Budget, search-space size and Krylov controls for the greedy loop."""
+    """Budget, search-space size and Krylov controls for the greedy loop.
+
+    The mode follows from the strategy: a DG strategy breaks, an AD one makes.
+    """
 
     budget: int
     q: int = 250
     strategy: Strategy = Strategy.DG_2
-    mode: Mode = Mode.BREAK
-    tol: float = 1e-6
-    lag: int = 2
-    m_max: int = 100
+    tol: float = DEFAULT_TOL
+    lag: int = DEFAULT_LAG
+    m_max: int = DEFAULT_M_MAX
 
     def __post_init__(self):
         if self.budget < 1:
             raise ValidationError("budget must be >= 1")
         if self.q < 1:
             raise ValidationError("q must be >= 1")
-        removal = self.strategy.is_removal
-        if self.mode is Mode.BREAK and not removal:
-            raise ValidationError(f"BREAK requires a DG strategy, got {self.strategy}")
-        if self.mode is Mode.MAKE and removal:
-            raise ValidationError(f"MAKE requires an AD strategy, got {self.strategy}")
+
+    @property
+    def mode(self) -> Mode:
+        return Mode.BREAK if self.strategy.is_removal else Mode.MAKE
 
 
 @dataclass
 class ModificationPlan:
     """Chosen edges with signed weight deltas plus per-step objective changes.
 
-    ``step_deltas`` holds the predicted trace variation of each accepted step
-    (None for the one-shot baseline, which never scores candidates);
-    ``predicted_total`` is their sum. ``exhausted`` flags an early stop on an
-    empty search space.
+    ``step_deltas`` holds the Krylov trace variation of each accepted step of
+    ``greedy_krylov``. It is None for the centrality baseline, which never
+    scores candidates, and for MIOBI, whose first-order scores only rank
+    candidates and are not the trace change. ``exhausted`` flags an early
+    stop on an empty search space.
     """
 
     edges: list
     mode: Mode
     step_deltas: list = None
-    predicted_total: float = None
     exhausted: bool = False
     diagnostics: dict = field(default_factory=dict)
 
@@ -146,16 +145,17 @@ def _greedy(graph, cfg, strategy, score, on_accept=None):
         ranking = CentralityRanking(eigenvector_centrality(graph), strategy.implied_ordering)
         edges = np.column_stack(graph.edge_arrays[:2])
         count = cfg.q + cfg.budget - 1
-        ranked = tuple(ranked_candidates(graph.n, edges, strategy, ranking, count))
+        if strategy.is_removal:
+            ranked = top_edges(edges, ranking, count)
+        else:
+            ranked = top_missing_pairs(graph.n, ranking, count, edges)
     work = graph
-    chosen, deltas = [], []
+    chosen, picked, deltas = [], set(), []
     exhausted = False
     evaluations = 0
     for step in range(cfg.budget):
-        state = SearchSpaceState(
-            strategy, cfg.q, frozenset(normalize_pair(i, j) for i, j, _ in chosen), step, ranked
-        )
-        space = select_search_space(work, state)
+        top = None if ranked is None else ranked[: cfg.q + step]
+        space = select_search_space(work, strategy, picked, top)
         if not space:
             exhausted = True
             break
@@ -172,12 +172,12 @@ def _greedy(graph, cfg, strategy, score, on_accept=None):
             on_accept(pair, d)
         work = work.with_edge_delta(pair[0], pair[1], d)
         chosen.append((pair[0], pair[1], d))
+        picked.add(pair)
         deltas.append(best)
     return ModificationPlan(
         edges=chosen,
         mode=cfg.mode,
         step_deltas=deltas,
-        predicted_total=float(np.sum(deltas)) if deltas else 0.0,
         exhausted=exhausted,
         diagnostics={"evaluations": evaluations},
     )
@@ -280,7 +280,9 @@ def miobi(graph: SparseSymGraph, cfg: GreedyConfig, f, h: int = 25) -> Modificat
     Search spaces are fixed by the mode: the full current edge set for BREAK
     and the max-degree node block (AD_3, degrees recomputed each step) for
     MAKE. After each accepted edge both the eigenvalues and the eigenvectors
-    are advanced by the first-order formulas.
+    are advanced by the first-order formulas. The first-order scores only
+    rank candidates: the plan's ``step_deltas`` is None, so its trace change
+    is computed from the plan itself.
     """
     h = min(h, graph.n)
     eig = MiobiState.initialize(graph, h)
@@ -292,6 +294,7 @@ def miobi(graph: SparseSymGraph, cfg: GreedyConfig, f, h: int = 25) -> Modificat
         lambda work, pair, d: eig.score(pair[0], pair[1], d, f),
         on_accept=lambda pair, d: eig.apply_update(pair[0], pair[1], d),
     )
+    plan.step_deltas = None
     plan.diagnostics.update(orthonormality_drift=eig.orthonormality_drift(), eigenpairs=h)
     return plan
 
@@ -320,10 +323,4 @@ def eigenv_baseline(graph: SparseSymGraph, k: int, mode: Mode) -> ModificationPl
     else:
         pairs = top_missing_pairs(graph.n, ranking, k, existing)
         edges = [(i, j, 1.0) for i, j in pairs]
-    return ModificationPlan(
-        edges=edges,
-        mode=mode,
-        step_deltas=None,
-        predicted_total=None,
-        exhausted=len(edges) < k,
-    )
+    return ModificationPlan(edges=edges, mode=mode, exhausted=len(edges) < k)

@@ -98,6 +98,7 @@ __all__ = [
 
 DEFAULT_LAG = 2
 DEFAULT_M_MAX = 100
+DEFAULT_TOL = 1e-6  # relative tolerance of trace_fun_update, the greedy scorer
 
 
 def _as_matrix(A):
@@ -423,7 +424,9 @@ class TraceUpdateResult:
     converged: bool
 
 
-def trace_fun_update(A, X: LowRankUpdate, f, lag=DEFAULT_LAG, tol=1e-6, m_max=DEFAULT_M_MAX):
+def trace_fun_update(
+    A, X: LowRankUpdate, f, lag=DEFAULT_LAG, tol=DEFAULT_TOL, m_max=DEFAULT_M_MAX
+):
     """Tr(f(A+X)) - Tr(f(A)) from eigenvalues of the projected matrices.
 
     Uses the block Lanczos recurrence (two-term orthogonalization, only the

@@ -58,9 +58,6 @@ __all__ = [
     "select_candidates",
 ]
 
-# Relative tolerance of select_candidates' f'(A) e_v columns; also the level
-# of phi noise below which a failed line search is accepted.
-KRYLOV_TOL = 1e-8
 # Relative tolerance of the lagged test on (phi, grad phi) that sets the
 # order of a solve's Krylov model.
 UPDATE_TOL = 1e-12
@@ -69,13 +66,12 @@ UPDATE_TOL = 1e-12
 # MU_SHRINK after every inner solve and the outer loop stops once it falls
 # below MU_STOP; each inner solve runs until the barrier-gradient norm drops
 # under max(INNER_TOL, 0.1 mu), or, for Newton, until the decrement -g^T d
-# falls to NEWTON_STOP (1 + |value|) (Boyd & Vandenberghe, sec. 9.5.1): with
-# an exact Hessian the gradient test alone can stall at the rounding level of
-# the last barrier levels.
+# falls to the rounding level of phi (Boyd & Vandenberghe, sec. 9.5.1): with
+# an exact Hessian the gradient test alone can stall at that level on the
+# last barrier levels.
 MU_SHRINK = 10.0
 MU_STOP = 1e-8
 INNER_TOL = 1e-6
-NEWTON_STOP = 1e-13
 MAX_OUTER = 30
 MAX_INNER = 200
 ARMIJO_C = 1e-4
@@ -186,6 +182,7 @@ class _KrylovModel:
         self.order = 0
         self.unconverged = 0  # evaluations that reached DEFAULT_M_MAX unconverged
         self._last = None  # (x, order, result) of the newest evaluation
+        self.phi_floor = None  # rounding level of phi at the newest evaluation
 
     def _at(self, x, m):
         """phi_m, grad phi_m, (lam, R) and the rounding levels of phi_m and grad phi_m."""
@@ -238,7 +235,7 @@ class _KrylovModel:
                 _relative(np.linalg.norm(grad - prev[2]), np.linalg.norm(grad), grad_floor),
             )
 
-        (m, phi, grad, spectrum, _), _, converged = _lagged(
+        (m, phi, grad, spectrum, (self.phi_floor, _)), _, converged = _lagged(
             step, moved, DEFAULT_LAG, UPDATE_TOL, DEFAULT_M_MAX - start + 1
         )
         self.order, self.unconverged = m, self.unconverged + (not converged)
@@ -387,7 +384,10 @@ class _BarrierProblem:
         return x, up, down, slack
 
     def eval(self, z, mu):
-        """Barrier objective and gradient; (inf, None, ...) outside the interior."""
+        """Barrier objective and gradient, and phi with its rounding level.
+
+        Outside the interior it returns (inf, None, None).
+        """
         if np.any(z <= 0):
             return np.inf, None, None
         x, up, down, slack = self.gaps(z)
@@ -404,7 +404,7 @@ class _BarrierProblem:
         box[self.box_down] -= 1.0 / down[self.box_down]
         gb += self.S.T @ box
         grad = self.sign * (self.S.T @ gphi) + mu * gb
-        return val, grad, phi
+        return val, grad, (phi, self.model.phi_floor)
 
     def hess(self, z, mu):
         x, up, down, slack = self.gaps(z)
@@ -516,7 +516,8 @@ def _minimize_barrier(bp, z, mu, inner):
     equilibrates the boundary layers (both side positivity and box gaps)
     whose raw conditioning grows like 1/mu^2. The stopping test is on the
     scaled gradient, relative to its starting norm; Newton also stops once its
-    decrement -g^T d is at most NEWTON_STOP (1 + |value|).
+    decrement -g^T d is at most the rounding level of phi, which the Krylov
+    model measures at each point. ``phi`` holds (phi, that level).
     """
     c = 1.0 / np.sqrt(bp.barrier_diag(z, mu))
 
@@ -537,8 +538,8 @@ def _minimize_barrier(bp, z, mu, inner):
         else:
             Hw = (c[:, None] * bp.hess(c * w, mu)) * c[None, :]
             d = _damped_newton_direction(Hw, grad)
-            if -float(grad @ d) <= NEWTON_STOP * (1.0 + abs(val)):
-                return c * w, its, True, phi
+            if -float(grad @ d) <= phi[1]:
+                return c * w, its, True, phi[0]
         its += 1
         if float(grad @ d) >= 0:
             state.reset()
@@ -550,15 +551,14 @@ def _minimize_barrier(bp, z, mu, inner):
             accepted, w_new, val_new, grad_new, phi_new = _armijo(bp, c, w, d, val, grad, mu)
         if not accepted:
             # persistent line-search failure: accept when the best possible
-            # Armijo decrease is below the Krylov evaluation noise in phi
+            # Armijo decrease is below the rounding level of phi
             alpha0 = min(1.0, 0.995 * bp.max_step(c * w, c * d))
             predicted = abs(ARMIJO_C * alpha0 * float(grad @ d))
-            noise = 10.0 * KRYLOV_TOL * (1.0 + abs(val))
-            return c * w, its, predicted <= noise, phi
+            return c * w, its, predicted <= phi[1], phi[0]
         if inner == "lbfgs":
             state.push(w_new - w, grad_new - grad)
         w, val, grad, phi = w_new, val_new, grad_new, phi_new
-    return c * w, its, float(np.linalg.norm(grad)) <= tol, phi
+    return c * w, its, float(np.linalg.norm(grad)) <= tol, phi[0]
 
 
 def _armijo(bp, c, w, d, val, grad, mu):
@@ -602,7 +602,7 @@ def select_candidates(graph, mode: CandidateMode, f, n_P=100, n_F=30):
         for v in sorted({v for p in pairs for v in p}):
             e = np.zeros(graph.n)
             e[v] = 1.0
-            cols[v] = fun_action(graph, fprime, e, tol=KRYLOV_TOL, m_max=80)
+            cols[v] = fun_action(graph, fprime, e)
         vals = {(i, j): 0.5 * (cols[j][i] + cols[i][j]) for i, j in pairs}
         ranked = sorted(pairs, key=lambda p: (-vals[p], p))
         return ranked[:count]

@@ -14,10 +14,11 @@ import fconn.weighted
 from fconn.cli import main
 from fconn.errors import ConvergenceError
 from fconn.graph import Strategy, load_graph, save_graph
-from fconn.greedy import GreedyConfig, Mode, greedy_krylov
+from fconn.greedy import GreedyConfig, greedy_krylov
 from fconn.krylov import estimate_trace_f
 from fconn.matfun import Exp
 
+import oracles
 from conftest import barabasi_albert, random_connected_graph
 
 
@@ -97,9 +98,9 @@ def test_overlapped_run_matches_direct_calls(mode, graph, tmp_path, monkeypatch)
     g = load_graph(path)
     den = estimate_trace_f(g, Exp(), n_probes=10, seed=3)
     if mode == "break":
-        cfg = GreedyConfig(budget=2, q=6, strategy=Strategy.DG_2, mode=Mode.BREAK)
+        cfg = GreedyConfig(budget=2, q=6, strategy=Strategy.DG_2)
     else:
-        cfg = GreedyConfig(budget=2, q=6, strategy=Strategy.AD_2, mode=Mode.MAKE)
+        cfg = GreedyConfig(budget=2, q=6, strategy=Strategy.AD_2)
     plan = greedy_krylov(g, cfg, Exp())
     assert summary["denominator"] == den.value
     assert summary["denominator_stderr"] == den.stderr
@@ -207,9 +208,24 @@ def test_miobi_run(mode, edge_list, tmp_path):
     assert summary["method"] == "miobi"
     assert summary["iterations"]["steps"] == 2 and summary["iterations"]["eigenpairs"] == 6
     assert summary["iterations"]["orthonormality_drift"] >= 0.0
-    assert len(rows) == 2 and all(row["cumulative_delta_trace"] for row in rows)
+    # MIOBI's first-order scores are not trace changes: no cumulative column
+    assert len(rows) == 2 and not any(row["cumulative_delta_trace"] for row in rows)
     sign = -1.0 if mode == "break" else 1.0
     assert all(d * sign > 0 for _, _, d in summary["edges"])
+
+
+@pytest.mark.parametrize("mode", ["break", "make"])
+@pytest.mark.parametrize("method", ["miobi", "eigenv", "krylov"])
+def test_numerator_is_the_plans_trace_change(mode, method, edge_list, capsys):
+    argv = [mode, "--input", edge_list, "--budget", "2", "--eigenpairs", "6", "--probes", "8"]
+    assert main(argv + ["--method", method]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    g = load_graph(edge_list)
+    X = sum(
+        oracles.symmetric_edge_matrix(g.n, i - 1, j - 1, d) for i, j, d in summary["edges"]
+    )
+    want = oracles.trace_delta(Exp(), oracles.dense_adjacency(g), X)
+    assert summary["numerator"] == pytest.approx(want, rel=1e-8)
 
 
 def test_weighted_add_run(edge_list, tmp_path):
@@ -253,6 +269,38 @@ def test_compare_run(edge_list, tmp_path, capsys):
         assert all(0 <= row[f"common_{m}"] <= 2 for m in others)
     with open(base + ".csv", newline="", encoding="utf-8") as fh:
         assert [r["method"] for r in csv.DictReader(fh)] == ["krylov", "miobi", "eigenv"]
+
+
+def test_compare_krylov_row_matches_the_break_run(edge_list, capsys):
+    argv = ["--input", edge_list, "--budget", "2", "--q", "5", "--probes", "8", "--seed", "2"]
+    assert main(["break"] + argv) == 0
+    single = json.loads(capsys.readouterr().out)
+    assert main(["compare", "--mode", "break", "--methods", "krylov"] + argv) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["delta_t"] == single["delta_t"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["break", "--strategy", "ad2"],
+        ["make", "--strategy", "dg1", "--method", "eigenv"],
+        ["compare", "--mode", "make", "--strategy", "dg2"],
+    ],
+)
+def test_strategy_of_the_other_mode_exits_2(argv, edge_list, capsys):
+    assert main(argv + ["--input", edge_list, "--budget", "1", "--probes", "8"]) == 2
+    assert "is not valid for" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "subcommand", ["break", "make", "downgrade", "add", "tune", "rewire", "trace", "compare"]
+)
+def test_help_of_every_subcommand(subcommand, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--help"])
+    assert exc.value.code == 0
+    assert "--input" in capsys.readouterr().out
 
 
 _IMPORT_GUARD = """

@@ -8,13 +8,11 @@ from fconn.errors import ConvergenceError, InputFormatError, ValidationError
 from fconn.graph import (
     CentralityRanking,
     Ordering,
-    SearchSpaceState,
     SparseSymGraph,
     Strategy,
     eigenvector_centrality,
     load_graph,
     normalize_pair,
-    ranked_candidates,
     save_graph,
     select_search_space,
     top_edges,
@@ -401,13 +399,11 @@ class TestSelection:
 class TestSearchSpaces:
     def test_dg_full_set_difference(self):
         g = triangle()
-        state = SearchSpaceState(Strategy.DG_FULL, q=5, chosen=frozenset({(0, 1)}), step=1)
-        assert select_search_space(g, state) == [(0, 2), (1, 2)]
+        assert select_search_space(g, Strategy.DG_FULL, {(0, 1)}) == [(0, 2), (1, 2)]
 
     def test_star_ad3_leaf_pairs(self):
         g = star(4)
-        state = SearchSpaceState(Strategy.AD_3, q=5)
-        got = select_search_space(g, state)
+        got = select_search_space(g, Strategy.AD_3, set())
         # d = 4, V_d = center plus the three lowest-index leaves (degree ties
         # break on node index); their missing pairs are the leaf-leaf ones
         assert got == [(1, 2), (1, 3), (2, 3)]
@@ -415,31 +411,27 @@ class TestSearchSpaces:
     def test_path3_dg2_tie_breaks_to_first_edge(self):
         g = path(3)
         r = CentralityRanking.from_graph(g, Ordering.MINMAX, tol=1e-12)
-        ranked = tuple(ranked_candidates(g.n, np.array(g.edge_pairs), Strategy.DG_2, r, 1))
-        state = SearchSpaceState(Strategy.DG_2, q=1, ranked=ranked)
-        assert select_search_space(g, state) == [(0, 1)]
+        ranked = top_edges(g.edge_pairs, r, 1)
+        assert select_search_space(g, Strategy.DG_2, set(), ranked) == [(0, 1)]
 
     def test_ranked_strategies_need_ranking(self):
         with pytest.raises(ValueError):
-            select_search_space(path(3), SearchSpaceState(Strategy.DG_1, q=1))
+            select_search_space(path(3), Strategy.DG_1, set())
 
     def test_exhaustion_returns_empty(self):
         g = triangle()  # complete on 3 nodes
-        state = SearchSpaceState(Strategy.AD_3, q=5)
-        assert select_search_space(g, state) == []
+        assert select_search_space(g, Strategy.AD_3, set()) == []
 
     def test_dg_ranked_uses_initial_edges(self):
         # after removing the top edge, it must not reappear, and the window grows
         g = random_connected_graph(12, 10, seed=3)
         r = CentralityRanking.from_graph(g, Ordering.PRODUCT)
-        ranked = tuple(ranked_candidates(g.n, np.array(g.edge_pairs), Strategy.DG_1, r, 5))
-        state0 = SearchSpaceState(Strategy.DG_1, q=4, ranked=ranked)
-        first = select_search_space(g, state0)
+        ranked = top_edges(g.edge_pairs, r, 5)
+        first = select_search_space(g, Strategy.DG_1, set(), ranked[:4])
         assert len(first) == 4
         pick = first[0]
         g2 = g.with_edge_delta(pick[0], pick[1], -1.0)
-        state1 = SearchSpaceState(Strategy.DG_1, 4, frozenset({pick}), 1, ranked)
-        second = select_search_space(g2, state1)
+        second = select_search_space(g2, Strategy.DG_1, {pick}, ranked[:5])
         assert len(second) == 4
         assert pick not in second
         # ranked top-(q+1) of the initial edge set minus the pick
@@ -454,14 +446,13 @@ class TestSearchSpaces:
         ranked = None
         if strategy.implied_ordering is not None:
             ranking = CentralityRanking.from_graph(g, strategy.implied_ordering)
-            edges = np.array(g.edge_pairs)
-            ranked = tuple(ranked_candidates(g.n, edges, strategy, ranking, q + 2))
+            ranked = ranked_pairs(g, strategy, ranking, q + 2)
         edge_set = g.edge_set()
         work = g
         chosen = set()
         for step in range(3):
-            state = SearchSpaceState(strategy, q, frozenset(chosen), step, ranked)
-            space = select_search_space(work, state)
+            top = None if ranked is None else ranked[: q + step]
+            space = select_search_space(work, strategy, chosen, top)
             if strategy is not Strategy.DG_FULL and strategy is not Strategy.AD_3:
                 assert len(space) <= q + step
             assert not (set(space) & chosen)
@@ -488,6 +479,13 @@ def sorted_top(pairs, ranking, count):
 RANKED = [Strategy.DG_1, Strategy.DG_2, Strategy.AD_1, Strategy.AD_2]
 
 
+def ranked_pairs(g, strategy, ranking, count):
+    """The greedy's ranked candidates: the best edges (DG) or missing pairs (AD)."""
+    if strategy.is_removal:
+        return top_edges(g.edge_pairs, ranking, count)
+    return top_missing_pairs(g.n, ranking, count, g.edge_set())
+
+
 @pytest.mark.parametrize("strategy", RANKED)
 @pytest.mark.parametrize(
     "graph",
@@ -499,13 +497,11 @@ def test_ranked_selection_matches_sorted_order(strategy, graph):
     initial = graph.edge_set()
     pool = initial if strategy.is_removal else missing_pairs(graph)
     q, steps = 4, 3
-    edges = np.array(sorted(initial))
-    ranked = tuple(ranked_candidates(graph.n, edges, strategy, ranking, q + steps - 1))
+    ranked = ranked_pairs(graph, strategy, ranking, q + steps - 1)
     work, chosen = graph, set()
     for step in range(steps):
         want = [p for p in sorted_top(pool, ranking, q + step) if p not in chosen]
-        state = SearchSpaceState(strategy, q, frozenset(chosen), step, ranked)
-        assert select_search_space(work, state) == want
+        assert select_search_space(work, strategy, chosen, ranked[: q + step]) == want
         if not want:
             break
         pick = want[-1]

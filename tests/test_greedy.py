@@ -57,12 +57,9 @@ def brute_force_make_one(g, f):
 class TestGreedyConfig:
     def test_mode_strategy_pairing(self):
         with pytest.raises(ValidationError):
-            GreedyConfig(budget=1, strategy=Strategy.AD_2, mode=Mode.BREAK)
-        with pytest.raises(ValidationError):
-            GreedyConfig(budget=1, strategy=Strategy.DG_1, mode=Mode.MAKE)
-        with pytest.raises(ValidationError):
             GreedyConfig(budget=0)
-        GreedyConfig(budget=1, strategy=Strategy.AD_3, mode=Mode.MAKE)
+        assert GreedyConfig(budget=1, strategy=Strategy.AD_3).mode is Mode.MAKE
+        assert GreedyConfig(budget=1, strategy=Strategy.DG_1).mode is Mode.BREAK
 
 
 class TestModificationPlan:
@@ -89,7 +86,7 @@ class TestModificationPlan:
 class TestGreedyKrylov:
     def test_break_one_on_four_cycle(self):
         g = cycle(4)
-        cfg = GreedyConfig(budget=1, strategy=Strategy.DG_FULL, mode=Mode.BREAK, tol=1e-9)
+        cfg = GreedyConfig(budget=1, strategy=Strategy.DG_FULL, tol=1e-9)
         plan = greedy_krylov(g, cfg, Exp())
         # all edges are equivalent by symmetry; the chosen delta must match
         # the dense trace difference of removing that edge
@@ -102,7 +99,7 @@ class TestGreedyKrylov:
     @pytest.mark.parametrize("seed", range(5))
     def test_break_one_matches_brute_force(self, seed):
         g = random_connected_graph(18, 14, seed=seed)
-        cfg = GreedyConfig(budget=1, q=5, strategy=Strategy.DG_FULL, mode=Mode.BREAK, tol=1e-9)
+        cfg = GreedyConfig(budget=1, q=5, strategy=Strategy.DG_FULL, tol=1e-9)
         plan = greedy_krylov(g, cfg, Exp())
         best, delta, gap = brute_force_break_one(g, Exp())
         if gap > 1e-9:
@@ -111,7 +108,7 @@ class TestGreedyKrylov:
 
     def test_make_one_on_path4_matches_brute_force(self):
         g = path(4)
-        cfg = GreedyConfig(budget=1, q=6, strategy=Strategy.AD_1, mode=Mode.MAKE, tol=1e-10)
+        cfg = GreedyConfig(budget=1, q=6, strategy=Strategy.AD_1, tol=1e-10)
         plan = greedy_krylov(g, cfg, Exp())
         best, delta, gap = brute_force_make_one(g, Exp())
         assert plan.pairs[0] == best
@@ -122,7 +119,7 @@ class TestGreedyKrylov:
             6,
             [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)],
         )
-        cfg = GreedyConfig(budget=2, strategy=Strategy.DG_FULL, mode=Mode.BREAK, tol=1e-10)
+        cfg = GreedyConfig(budget=2, strategy=Strategy.DG_FULL, tol=1e-10)
         plan = greedy_krylov(g, cfg, Exp())
         A = oracles.dense_adjacency(g)
         best_pairset, best_val = None, np.inf
@@ -142,7 +139,7 @@ class TestGreedyKrylov:
     )
     def test_monotone_step_deltas(self, mode, strategy):
         g = random_connected_graph(25, 30, seed=7)
-        cfg = GreedyConfig(budget=4, q=8, strategy=strategy, mode=mode, tol=1e-8)
+        cfg = GreedyConfig(budget=4, q=8, strategy=strategy, tol=1e-8)
         lam = np.max(np.abs(np.linalg.eigvalsh(oracles.dense_adjacency(g))))
         for f in (Exp(), Resolvent(0.4 / (lam + 2))):
             plan = greedy_krylov(g, cfg, f)
@@ -154,45 +151,45 @@ class TestGreedyKrylov:
     def test_plan_validity(self):
         g = random_connected_graph(20, 20, seed=8)
         initial_edges = g.edge_set()
-        cfg = GreedyConfig(budget=3, q=6, strategy=Strategy.DG_1, mode=Mode.BREAK)
+        cfg = GreedyConfig(budget=3, q=6, strategy=Strategy.DG_1)
         plan = greedy_krylov(g, cfg, Exp())
         assert all(p in initial_edges for p in plan.pairs)
-        cfg2 = GreedyConfig(budget=3, q=6, strategy=Strategy.AD_1, mode=Mode.MAKE)
+        cfg2 = GreedyConfig(budget=3, q=6, strategy=Strategy.AD_1)
         plan2 = greedy_krylov(g, cfg2, Exp())
         assert all(p not in initial_edges for p in plan2.pairs)
 
     def test_exhaustion_flag(self):
         g = star(3)  # only 3 missing pairs (between leaves)
-        cfg = GreedyConfig(budget=5, q=10, strategy=Strategy.AD_1, mode=Mode.MAKE)
+        cfg = GreedyConfig(budget=5, q=10, strategy=Strategy.AD_1)
         plan = greedy_krylov(g, cfg, Exp())
         assert plan.exhausted and len(plan.edges) == 3
 
     def test_budget_exceeding_edges_rejected(self):
         g = path(3)
-        cfg = GreedyConfig(budget=5, strategy=Strategy.DG_FULL, mode=Mode.BREAK)
+        cfg = GreedyConfig(budget=5, strategy=Strategy.DG_FULL)
         with pytest.raises(ValidationError):
             greedy_krylov(g, cfg, Exp())
 
     def test_telescoping_sum_matches_total(self):
         g = random_connected_graph(22, 26, seed=10)
-        cfg = GreedyConfig(budget=3, q=6, strategy=Strategy.DG_2, mode=Mode.BREAK, tol=1e-9)
+        cfg = GreedyConfig(budget=3, q=6, strategy=Strategy.DG_2, tol=1e-9)
         plan = greedy_krylov(g, cfg, Exp())
         A = oracles.dense_adjacency(g)
         total_dense = oracles.trace_delta(Exp(), A, plan.as_update(g.n).dense())
-        assert plan.predicted_total == pytest.approx(total_dense, rel=1e-6, abs=1e-7)
+        assert sum(plan.step_deltas) == pytest.approx(total_dense, rel=1e-6, abs=1e-7)
 
 
 class TestKrylovDiagnostics:
     def test_orders_and_convergence_on_hub_graph(self):
         g = barabasi_albert(1000, 5, seed=[201, 1, 0])
-        cfg = GreedyConfig(budget=1, q=8, strategy=Strategy.AD_2, mode=Mode.MAKE)
+        cfg = GreedyConfig(budget=1, q=8, strategy=Strategy.AD_2)
         d = greedy_krylov(g, cfg, Exp()).diagnostics
         assert d["evaluations"] == 8 and d["unconverged"] == 0
         assert 1 <= d["order_min"] <= d["order_median"] <= d["order_max"] <= 20
 
     def test_unconverged_evaluations_are_counted(self):
         g = random_connected_graph(30, 45, seed=14)
-        cfg = GreedyConfig(budget=2, q=4, mode=Mode.BREAK, m_max=2)
+        cfg = GreedyConfig(budget=2, q=4, m_max=2)
         d = greedy_krylov(g, cfg, Exp()).diagnostics
         assert d["evaluations"] == 8 and d["unconverged"] == 8
         assert d["order_min"] == d["order_max"] == 2
@@ -225,7 +222,7 @@ class TestMiobi:
 
     def test_break_one_on_four_cycle_matches_dense_class(self):
         g = cycle(4)
-        cfg = GreedyConfig(budget=1, strategy=Strategy.DG_FULL, mode=Mode.BREAK)
+        cfg = GreedyConfig(budget=1, strategy=Strategy.DG_FULL)
         plan = miobi(g, cfg, Exp(), h=4)
         A = oracles.dense_adjacency(g)
         got = oracles.trace_delta(
@@ -243,20 +240,20 @@ class TestMiobi:
         # first-order error is O(||X||^2); only assert where the exact gap dominates
         if gap <= 10 * 2.0:  # ||X||_F^2 = 2 for a unit edge
             pytest.skip("top-two gap too small for the first-order score")
-        cfg = GreedyConfig(budget=1, strategy=Strategy.DG_FULL, mode=Mode.BREAK)
+        cfg = GreedyConfig(budget=1, strategy=Strategy.DG_FULL)
         plan = miobi(g, cfg, Exp(), h=g.n)
         assert plan.pairs[0] == best
 
     def test_make_uses_degree_block(self):
         g = star(5)
-        cfg = GreedyConfig(budget=2, strategy=Strategy.AD_3, mode=Mode.MAKE)
+        cfg = GreedyConfig(budget=2, strategy=Strategy.AD_3)
         plan = miobi(g, cfg, Exp(), h=4)
         for (i, j) in plan.pairs:
             assert i != 0 and j != 0  # leaf-leaf additions only
 
     def test_drift_reported(self):
         g = random_connected_graph(20, 22, seed=14)
-        cfg = GreedyConfig(budget=3, strategy=Strategy.DG_FULL, mode=Mode.BREAK)
+        cfg = GreedyConfig(budget=3, strategy=Strategy.DG_FULL)
         plan = miobi(g, cfg, Exp(), h=6)
         assert "orthonormality_drift" in plan.diagnostics
         assert plan.diagnostics["orthonormality_drift"] >= 0.0
@@ -278,7 +275,7 @@ class TestEigenvBaseline:
 
     def test_no_step_deltas(self):
         plan = eigenv_baseline(star(4), 2, Mode.BREAK)
-        assert plan.step_deltas is None and plan.predicted_total is None
+        assert plan.step_deltas is None
 
     def test_break_uses_product_ordering(self):
         g = random_connected_graph(15, 20, seed=15)

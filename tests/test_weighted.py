@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from fconn.krylov import _ROUNDING
 from fconn.matfun import Exp, Resolvent
 from fconn.weighted import (
     CandidateMode,
@@ -231,3 +232,21 @@ def test_newton_and_lbfgs_agree(mode, candidates):
     _, lbfgs = _timed_solve(prob, "lbfgs")
     assert newton.converged
     assert lbfgs.objective == pytest.approx(newton.objective, rel=1e-10)
+
+
+def test_newton_stops_at_the_rounding_level_of_phi():
+    # The Newton decrement test compares -g^T d with the model's rounding
+    # level of phi, 100 eps (sum |f(lam)| + sum |f(mu)|) over the spectra of
+    # the projected A + X and A: about 2e-9 here, where phi is about -6e3.
+    # The projected spectra lack the smallest eigenvalues of the dense ones.
+    g = random_connected_graph(60, 240, seed=[1, 4, 0], weighted=True)
+    F = select_candidates(g, CandidateMode.TUNING, Exp(), n_P=8, n_F=3)
+    prob = WeightedProblem.build(g, F, WeightedMode.DOWNGRADE, 2.0, Exp())
+    x, report = _timed_solve(prob, "hessian")
+    assert report.converged and report.inner_iterations < 150
+    model = entry_gradient_cache(prob)
+    model.evaluate(x)
+    A = g.adjacency.toarray()
+    spectra = [np.linalg.eigvalsh(M) for M in (A, A + oracles.assemble_update(g.n, prob.F, x))]
+    want = _ROUNDING * sum(float(np.sum(np.exp(lam))) for lam in spectra)
+    assert model.phi_floor == pytest.approx(want, rel=1e-2)
