@@ -23,7 +23,6 @@ from .errors import (
     ExhaustedSearchSpaceError,
     FconnError,
     InputFormatError,
-    MemoryBudgetError,
     ValidationError,
 )
 from .graph import (

@@ -15,8 +15,8 @@ reported with its standard error, runs on one worker thread beside the
 optimizer; the reported wall time still covers the optimizer only. If the
 estimate fails, its error decides the exit code, even when the optimizer
 failed too, and no artifact is written. Exit codes: 0 success, 2 validation or
-usage, 3 input parsing, 4 convergence, 5 function domain, 6 memory budget,
-7 exhausted search space.
+usage, 3 input parsing, 4 convergence, 5 function domain, 7 exhausted search
+space.
 
 Every default lives in :class:`RunSpec`: the parser leaves an option that is
 not given as None, and the spec fills it in and checks it. ``_METHODS`` lists
@@ -43,7 +43,6 @@ from .errors import (
     ExhaustedSearchSpaceError,
     FconnError,
     InputFormatError,
-    MemoryBudgetError,
     ValidationError,
 )
 from .graph import Strategy, load_graph
@@ -86,7 +85,6 @@ _EXIT_CODES = (
     (InputFormatError, 3),
     (ConvergenceError, 4),
     (DomainError, 5),
-    (MemoryBudgetError, 6),
     (ExhaustedSearchSpaceError, 7),
     (ValidationError, 2),
     (FconnError, 2),

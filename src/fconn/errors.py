@@ -44,9 +44,5 @@ class ConvergenceError(FconnError):
         super().__init__(message)
 
 
-class MemoryBudgetError(FconnError):
-    """A batched Krylov computation would exceed the configured memory budget."""
-
-
 class ExhaustedSearchSpaceError(FconnError):
     """No candidate edges are available for the requested operation."""

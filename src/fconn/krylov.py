@@ -18,12 +18,13 @@ driver and stopping test below. No pipeline path calls
 independent reference for that Hessian (one Arnoldi space per node, at
 A + X) and because the benchmark's tracer binds it by name.
 
-``trace_fun_update``, ``multiple_frechet_eval`` and the weighted model grow a
-Krylov space one order at a time until the projected quantity stops moving,
-and share one driver, ``_lagged``, for that loop: it keeps the last ``lag``
-values, stops at the first order m with ``moved(value_m, value_{m-lag}) <=
-tol`` or at the order whose extension exhausts the space (the value is then
-exact), and otherwise returns the value at ``m_max`` with ``converged=False``. Callers supply only the step that
+``trace_fun_update``, ``multiple_frechet_eval``, the weighted model and
+``fun_action`` grow a Krylov space one order at a time until the projected
+quantity stops moving, and share one driver, ``_lagged``, for that loop: it
+keeps the last ``lag`` values, stops at the first order m with
+``moved(value_m, value_{m-lag}) <= tol`` or at the order whose extension
+exhausts the space (the value is then exact), and otherwise returns the value
+at ``m_max`` with ``converged=False``. Callers supply only the step that
 extends the space to order m and evaluates the quantity there.
 
 Every lagged test is relative to the size of what it measures, so ``tol`` is
@@ -31,32 +32,31 @@ a relative tolerance: the change |Delta_m - Delta_{m-lag}| of a trace update
 is compared with tol * |Delta_m|, and the spectral norm of a core's change
 with tol * ||core_m||_2. A change at or below the quantity's rounding level
 (a small multiple of eps times the summed |f| of the projected spectra for a
-trace, times max |f| for a core) also stops the loop, so an update that is
-zero stops at order lag + 1. An absolute test cannot serve both a trace
-update of 1e8, which it never lets stop, and one of 1e-3, which it stops
-before a single digit is right.
+trace, times max |f| for a core or a Lanczos result) also stops the loop, so
+an update that is zero stops at order lag + 1. An absolute test cannot serve
+both a trace update of 1e8, which it never lets stop, and one of 1e-3, which
+it stops before a single digit is right.
 
-``fun_action`` and ``estimate_trace_f`` share one lockstep Lanczos kernel:
-b independent single-vector recurrences advance together, with one CSR
-SpMM over the active vectors per step, vector-wise recurrence updates and
-a stacked ``eigh`` of the (b, m, m) tridiagonal matrices. The kernel stores
-its vectors as the rows of (b, n) arrays, so the inner products and updates
-of each recurrence run over contiguous memory; each SpMM transposes its
-input and output. Each recurrence keeps its own lagged stopping test and
-deflation test and leaves the batch when it stops. Only the two newest
-basis vectors of each recurrence are kept: a batch of b vectors holds fewer
-than ten n x b blocks of doubles at once, input, output and temporaries
-included, instead of b bases of n x m. ``estimate_trace_f`` never runs a
-batch wider than half its p probes, so it holds fewer than ten n x p/2
-blocks, its own Q and residual probes included: a tracemalloc peak of
-24.5 MB at n = 20000 and p = 40, against 36.9 MB for one batch of all p
-forms. Quadratic forms v^T f(A) v, which make up most of Hutch++, come
-straight from the tridiagonal matrices as ||v||^2 e_1^T f(T_m) e_1, and
-f(A) v is ||v|| V_m f(T_m) e_1: the start vector is taken to be the first
-basis vector exactly, never recomputed from inner products with the basis,
-which lose their meaning once the basis loses orthogonality (Musco, Musco &
-Sidford, SODA 2018). The vectors f(A) v are rebuilt by replaying the
-recurrences in a second pass.
+``estimate_trace_f`` needs only quadratic forms v^T f(A) v, and computes them
+with a lockstep Lanczos kernel: b independent single-vector recurrences
+advance together, with one CSR SpMM over the active vectors per step,
+vector-wise recurrence updates and a stacked ``eigh`` of the (b, m, m)
+tridiagonal matrices. The kernel stores its vectors as the rows of (b, n)
+arrays, so the inner products and updates of each recurrence run over
+contiguous memory; each SpMM transposes its input and output. A form is
+||v||^2 e_1^T f(T_m) e_1 and needs no basis, so only the two newest basis
+vectors of each recurrence are kept. Each recurrence stops on its own form,
+by a vectorized copy of the relative lagged test with the rounding floor
+100 eps ||v||^2 max |f(T_m)|, and leaves the batch when it stops.
+``estimate_trace_f`` never runs a batch wider than half its p probes, so it
+holds fewer than ten n x p/2 blocks at once, its own Q and residual probes
+included: a tracemalloc peak of 22.5 MB at n = 20000 and p = 40.
+``fun_action``, the package's one f(A) v (``select_candidates`` ranks edges
+by f'(A) e_v), runs the same recurrence on a single vector, keeps its basis
+V_m and returns ||v|| V_m f(T_m) e_1. Both take the start vector to be the
+first basis vector exactly, never recomputed from inner products with the
+basis, which lose their meaning once the basis loses orthogonality (Musco,
+Musco & Sidford, SODA 2018).
 
 Every block Krylov space starts from graph nodes, since the space of an
 update X = U B U^T with indicator columns U depends only on A and the nodes
@@ -82,7 +82,7 @@ import numpy as np
 import scipy.sparse
 
 from . import matfun
-from .errors import ConvergenceError, MemoryBudgetError, ValidationError
+from .errors import ConvergenceError, ValidationError
 
 __all__ = [
     "LowRankUpdate",
@@ -494,9 +494,7 @@ class MultiFrechetResult:
         return self.node_basis[i][:, :mu] @ core @ self.node_basis[j][:, :mv].T
 
 
-def multiple_frechet_eval(
-    M, F, f, lag=DEFAULT_LAG, tol=1e-8, m_max=DEFAULT_M_MAX, max_floats=2**27
-):
+def multiple_frechet_eval(M, F, f, lag=DEFAULT_LAG, tol=1e-8, m_max=DEFAULT_M_MAX):
     """Frechet derivatives of f at M along 1_i 1_j^T for every (i, j) in F.
 
     Each core is the (1,2) block of f of the projected 2x2 block
@@ -507,35 +505,20 @@ def multiple_frechet_eval(
     stops it. Nodes appearing in several
     edges get a single Krylov basis, extended to the largest order any
     incident edge asks for; an edge reads the first m blocks of it. A
-    diagonal direction (i, i) uses one basis for both sides. Raises
-    MemoryBudgetError when storing the bases would exceed ``max_floats``
-    doubles.
+    diagonal direction (i, i) uses one basis for both sides.
     """
     F = list(dict.fromkeys(tuple(p) for p in F))
     if not F:
         raise ValidationError("edge set must be nonempty")
     thr = _deflation_tol(M)
     M = _as_matrix(M)
-    n = M.shape[0]
     nodes = sorted({v for p in F for v in p})
-    if n * len(nodes) > max_floats:
-        raise MemoryBudgetError(
-            f"{len(nodes)} bases of length {n} exceed the budget of {max_floats} floats"
-        )
     kry = {v: BlockKrylov(M, [v], mode="arnoldi", deflation_tol=thr) for v in nodes}
-    used = sum(k.total_cols for k in kry.values())
 
     def reach(k, m):
         """Extend k to order m if needed; False once its space is exhausted by order m."""
-        nonlocal used
         if k.filled < m and not k.exhausted:
-            if n * (used + 1) > max_floats:
-                raise MemoryBudgetError(
-                    f"extending a basis would exceed the budget of {max_floats} floats"
-                )
-            used -= k.total_cols
             k.extend()
-            used += k.total_cols
         return not (k.exhausted and k.filled <= m)
 
     scales = {}  # (node, order) -> max |f| over the projected spectrum
@@ -598,9 +581,8 @@ class _LanczosBatch:
     orthogonality on hub-heavy graphs that some probes stop converging.)
     Vectors are stored as rows, so that the per-vector inner products and
     updates run over contiguous memory. Only the previous two basis vectors
-    are kept. Replaying the same start block with the same :meth:`drop`
-    calls repeats the arithmetic exactly, which lets a second pass rebuild
-    the basis.
+    are kept. No recurrence's arithmetic depends on the others in its batch,
+    so a start vector gives the same digits alone or in any batch.
     """
 
     def __init__(self, A, starts, thr, m_max):
@@ -659,89 +641,88 @@ class _LanczosBatch:
         self._P = self._P[keep]
 
 
-def _lanczos_lockstep(A, f, V, quadratic, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
-    """f(A) V column by column, or the quadratic forms v_c^T f(A) v_c.
+def _lanczos_lockstep(A, f, V, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
+    """The quadratic forms v_c^T f(A) v_c of the columns of V.
 
-    Column c runs the Lanczos method from v_c / ||v_c|| and stops at the
-    first order m where the lagged change of its coefficient vector
-    satisfies ``||y_m - y_{m-lag}|| <= tol * ||y_m||``, or when its Krylov
-    space is exhausted (the result is then exact); zero columns give zero.
-    All columns advance together and each drops out when it stops.
-
-    The coefficient vector is y_m = ||v|| f(T_m) e_1. With ``quadratic``
-    the result is ``||v||^2 e_1^T f(T_m) e_1`` and needs no basis. Otherwise a
-    second pass replays the recurrences to sum the basis vectors with their
-    coefficients, so memory stays at a few (n, b) blocks instead of b bases.
-    Raises ConvergenceError if any column is still moving after ``m_max``
-    steps.
+    Column c runs the Lanczos method from v_c / ||v_c||, and its form at
+    order m is ``||v_c||^2 e_1^T f(T_m) e_1``. It stops at the first order
+    m > lag where ``|form_m - form_{m-lag}| <= max(tol * |form_m|, floor_m)``,
+    with floor_m = 100 eps ||v_c||^2 max |f(T_m)| the rounding level of the
+    form (the test of :func:`_relative`, vectorized), or when its Krylov space
+    is exhausted (the form is then exact); zero columns give zero. All columns
+    advance together and each drops out when it stops. Raises
+    ConvergenceError if any column is still moving after ``m_max`` steps, with
+    the largest lagged change among those columns as the residual.
     """
     thr = _deflation_tol(A)
     A = _as_matrix(A)
-    V = np.asarray(V, dtype=float)
-    b = V.shape[1]
-    norms = np.sqrt(np.einsum("ij,ij->j", V, V))
-    live = norms > 0.0
-    cols = np.flatnonzero(live)  # column of V of each recurrence
-    starts = V[:, cols].T / norms[cols, None]
-    coef = np.zeros((b, m_max))  # final coefficient vectors, zero-padded
-    orders = np.zeros(b, dtype=int)
-    run = _LanczosBatch(A, starts, thr, m_max)
-    history = {}
+    X = np.ascontiguousarray(np.asarray(V, dtype=float).T)  # row c is v_c
+    sq = _rowdot(X, X)  # ||v_c||^2, summed alike in any batch
+    cols = np.flatnonzero(sq > 0.0)  # column of V of each recurrence
+    forms = np.zeros(len(sq))
+    history = np.zeros((len(cols), m_max))  # form of each recurrence at each order
+    run = _LanczosBatch(A, X[cols] / np.sqrt(sq[cols, None]), thr, m_max)
     while len(run.ids):
-        m = run.steps + 1
-        if m > m_max:
-            resid = None
-            if m_max - 1 in history:
-                moved = history[m_max][cols[run.ids]] - history[m_max - 1][cols[run.ids]]
-                resid = float(np.max(np.linalg.norm(moved, axis=1)))
-            raise ConvergenceError(
-                "Lanczos action of f did not converge", residual=resid, iterations=m_max
-            )
         grew = run.step()
+        m, ids = run.steps, run.ids
         w, Z = np.linalg.eigh(run.tridiagonal())
         f.check_spectrum(w)
-        act = cols[run.ids]
-        y = np.einsum("bkj,bj->bk", Z, f(w) * Z[:, 0, :])  # f(T_m) e_1
-        y *= norms[act, None]
-        padded = np.zeros((b, m_max))
-        padded[act, :m] = y
-        history[m] = padded
-        history.pop(m - max(lag, 1) - 1, None)
+        fw = f(w)
+        scale = sq[cols[ids]]
+        form = scale * np.einsum("bj,bj->b", fw, Z[:, 0, :] ** 2)
+        history[ids, m - 1] = form
         done = ~grew
         if m > lag:
-            moved = np.linalg.norm(y - history[m - lag][act, :m], axis=1)
-            done |= moved <= tol * np.maximum(np.linalg.norm(y, axis=1), 1e-300)
-        coef[act[done]] = padded[act[done]]
-        orders[act[done]] = m
+            change = np.abs(form - history[ids, m - 1 - lag])
+            floor = _ROUNDING * scale * np.max(np.abs(fw), axis=1)
+            done |= change <= np.maximum(tol * np.abs(form), floor)
+        forms[cols[ids[done]]] = form[done]
+        if m == m_max and not done.all():
+            resid = float(np.max(change[~done])) if m > lag else None
+            raise ConvergenceError(
+                "Lanczos quadratic form of f did not converge", residual=resid, iterations=m_max
+            )
         if done.any():
             run.drop(~done)
-
-    if quadratic:
-        return norms * coef[:, 0]
-    out = np.zeros_like(V)
-    run = _LanczosBatch(A, V[:, cols].T / norms[cols, None], thr, m_max)
-    acc = np.zeros_like(run.Q)
-    while len(run.ids):
-        acc += coef[cols[run.ids], run.steps][:, None] * run.Q
-        run.step()
-        keep = orders[cols[run.ids]] > run.steps
-        if not keep.all():
-            out[:, cols[run.ids[~keep]]] = acc[~keep].T
-            run.drop(keep)
-            acc = acc[keep]
-    return out
+    return forms
 
 
 def fun_action(A, f, v, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
     """f(A) v for symmetric A via the Lanczos method.
 
-    Stops when the lagged change ||y_m - y_{m-lag}|| <= tol * ||y_m||;
-    exhaustion of the Krylov space yields the exact result. Raises
+    Runs the recurrence of :class:`_LanczosBatch` from v / ||v||, keeping its
+    basis V_m, and the lagged stopping loop on the coefficient vector
+    y_m = ||v|| f(T_m) e_1: it stops once ``||y_m - y_{m-lag}|| <= tol *
+    ||y_m||``, or once that change is at the rounding level
+    100 eps ||v|| max |f(T_m)|, and exhaustion of the Krylov space yields the
+    exact result. Returns V_m y_m; a zero v gives zero. Raises
     ConvergenceError after ``m_max`` steps.
     """
+    thr = _deflation_tol(A)
     v = np.asarray(v, dtype=float).ravel()
-    out = _lanczos_lockstep(A, f, v[:, None], quadratic=False, lag=lag, tol=tol, m_max=m_max)
-    return out[:, 0]
+    norm = float(np.sqrt(v @ v))
+    if norm == 0.0:
+        return np.zeros_like(v)
+    run = _LanczosBatch(_as_matrix(A), (v / norm)[None, :], thr, m_max)
+    basis = [run.Q[0]]
+
+    def step(m):
+        grew = bool(run.step()[0])
+        basis.append(run.Q[0])
+        w, Z = np.linalg.eigh(run.tridiagonal()[0])
+        f.check_spectrum(w)
+        fw = f(w)
+        return (norm * (Z @ (fw * Z[0])), _ROUNDING * norm * float(np.max(np.abs(fw)))), grew
+
+    def moved(curr, prev):
+        change = curr[0].copy()
+        change[: prev[0].size] -= prev[0]
+        return _relative(np.linalg.norm(change), np.linalg.norm(curr[0]), curr[1])
+
+    (y, _), m, converged = _lagged(step, moved, lag, tol, m_max)
+    if not converged:
+        raise ConvergenceError("Lanczos action of f did not converge", iterations=m_max)
+    return np.column_stack(basis[:m]) @ y
 
 
 @dataclass(frozen=True)
@@ -750,37 +731,52 @@ class TraceEstimate:
     stderr: float  # of the residual term; None with a single residual probe
 
 
-def estimate_trace_f(A, f, n_probes=40, seed=0, action_tol=1e-8, action_m_max=80):
+# Block power steps of the Hutch++ sketch Q = orth(A^SKETCH_POWER S). With 40
+# probes and 8 steps, the standard error is that of an f(A) S sketch (within
+# 4%) on the benchmark's 20000-node trees, and 2x to 5x larger (at most 5.2e-6
+# of the trace) on its 2000-node Barabasi-Albert graphs. 4 steps gave 2x on a
+# tree and 200x to 600x on a Barabasi-Albert graph; 12 or 16 steps lowered the
+# latter's error by under 20%.
+SKETCH_POWER = 8
+
+
+def estimate_trace_f(A, f, n_probes=40, seed=0):
     """Hutch++ estimate of Tr(f(A)) and its standard error.
 
-    Half of the probes sketch the range of f(A) (Rademacher draws pushed
-    through f(A), orthonormalized into Q); the other half estimate the
-    residual trace of (I - QQ^T) f(A) (I - QQ^T). The estimate is exact
-    whenever Q captures the whole range of f(A), e.g. when n <= n_probes/2.
-    The standard error is that of the residual term, the only random one:
-    the sample standard deviation of the residual probes' quadratic forms
-    divided by sqrt(n_probes/2) (None with a single residual probe).
+    Half of the probes sketch the dominant eigenspace of A: a Rademacher
+    block S goes through ``SKETCH_POWER`` steps of block power iteration,
+    Q <- orth(A Q) by a QR after each SpMM (Musco & Musco, NeurIPS 2015). The
+    other half estimate the residual trace of (I - QQ^T) f(A) (I - QQ^T).
+    Hutch++ is unbiased for any Q drawn independently of the residual probes
+    (Meyer, Musco, Musco & Woodruff, SOSA 2021); the sketch sets only the
+    variance. A power sketch finds the eigenvalues of A of largest modulus,
+    among them the largest ones, which dominate Tr(f(A)) for an increasing f
+    such as exp. The estimate is exact whenever Q spans the whole space, e.g.
+    when n <= n_probes/2. The standard error is that of the residual term,
+    the only random one: the sample standard deviation of the residual
+    probes' quadratic forms divided by sqrt(n_probes/2) (None with a single
+    residual probe).
 
-    Three lockstep Lanczos calls do the work: f(A) S for the sketch block S,
-    then the quadratic forms of f(A) for the columns of Q, then those for the
-    projected residual probes. Each recurrence is independent of its batch,
-    so splitting the forms in two half-width batches changes no digit and
-    keeps fewer (n, n_probes/2) blocks alive at once.
+    Two lockstep Lanczos calls give the quadratic forms of f(A), for the
+    columns of Q and for the projected residual probes. Each recurrence is
+    independent of its batch, so splitting the forms in two half-width
+    batches changes no digit and keeps fewer (n, n_probes/2) blocks alive at
+    once.
     """
-    n = _as_matrix(A).shape[0]
+    M = _as_matrix(A)
+    n = M.shape[0]
     if n_probes < 2 or n_probes % 2:
         raise ValidationError("n_probes must be an even number >= 2")
     rng = np.random.default_rng(seed)
     half = n_probes // 2
-    opts = dict(tol=action_tol, m_max=action_m_max)
 
-    S = rng.integers(0, 2, size=(n, half)) * 2.0 - 1.0
-    Q, _ = np.linalg.qr(_lanczos_lockstep(A, f, S, quadratic=False, **opts))
-    del S
+    Q = rng.integers(0, 2, size=(n, half)) * 2.0 - 1.0
+    for _ in range(SKETCH_POWER):
+        Q, _ = np.linalg.qr(M @ Q)
     Z = rng.integers(0, 2, size=(n, half)) * 2.0 - 1.0
     Z -= Q @ (Q.T @ Z)
-    top = _lanczos_lockstep(A, f, Q, quadratic=True, **opts)
+    top = _lanczos_lockstep(A, f, Q)
     del Q
-    resid = _lanczos_lockstep(A, f, Z, quadratic=True, **opts)
+    resid = _lanczos_lockstep(A, f, Z)
     stderr = float(np.std(resid, ddof=1) / np.sqrt(half)) if half > 1 else None
     return TraceEstimate(sum(top.tolist()) + sum(resid.tolist()) / half, stderr)

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from fconn.krylov import multiple_frechet_eval
+from fconn.krylov import SKETCH_POWER, multiple_frechet_eval
 from fconn.matfun import Cosh, Exp, Polynomial, Resolvent, Sinh
 
 
@@ -126,26 +126,17 @@ def frechet_hessian(fp, M, F, tol=1e-12):
     return H + H.T
 
 
-def lanczos_action(A, f, v, lag=2, tol=1e-8, m_max=80):
-    """f(A) v by single-vector Lanczos, one vector at a time.
+def _lanczos(A, start, m_max):
+    """Single-vector Lanczos from the unit vector ``start``, one order at a time.
 
-    The per-vector algorithm the package's lockstep kernel replaced, as a
-    plain loop that keeps the basis: the same recurrence (two
-    orthogonalization passes against the previous two basis vectors,
-    exhaustion once the new vector's norm is at most 1e-12 max(1, ||A||_1))
-    and the same lagged stopping test.
+    Yields (m, T_m, basis, grew) for m = 1, ..., m_max, with the basis kept
+    whole. The recurrence is the package's: two orthogonalization passes
+    against the previous two basis vectors, and exhaustion (grew False) once
+    the new vector's norm is at most 1e-12 max(1, ||A||_1).
     """
-    A = getattr(A, "adjacency", A)
-    v = np.asarray(v, dtype=float)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        return np.zeros_like(v)
     thr = 1e-12 * max(1.0, float(np.max(np.abs(A).sum(axis=0))))
-    start = v / nv
     basis = [start]
     H = np.zeros((m_max + 1, m_max + 1))
-    w0 = [float(start @ start)]
-    history = {}
     for m in range(1, m_max + 1):
         s = m - 1
         W = np.asarray(A @ basis[s], dtype=float).ravel()
@@ -159,10 +150,29 @@ def lanczos_action(A, f, v, lag=2, tol=1e-8, m_max=80):
         if grew:
             basis.append(W / beta)
             H[s + 1, s] = beta
-            w0.append(float(basis[-1] @ start))
-        T = 0.5 * (H[:m, :m] + H[:m, :m].T)
+        yield m, 0.5 * (H[:m, :m] + H[:m, :m].T), basis, grew
+        if not grew:
+            return
+
+
+def lanczos_action(A, f, v, lag=2, tol=1e-8, m_max=80):
+    """f(A) v by single-vector Lanczos, one vector at a time.
+
+    The plain loop that keeps the basis V_m, with the lagged stopping test on
+    the coefficient vector y_m = f(T_m) V_m^T v, whose start coordinates are
+    inner products with the basis.
+    """
+    A = getattr(A, "adjacency", A)
+    v = np.asarray(v, dtype=float)
+    nv = float(np.linalg.norm(v))
+    if nv == 0.0:
+        return np.zeros_like(v)
+    start = v / nv
+    history = {}
+    for m, T, basis, grew in _lanczos(A, start, m_max):
+        w0 = np.array([float(q @ start) for q in basis[:m]])
         lam, Z = scipy.linalg.eigh(T)
-        y = Z @ (f(lam) * (Z.T @ np.array(w0[:m]))) * nv
+        y = Z @ (f(lam) * (Z.T @ w0)) * nv
         if m > lag:
             prev = history[m - lag]
             d = y.copy()
@@ -175,25 +185,51 @@ def lanczos_action(A, f, v, lag=2, tol=1e-8, m_max=80):
     raise RuntimeError("reference Lanczos did not converge")
 
 
+def lanczos_form(A, f, v, lag=2, tol=1e-8, m_max=80):
+    """v^T f(A) v = ||v||^2 e_1^T f(T_m) e_1 by single-vector Lanczos.
+
+    The per-vector loop of the package's lockstep kernel, with its stop: the
+    first m > lag with |form_m - form_{m-lag}| <= max(tol |form_m|,
+    100 eps ||v||^2 max |f(T_m)|), or exhaustion of the Krylov space.
+    """
+    A = getattr(A, "adjacency", A)
+    v = np.asarray(v, dtype=float)
+    sq = float(v @ v)
+    if sq == 0.0:
+        return 0.0
+    forms = []
+    for m, T, _, grew in _lanczos(A, v / np.sqrt(sq), m_max):
+        lam, Z = scipy.linalg.eigh(T)
+        fl = f(lam)
+        forms.append(sq * float(np.sum(fl * Z[0] ** 2)))
+        floor = 100.0 * np.finfo(float).eps * sq * float(np.max(np.abs(fl)))
+        if m > lag and abs(forms[-1] - forms[-1 - lag]) <= max(tol * abs(forms[-1]), floor):
+            return forms[-1]
+        if not grew:
+            return forms[-1]
+    raise RuntimeError("reference Lanczos did not converge")
+
+
 def hutchpp_per_probe(A, f, n_probes=40, seed=0, tol=1e-8, m_max=80):
     """Hutch++ estimate of Tr(f(A)) with one Lanczos run per probe vector.
 
-    Same random draws and the same sketch/residual split as
-    ``fconn.krylov.estimate_trace_f``; every f(A) x is a separate
-    :func:`lanczos_action` call.
+    Same random draws, the same power sketch Q = orth(A^SKETCH_POWER S) and
+    the same sketch/residual split as ``fconn.krylov.estimate_trace_f``;
+    every quadratic form is a separate :func:`lanczos_form` call.
     """
     A = getattr(A, "adjacency", A)
     n = A.shape[0]
     rng = np.random.default_rng(seed)
     half = n_probes // 2
 
-    def action(x):
-        return lanczos_action(A, f, x, tol=tol, m_max=m_max)
+    def form(x):
+        return lanczos_form(A, f, x, tol=tol, m_max=m_max)
 
-    S = rng.integers(0, 2, size=(n, half)) * 2.0 - 1.0
-    Q, _ = np.linalg.qr(np.column_stack([action(S[:, c]) for c in range(half)]))
-    sketch = sum(float(Q[:, c] @ action(Q[:, c])) for c in range(Q.shape[1]))
+    Q = rng.integers(0, 2, size=(n, half)) * 2.0 - 1.0
+    for _ in range(SKETCH_POWER):
+        Q, _ = np.linalg.qr(A @ Q)
+    sketch = sum(form(Q[:, c]) for c in range(Q.shape[1]))
     Z = rng.integers(0, 2, size=(n, half)) * 2.0 - 1.0
     G = Z - Q @ (Q.T @ Z)
-    resid = sum(float(G[:, c] @ action(G[:, c])) for c in range(half)) / half
+    resid = sum(form(G[:, c]) for c in range(half)) / half
     return sketch + resid

@@ -58,6 +58,9 @@ def test_traced_break(edge_list, tmp_path):
     assert m["krylov.trace_fun_update.calls"] == 10
     assert m["krylov.trace_fun_update.order_max"] >= m["krylov.trace_fun_update.order_p50"] > 0
     assert m["krylov.extend.calls"] > 0 and m["krylov.spmm_cols"] > 0
+    # the Hutch++ denominator is timed, and it computes no f(A) v
+    assert m["krylov.estimate_trace_f_s"] > 0
+    assert m["krylov.fun_action.calls"] == 0
 
 
 def test_traced_weighted(edge_list, tmp_path):

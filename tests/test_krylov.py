@@ -3,9 +3,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from fconn.errors import ConvergenceError, MemoryBudgetError, ValidationError
+from fconn.errors import ConvergenceError, ValidationError
 from fconn.graph import SparseSymGraph
 from fconn.krylov import (
+    SKETCH_POWER,
     BlockKrylov,
     LowRankUpdate,
     _lagged,
@@ -341,11 +342,6 @@ class TestMultipleFrechetEval:
             want[i, j] = 1.0
             assert np.allclose(multi.implied_matrix((i, j)), want, atol=1e-12)
 
-    def test_memory_budget(self):
-        g = random_connected_graph(50, 60, seed=18)
-        with pytest.raises(MemoryBudgetError):
-            multiple_frechet_eval(g, [(0, 1), (2, 3)], Exp(), max_floats=100)
-
     def test_empty_edge_set_rejected(self):
         g = triangle()
         with pytest.raises(ValidationError):
@@ -393,29 +389,6 @@ class TestLaggedDriver:
                 call()
 
 
-class TestFunAction:
-    @pytest.mark.parametrize("fname", ["exp", "sinh", "resolvent"])
-    def test_against_dense(self, fname):
-        g = random_connected_graph(40, 60, seed=19, weighted=True)
-        A = g.adjacency.toarray()
-        lam = np.max(np.abs(np.linalg.eigvalsh(A)))
-        f = {"exp": Exp(), "sinh": Sinh(), "resolvent": Resolvent(0.5 / lam)}[fname]
-        v = np.random.default_rng(20).standard_normal(40)
-        y = fun_action(g, f, v, tol=1e-10)
-        want = oracles.matrix_function(f, A) @ v
-        assert np.linalg.norm(y - want) <= 1e-8 * np.linalg.norm(want)
-
-    def test_zero_vector(self):
-        g = triangle()
-        assert np.array_equal(fun_action(g, Exp(), np.zeros(3)), np.zeros(3))
-
-    def test_m_max_too_small_raises(self):
-        g = random_connected_graph(60, 120, seed=24)
-        v = np.random.default_rng(25).standard_normal(60)
-        with pytest.raises(ConvergenceError):
-            fun_action(g, Exp(), v, m_max=3)
-
-
 def _mixed_components():
     """A weighted 40-node connected graph plus a 6-cycle and a 3-node path."""
     core = random_connected_graph(40, 80, seed=26, weighted=True)
@@ -436,51 +409,111 @@ def _mixed_block(n):
     return V  # column 2 stays zero
 
 
-class TestLockstepKernel:
+def _function(name, A):
+    lam = np.max(np.abs(np.linalg.eigvalsh(A)))
+    return {"exp": Exp(), "sinh": Sinh(), "resolvent": Resolvent(0.5 / lam)}[name]
+
+
+class TestFunAction:
     @pytest.mark.parametrize("fname", ["exp", "sinh", "resolvent"])
-    def test_block_against_dense(self, fname):
+    def test_against_dense(self, fname):
+        g = random_connected_graph(40, 60, seed=19, weighted=True)
+        A = g.adjacency.toarray()
+        f = _function(fname, A)
+        v = np.random.default_rng(20).standard_normal(40)
+        y = fun_action(g, f, v, tol=1e-10)
+        want = oracles.matrix_function(f, A) @ v
+        assert np.linalg.norm(y - want) <= 1e-8 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("fname", ["exp", "sinh", "resolvent"])
+    def test_mixed_columns_against_dense(self, fname):
         g = _mixed_components()
         A = g.adjacency.toarray()
-        lam = np.max(np.abs(np.linalg.eigvalsh(A)))
-        f = {"exp": Exp(), "sinh": Sinh(), "resolvent": Resolvent(0.5 / lam)}[fname]
+        f = _function(fname, A)
         V = _mixed_block(g.n)
-        Y = _lanczos_lockstep(g, f, V, quadratic=False, tol=1e-10)
         want = oracles.matrix_function(f, A) @ V
-        assert np.array_equal(Y[:, 2], np.zeros(g.n))
-        for c in (0, 1, 3, 4, 5):
-            assert np.linalg.norm(Y[:, c] - want[:, c]) <= 1e-8 * np.linalg.norm(want[:, c])
-
-    def test_columns_do_not_depend_on_their_batch(self):
-        g = _mixed_components()
-        V = _mixed_block(g.n)
-        Y = _lanczos_lockstep(g, Exp(), V, quadratic=False)
         for c in range(V.shape[1]):
-            alone = fun_action(g, Exp(), V[:, c])
-            assert np.linalg.norm(Y[:, c] - alone) <= 1e-11 * max(np.linalg.norm(alone), 1.0)
+            y = fun_action(g, f, V[:, c], tol=1e-10)
+            assert np.linalg.norm(y - want[:, c]) <= 1e-8 * np.linalg.norm(want[:, c])
 
-    def test_exhausted_columns_are_exact(self):
+    def test_exhausted_starts_are_exact(self):
         g = _mixed_components()
         V = _mixed_block(g.n)
-        Y = _lanczos_lockstep(g, Exp(), V[:, [3, 4]], quadratic=False, tol=1e-2)
-        want = oracles.matrix_function(Exp(), g.adjacency.toarray()) @ V[:, [3, 4]]
-        assert np.allclose(Y, want, rtol=1e-12, atol=1e-12)
-
-    def test_quadratic_forms_against_dense(self):
-        g = _mixed_components()
-        V = _mixed_block(g.n)
-        forms = _lanczos_lockstep(g, Exp(), V, quadratic=True, tol=1e-10)
-        F = oracles.matrix_function(Exp(), g.adjacency.toarray())
-        want = np.einsum("ij,ij->j", V, F @ V)
-        assert forms[2] == 0.0
-        assert np.allclose(forms, want, rtol=1e-9, atol=0.0)
+        want = oracles.matrix_function(Exp(), g.adjacency.toarray()) @ V
+        for c in (3, 4):
+            y = fun_action(g, Exp(), V[:, c], tol=1e-2)
+            assert np.allclose(y, want[:, c], rtol=1e-12, atol=1e-12)
 
     def test_against_per_vector_reference(self):
         g = random_connected_graph(300, 900, seed=28)
         V = np.random.default_rng(29).standard_normal((300, 5))
-        Y = _lanczos_lockstep(g, Exp(), V, quadratic=False)
         for c in range(5):
             want = oracles.lanczos_action(g, Exp(), V[:, c])
-            assert np.linalg.norm(Y[:, c] - want) <= 1e-11 * np.linalg.norm(want)
+            got = fun_action(g, Exp(), V[:, c])
+            assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+    def test_zero_vector(self):
+        g = triangle()
+        assert np.array_equal(fun_action(g, Exp(), np.zeros(3)), np.zeros(3))
+
+    def test_m_max_too_small_raises(self):
+        g = random_connected_graph(60, 120, seed=24)
+        v = np.random.default_rng(25).standard_normal(60)
+        with pytest.raises(ConvergenceError):
+            fun_action(g, Exp(), v, m_max=3)
+
+
+class TestLockstepKernel:
+    """``_lanczos_lockstep`` computes the quadratic forms v^T f(A) v of a block."""
+
+    @pytest.mark.parametrize("fname", ["exp", "sinh", "resolvent"])
+    def test_block_against_dense(self, fname):
+        g = _mixed_components()
+        A = g.adjacency.toarray()
+        f = _function(fname, A)
+        V = _mixed_block(g.n)
+        forms = _lanczos_lockstep(g, f, V, tol=1e-10)
+        want = np.einsum("ij,ij->j", V, oracles.matrix_function(f, A) @ V)
+        assert forms[2] == 0.0
+        assert np.allclose(forms, want, rtol=1e-9, atol=0.0)
+
+    def test_quadratic_forms_against_dense(self):
+        # Rademacher probes, as Hutch++ draws them, at the default tolerance.
+        g = random_connected_graph(200, 600, seed=31)
+        V = np.random.default_rng(32).integers(0, 2, size=(200, 8)) * 2.0 - 1.0
+        forms = _lanczos_lockstep(g, Exp(), V)
+        F = oracles.matrix_function(Exp(), g.adjacency.toarray())
+        want = np.einsum("ij,ij->j", V, F @ V)
+        assert np.allclose(forms, want, rtol=1e-8, atol=0.0)
+
+    def test_columns_do_not_depend_on_their_batch(self):
+        g = _mixed_components()
+        V = _mixed_block(g.n)
+        forms = _lanczos_lockstep(g, Exp(), V)
+        for c in range(V.shape[1]):
+            assert forms[c] == _lanczos_lockstep(g, Exp(), V[:, [c]])[0]
+
+    def test_exhausted_columns_are_exact(self):
+        g = _mixed_components()
+        V = _mixed_block(g.n)[:, [3, 4]]
+        forms = _lanczos_lockstep(g, Exp(), V, tol=1e-2)
+        F = oracles.matrix_function(Exp(), g.adjacency.toarray())
+        assert np.allclose(forms, np.einsum("ij,ij->j", V, F @ V), rtol=1e-12, atol=0.0)
+
+    def test_against_per_vector_reference(self):
+        g = random_connected_graph(300, 900, seed=28)
+        V = np.random.default_rng(29).standard_normal((300, 5))
+        forms = _lanczos_lockstep(g, Exp(), V)
+        for c in range(5):
+            want = oracles.lanczos_form(g, Exp(), V[:, c])
+            assert abs(forms[c] - want) <= 1e-11 * abs(want)
+
+    def test_m_max_too_small_raises(self):
+        g = random_connected_graph(200, 600, seed=30)
+        V = np.random.default_rng(1).integers(0, 2, size=(200, 4)) * 2.0 - 1.0
+        with pytest.raises(ConvergenceError) as err:
+            _lanczos_lockstep(g, Exp(), V, m_max=4)
+        assert err.value.iterations == 4 and err.value.residual > 0.0
 
 
 class TestEstimateTrace:
@@ -545,21 +578,17 @@ class TestEstimateTrace:
         want = oracles.trace_function(Exp(), g.adjacency.toarray())
         assert abs(got - want) <= rtol * abs(want)
 
-    def test_action_m_max_too_small_raises(self):
-        g = random_connected_graph(200, 600, seed=30)
-        with pytest.raises(ConvergenceError):
-            estimate_trace_f(g, Exp(), n_probes=8, seed=1, action_m_max=4)
-
     @staticmethod
     def _one_batch(A, f, n_probes, seed):
         """Q and residual forms from one kernel call on [Q, Z], as before the split."""
         rng = np.random.default_rng(seed)
         n, half = A.n, n_probes // 2
-        S = rng.integers(0, 2, size=(n, half)) * 2.0 - 1.0
-        Q, _ = np.linalg.qr(_lanczos_lockstep(A, f, S, quadratic=False))
+        Q = rng.integers(0, 2, size=(n, half)) * 2.0 - 1.0
+        for _ in range(SKETCH_POWER):
+            Q, _ = np.linalg.qr(A.adjacency @ Q)
         Z = rng.integers(0, 2, size=(n, half)) * 2.0 - 1.0
         Z -= Q @ (Q.T @ Z)
-        forms = _lanczos_lockstep(A, f, np.hstack([Q, Z]), quadratic=True)
+        forms = _lanczos_lockstep(A, f, np.hstack([Q, Z]))
         return forms[: Q.shape[1]], forms[Q.shape[1] :]
 
     @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from fconn.graph import CentralityRanking, Ordering, eigenvector_centrality, top_edges, top_missing_pairs
 from fconn.krylov import _ROUNDING
 from fconn.matfun import Exp, Resolvent
 from fconn.weighted import (
@@ -250,3 +251,29 @@ def test_newton_stops_at_the_rounding_level_of_phi():
     spectra = [np.linalg.eigvalsh(M) for M in (A, A + oracles.assemble_update(g.n, prob.F, x))]
     want = _ROUNDING * sum(float(np.sum(np.exp(lam))) for lam in spectra)
     assert model.phi_floor == pytest.approx(want, rel=1e-2)
+
+
+@pytest.mark.parametrize("mode", list(CandidateMode))
+def test_select_candidates_ranks_each_pool_by_dense_derivative(mode):
+    # F is the top n_F of each centrality pool by the dense f'(A)_ij, ties
+    # broken by pair; with f = exp, f' = exp too.
+    g = random_connected_graph(40, 80, seed=[5, 4, 0], weighted=True)
+    n_P, n_F = 16, 6
+    fprime = oracles.matrix_function(Exp(), g.adjacency.toarray())
+    scores = eigenvector_centrality(g)
+    order = Ordering.PRODUCT if mode is CandidateMode.TUNING else Ordering.MINMAX
+    rank = CentralityRanking(scores, order)
+
+    def best(pool, count):
+        assert len(pool) > count
+        return sorted(pool, key=lambda p: (-fprime[p], p))[:count]
+
+    if mode is CandidateMode.TUNING:
+        want = best(top_edges(g.edge_pairs, rank, n_P), n_F)
+    elif mode is CandidateMode.ADDITION:
+        want = best(top_missing_pairs(g.n, rank, n_P, g.edge_set()), n_F)
+    else:
+        existing = top_edges(g.edge_pairs, rank, n_P // 2)
+        missing = top_missing_pairs(g.n, rank, n_P - n_P // 2, g.edge_set())
+        want = best(existing, n_F // 2) + best(missing, n_F - n_F // 2)
+    assert select_candidates(g, mode, Exp(), n_P=n_P, n_F=n_F) == want
