@@ -192,6 +192,15 @@ class TraceVariationReport:
         return payload
 
 
+# Largest Lanczos drift (see fconn.krylov.TraceUpdateResult) a greedy run may
+# report without a warning. Converged scores on the benchmark's graphs stop
+# at drifts of 2e-16 to 1.1e-12. Run past its stop, one edge removal on a
+# 1500-node graph had drift 5.7e-7 at order 25 with Delta still right to
+# 2e-12, 7.1e-4 at order 30 with a 6e-8 error, and 0.036 at order 40 with
+# Delta doubled, so 1e-8 warns before the error shows.
+DRIFT_WARNING = 1e-8
+
+
 def _aggregate_delta(graph, plan, f, spec):
     """Trace variation of a whole plan in one Krylov evaluation."""
     upd = plan.as_update(graph.n)
@@ -218,6 +227,10 @@ def _run_unweighted(spec: RunSpec, graph, f) -> TraceVariationReport:
             plan = miobi(graph, cfg, f, h=spec.eigenpairs)
         else:
             plan = greedy_krylov(graph, cfg, f)
+    if not plan.edges:
+        raise ExhaustedSearchSpaceError(
+            f"search space is empty: no candidate edge for {spec.subcommand}"
+        )
     report.wall_time = time.perf_counter() - t0
     unconverged = plan.diagnostics.get("unconverged", 0)
     if plan.step_deltas:
@@ -230,6 +243,11 @@ def _run_unweighted(spec: RunSpec, graph, f) -> TraceVariationReport:
     if unconverged:
         report.warnings.append(
             f"{unconverged} Krylov evaluation(s) reached m_max={spec.m_max} unconverged"
+        )
+    drift = plan.diagnostics.get("drift_max")
+    if drift is not None and drift > DRIFT_WARNING:
+        report.warnings.append(
+            f"Lanczos basis lost orthogonality in scoring (drift {drift:.1e} > {DRIFT_WARNING:.0e})"
         )
     report.edges = list(plan.edges)
     report.iterations = {"steps": len(plan.edges), **plan.diagnostics}

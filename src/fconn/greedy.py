@@ -189,16 +189,18 @@ def greedy_krylov(graph: SparseSymGraph, cfg: GreedyConfig, f) -> ModificationPl
     Each step evaluates Tr(f(A+X)) - Tr(f(A)) for a rank-2 candidate update X
     over the search space of ``cfg.strategy``. Besides ``evaluations``, the
     plan's diagnostics hold the min, median and max Krylov order of those
-    evaluations (None when there were none) and the number that reached
-    ``cfg.m_max`` unconverged.
+    evaluations and the largest Lanczos drift among them, ``drift_max``
+    (None when there were none; see :class:`fconn.krylov.TraceUpdateResult`),
+    and the number that reached ``cfg.m_max`` unconverged.
     """
-    orders, unconverged = [], 0
+    orders, drifts, unconverged = [], [], 0
 
     def score(work, pair, d):
         nonlocal unconverged
         upd = LowRankUpdate.from_edge(work.n, pair[0], pair[1], d)
         res = trace_fun_update(work, upd, f, lag=cfg.lag, tol=cfg.tol, m_max=cfg.m_max)
         orders.append(res.iterations)
+        drifts.append(res.drift)
         unconverged += not res.converged
         return res.delta
 
@@ -207,6 +209,7 @@ def greedy_krylov(graph: SparseSymGraph, cfg: GreedyConfig, f) -> ModificationPl
         order_min=min(orders, default=None),
         order_median=float(np.median(orders)) if orders else None,
         order_max=max(orders, default=None),
+        drift_max=max(drifts, default=None),
         unconverged=unconverged,
     )
     return plan

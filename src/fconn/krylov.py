@@ -62,10 +62,23 @@ Every block Krylov space starts from graph nodes, since the space of an
 update X = U B U^T with indicator columns U depends only on A and the nodes
 (Beckermann, Kressner & Schweitzer, SIMAX 2018): its first block is the
 indicator block, and the basis applied to it is the basis rows at the nodes.
-Each later block is orthonormalized by ``_qr_deflate``, a column-pivoted
-Gram-Schmidt with two orthogonalization passes written in numpy, so the
-module needs no ``scipy.linalg``; a column whose residual norm is at most
-the deflation threshold 1e-12 * max(1, ||A||_1) is deflated.
+:class:`BlockKrylov` has two layouts. In Arnoldi mode (the weighted model)
+it keeps every basis block as (n, s) columns and orthogonalizes against each
+block in turn. In Lanczos mode (``trace_fun_update``, the greedy scorer) it
+keeps only the previous and the current block, as the rows of one
+C-contiguous (k, n) array B, so each of the two orthogonalization passes is
+one stacked block classical Gram-Schmidt step, ``C = B W^T; W -= C^T B``
+(CGS2), on the rows W of A times the current block. Block j is nonzero
+only on the nodes within j steps of the start nodes, so while the CSR rows
+of that support hold at most ``SUPPORT_SHARE`` of A's entries, A times the
+block is computed from those rows alone. That product is exact, and for a
+CSR matrix with sorted indices, as every graph's is, it equals the full
+product bit for bit. Each new block is
+orthonormalized by a pivoted Gram-Schmidt with two orthogonalization passes
+written in numpy, on rows in place (``_qr_rows``) or on columns
+(``_qr_deflate``, its wrapper), so the module needs no ``scipy.linalg``; a
+vector whose residual norm is at most the deflation threshold
+1e-12 * max(1, ||A||_1) is deflated.
 
 All routines accept a :class:`fconn.graph.SparseSymGraph`, a scipy sparse
 matrix or a dense ndarray as the large symmetric matrix, and every Krylov
@@ -184,19 +197,19 @@ class LowRankUpdate:
         return LowRankUpdate(self.n, self.nodes, -self.B)
 
 
-def _qr_deflate(V, thr):
-    """Rank-revealing economic QR; columns with |R_ii| <= thr are deflated.
+def _qr_rows(W, thr):
+    """Rank-revealing QR of the rows of W, in place; rows with |R_ii| <= thr are deflated.
 
-    Returns (Q, C) with V ~ Q @ C, Q having r <= V.shape[1] orthonormal
-    columns. r may be zero. The QR is a column-pivoted Gram-Schmidt: each
-    step takes the remaining column of largest residual norm as the pivot
-    (Businger & Golub, 1965), orthogonalizes it a second time against the
-    columns of Q taken so far ("twice is enough": Giraud, Langou &
-    Rozloznik, 2005), normalizes it, and projects it out of the columns still
-    remaining. Once the largest residual norm is at most ``thr``, the
-    remaining columns are deflated.
+    W is a C-contiguous (s, n) array whose rows are the vectors to
+    orthonormalize. Returns (Q, C) with W_in^T ~ Q^T C, where Q = W[:r] is a
+    view of the first r <= s rows of W, orthonormal, and r may be zero. The QR
+    is a pivoted Gram-Schmidt: each step takes the remaining row of largest
+    residual norm as the pivot (Businger & Golub, 1965), orthogonalizes it a
+    second time against the rows of Q taken so far ("twice is enough":
+    Giraud, Langou & Rozloznik, 2005), normalizes it, and projects it out of
+    the rows still remaining. Once the largest residual norm is at most
+    ``thr``, the remaining rows are deflated.
     """
-    W = np.array(np.asarray(V, dtype=float).T, order="C")  # row k becomes q_k
     s = W.shape[0]
     R = np.zeros((s, s))
     piv = np.arange(s)
@@ -214,7 +227,7 @@ def _qr_deflate(V, thr):
         w = W[r]
         if r:
             c = W[:r] @ w
-            w -= W[:r].T @ c
+            w -= np.dot(c, W[:r])  # as W[:r].T @ c, bit for bit, without matmul's slow r = 1 path
             R[:r, r] += c
         nrm = np.sqrt(w @ w)
         if nrm <= thr:
@@ -230,7 +243,60 @@ def _qr_deflate(V, thr):
             norms[r:] = np.sqrt(np.einsum("ij,ij->i", rest, rest))
     C = np.zeros((r, s))
     C[:, piv] = R[:r]
-    return W[:r].T, C
+    return W[:r], C
+
+
+def _qr_deflate(V, thr):
+    """Rank-revealing economic QR of the columns of V; see :func:`_qr_rows`.
+
+    Returns (Q, C) with V ~ Q @ C, Q having r <= V.shape[1] orthonormal
+    columns. r may be zero. The arithmetic is that of :func:`_qr_rows` on a
+    row copy of V.
+    """
+    Q, C = _qr_rows(np.array(np.asarray(V, dtype=float).T, order="C"), thr)
+    return Q.T, C
+
+
+# A @ Q is computed from the CSR rows of the support of Q (the nodes a block
+# can be nonzero on) while those rows hold at most this share of A's stored
+# entries. On a 20000-node tree with 200000 stored entries and a 2-row block,
+# the support product took 25-30 ns per entry it reads and scipy's full SpMM
+# 3.6-5.7 ns per stored entry (2-core shared host), so they cost the same at
+# a share of about 1/7 to 1/5. On that tree the supports of blocks 0-3 of
+# the greedy's candidates hold 0.02%, 0.2-0.3%, 2.2-3.1% and 20-27% of the
+# entries; on a 2000-node Barabasi-Albert graph, blocks 0 and 1 hold 0.9-1.4%
+# and 16-24%. Any gate from 1/32 to 1/7 takes the same products on both.
+SUPPORT_SHARE = 1 / 8
+
+
+def _support_product(A, Q, support):
+    """(A Q^T)^T for a symmetric CSR matrix A and rows Q that vanish off ``support``.
+
+    ``support`` is a sorted array of node indices. Only the CSR rows of the
+    support are read: output entry i sums A[j, i] Q[c, j] over the support
+    nodes j in increasing order, the order in which a CSR product with sorted
+    indices sums row i, and skips only terms whose Q factor is an exact zero.
+    So, for a CSR matrix with sorted indices, the result equals the full
+    product ``(A @ Q.T).T`` bit for bit. Returns the (k, n) product and the
+    sorted nodes it can be nonzero on, the support and its neighbours.
+    """
+    indptr = A.indptr
+    n = A.shape[0]
+    starts = indptr[support]
+    counts = indptr[support + 1] - starts
+    ends = np.cumsum(counts)
+    pos = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+    cols = A.indices[pos]
+    src = np.repeat(support, counts)
+    vals = A.data[pos]
+    Y = np.empty((Q.shape[0], n))
+    for c, q in enumerate(Q):
+        # bincount adds the terms of each output entry in the order given, from 0.0
+        Y[c] = np.bincount(cols, weights=q[src] * vals, minlength=n)
+    reach = np.zeros(n, dtype=bool)
+    reach[support] = True
+    reach[cols] = True
+    return Y, np.flatnonzero(reach)
 
 
 class BlockKrylov:
@@ -239,18 +305,29 @@ class BlockKrylov:
     The first block is the indicator columns of ``nodes``, in the order given;
     no nodes, a repeated node or one out of range raise ValidationError.
 
-    ``mode='arnoldi'`` fully reorthogonalizes each new block against the whole
-    basis, which is kept. ``mode='lanczos'`` uses the symmetric two-term
-    recurrence plus one reorthogonalization pass against the previous two
-    blocks, and stores only those two blocks.
+    ``mode='arnoldi'`` keeps the whole basis as a list of (n, s_j) column
+    blocks and fully reorthogonalizes each new block against every one of
+    them, one block at a time, in two passes. ``mode='lanczos'`` uses the
+    symmetric three-term recurrence and keeps only the previous and the
+    current block, stacked as the rows of one C-contiguous (k, n) array B:
+    each of its two orthogonalization passes is one block classical
+    Gram-Schmidt step, ``C = B W^T; W -= C^T B``, on the rows W of A times the
+    current block. While the current block's support (the nodes it can be
+    nonzero on: for block j, the nodes within j steps of the start nodes)
+    has CSR rows holding at most ``SUPPORT_SHARE`` of A's stored entries, A
+    times the block is computed from those rows only (see
+    :func:`_support_product`); this is exact, and bit-identical to the full
+    product for a CSR matrix with sorted indices. Other matrices, and every
+    block past that point, take the full product.
 
     ``extend()`` orthogonalizes A times the newest block, filling one more
     block column of the projected matrix, and appends the next basis block.
     It returns False once the Krylov space is exhausted (new block deflates
     to nothing), in which case the factorization is exact. Rank-deficient
-    blocks are handled by column deflation: each new block is orthonormalized
-    by a column-pivoted Gram-Schmidt with two orthogonalization passes (numpy
-    only, see :func:`_qr_deflate`), and a column whose residual norm is at
+    blocks are handled by deflation: each new block is orthonormalized by a
+    pivoted Gram-Schmidt with two orthogonalization passes (numpy only; on
+    rows in place in Lanczos mode, :func:`_qr_rows`, and on columns in
+    Arnoldi mode, :func:`_qr_deflate`), and a vector whose residual norm is at
     most the deflation threshold is dropped.
     """
 
@@ -267,16 +344,21 @@ class BlockKrylov:
         if not len(nodes) or min(nodes) < 0 or max(nodes) >= n or len(set(nodes)) < len(nodes):
             raise ValidationError("start nodes must be nonempty, distinct and in range")
         self._A = A
-        self._mode = mode
         self._keep = mode == "arnoldi"
         self.n = n
         self._thr = deflation_tol
         self._nodes = nodes
         s = len(nodes)
-        Q0 = np.zeros((n, s))
-        Q0[nodes, np.arange(s)] = 1.0
-        self._blocks = [Q0] if self._keep else None
-        self._recent = [Q0]
+        if self._keep:
+            Q0 = np.zeros((n, s))
+            Q0[nodes, np.arange(s)] = 1.0
+            self._blocks = [Q0]
+        else:
+            self._rows = np.zeros((s, n))  # previous block's rows, then the current one's
+            self._rows[np.arange(s), nodes] = 1.0
+            self._split = 0  # number of rows of the previous block
+            csr = getattr(A, "format", None) == "csr"
+            self._support = np.sort(nodes) if csr else None
         self._offsets = [0, s]
         self._H = np.zeros((s, s))
         self._W = np.eye(s)  # rows of the basis at the start nodes, transposed
@@ -300,40 +382,62 @@ class BlockKrylov:
         if self._exhausted:
             return False
         m = self.filled
-        U_last = self._recent[-1]
-        V = self._A @ U_last
-        if V.ndim == 1:
-            V = V[:, None]
-        V = np.asarray(V, dtype=float)
         col = slice(self._offsets[m], self._offsets[m + 1])
-        if self._mode == "arnoldi":
-            targets = list(enumerate(self._blocks))
-        else:
-            lo = max(0, m - 1)
-            targets = list(zip(range(lo, m + 1), self._recent[-2:]))
-        for _ in range(2):
-            for idx, blk in targets:
-                C = blk.T @ V
-                V -= blk @ C
-                row = slice(self._offsets[idx], self._offsets[idx + 1])
-                self._H[row, col] += C
+        step = self._arnoldi_step if self._keep else self._lanczos_step
+        C, at_nodes = step(m, col)
         self.filled = m + 1
-        Q, C = _qr_deflate(V, self._thr)
-        if Q.shape[1] == 0:
+        r = C.shape[0]
+        if r == 0:
             self._exhausted = True
             return False
-        r = Q.shape[1]
         k = self.total_cols
         H = np.zeros((k + r, k + r))
         H[:k, :k] = self._H
         H[k : k + r, col] = C
         self._H = H
         self._offsets.append(k + r)
-        if self._keep:
-            self._blocks.append(Q)
-        self._recent = [U_last, Q]
-        self._W = np.concatenate([self._W, Q[self._nodes].T])
+        self._W = np.concatenate([self._W, at_nodes])
         return True
+
+    def _arnoldi_step(self, m, col):
+        """Orthogonalize A times the newest column block against every block; keep the new one."""
+        V = np.asarray(self._A @ self._blocks[-1], dtype=float)
+        for _ in range(2):
+            for idx, blk in enumerate(self._blocks):
+                C = blk.T @ V
+                V -= blk @ C
+                self._H[self._offsets[idx] : self._offsets[idx + 1], col] += C
+        Q, C = _qr_deflate(V, self._thr)
+        self._blocks.append(Q)
+        return C, Q[self._nodes].T
+
+    def _lanczos_step(self, m, col):
+        """Orthogonalize A times the current row block against the last two; keep the new one."""
+        B = self._rows
+        curr = B[self._split :]
+        W = self._product(curr)
+        span = slice(self._offsets[max(m - 1, 0)], self._offsets[m + 1])
+        for _ in range(2):
+            C = B @ W.T
+            W -= C.T @ B
+            self._H[span, col] += C
+        Q, C = _qr_rows(W, self._thr)
+        self._rows = np.concatenate([curr, Q])
+        self._split = curr.shape[0]
+        return C, Q[:, self._nodes]
+
+    def _product(self, Q):
+        """A times the rows Q, as a C-contiguous (k, n) array of rows."""
+        S = self._support
+        if S is not None:
+            indptr = self._A.indptr
+            if np.sum(indptr[S + 1] - indptr[S]) <= SUPPORT_SHARE * self._A.nnz:
+                Y, self._support = _support_product(self._A, Q, S)
+                return Y
+            self._support = None  # supports only grow
+        # column_stack builds the (n, k) input column by column, several times
+        # faster than a transposing copy for k = 2
+        return np.ascontiguousarray((self._A @ np.column_stack(Q)).T, dtype=float)
 
     def projected(self, m=None):
         """Symmetric projected matrix over the first m filled block columns."""
@@ -422,6 +526,7 @@ class TraceUpdateResult:
     delta: float
     iterations: int
     converged: bool
+    drift: float  # max |entry| of the start projection below its first block, at the stop
 
 
 def trace_fun_update(
@@ -438,8 +543,14 @@ def trace_fun_update(
     eps * (sum |f(eig(H_m + W B W^T))| + sum |f(eig(H_m))|), also stops it,
     so a Delta that is zero, such as that of a zero-delta X, stops at order
     lag + 1.
+
+    The result's ``drift`` measures the recurrence's loss of orthogonality
+    at the returned order: the largest |entry| of W below its first block,
+    i.e. max |Q_j^T q| over the later basis blocks Q_j and the start
+    columns q, which is zero in exact arithmetic.
     """
     kry = BlockKrylov(A, X.nodes, mode="lanczos")
+    s = X.rank
 
     def step(m):
         grew = kry.extend()
@@ -451,13 +562,14 @@ def trace_fun_update(
         f.check_spectrum(w_base)
         f_pert, f_base = f(w_pert), f(w_base)
         floor = _ROUNDING * (np.sum(np.abs(f_pert)) + np.sum(np.abs(f_base)))
-        return (float(np.sum(f_pert) - np.sum(f_base)), floor), grew
+        drift = float(np.max(np.abs(W[s:]), initial=0.0))
+        return (float(np.sum(f_pert) - np.sum(f_base)), floor, drift), grew
 
     def moved(curr, prev):
         return _relative(abs(curr[0] - prev[0]), abs(curr[0]), curr[1])
 
-    (delta, _), m, converged = _lagged(step, moved, lag, tol, m_max)
-    return TraceUpdateResult(delta, m, converged)
+    (delta, _, drift), m, converged = _lagged(step, moved, lag, tol, m_max)
+    return TraceUpdateResult(delta, m, converged, drift)
 
 
 # ---------------------------------------------------------------------

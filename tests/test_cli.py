@@ -180,6 +180,42 @@ def test_unconverged_scoring_is_reported(edge_list, capsys):
     assert any("unconverged" in w for w in summary["warnings"])
 
 
+def test_lost_orthogonality_is_reported(tmp_path, capsys):
+    path = tmp_path / "wide.edges"
+    save_graph(random_connected_graph(1500, 12000, seed=3), path)
+    argv = ["break", "--input", str(path), "--budget", "1", "--q", "1", "--probes", "8"]
+    assert main(argv) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["iterations"]["drift_max"] <= 1e-12 and summary["warnings"] == []
+    assert main(argv + ["--lag", "40", "--m-max", "40"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["iterations"]["drift_max"] > fconn.cli.DRIFT_WARNING
+    assert any("orthogonality" in w for w in summary["warnings"])
+
+
+def _complete_graph_file(tmp_path):
+    path = tmp_path / "k4.edges"
+    path.write_text("".join(f"{i} {j}\n" for i in range(1, 5) for j in range(i + 1, 5)))
+    return str(path)
+
+
+@pytest.mark.parametrize("method", ["krylov", "eigenv", "miobi"])
+def test_make_on_a_complete_graph_exits_7(method, tmp_path, capsys):
+    base = str(tmp_path / "out")
+    argv = ["make", "--input", _complete_graph_file(tmp_path), "--budget", "1", "--probes", "8"]
+    assert main(argv + ["--method", method, "--output", base]) == 7
+    assert "search space is empty" in capsys.readouterr().err
+    assert not os.path.exists(base + ".json") and not os.path.exists(base + ".csv")
+
+
+def test_compare_make_on_a_complete_graph_exits_7(tmp_path, capsys):
+    base = str(tmp_path / "out")
+    argv = ["compare", "--mode", "make", "--input", _complete_graph_file(tmp_path)]
+    assert main(argv + ["--budget", "1", "--probes", "8", "--output", base]) == 7
+    assert "search space is empty" in capsys.readouterr().err
+    assert not os.path.exists(base + ".csv")
+
+
 def test_eigenv_numerator_uses_the_krylov_controls(edge_list, capsys):
     argv = ["break", "--input", edge_list, "--budget", "2", "--probes", "8", "--method", "eigenv"]
     assert main(argv) == 0

@@ -186,6 +186,7 @@ class TestKrylovDiagnostics:
         d = greedy_krylov(g, cfg, Exp()).diagnostics
         assert d["evaluations"] == 8 and d["unconverged"] == 0
         assert 1 <= d["order_min"] <= d["order_median"] <= d["order_max"] <= 20
+        assert 0.0 <= d["drift_max"] <= 1e-12
 
     def test_unconverged_evaluations_are_counted(self):
         g = random_connected_graph(30, 45, seed=14)
@@ -193,6 +194,7 @@ class TestKrylovDiagnostics:
         d = greedy_krylov(g, cfg, Exp()).diagnostics
         assert d["evaluations"] == 8 and d["unconverged"] == 8
         assert d["order_min"] == d["order_max"] == 2
+        assert d["drift_max"] >= 0.0
 
 
 class TestMiobi:

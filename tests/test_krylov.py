@@ -7,11 +7,14 @@ from fconn.errors import ConvergenceError, ValidationError
 from fconn.graph import SparseSymGraph
 from fconn.krylov import (
     SKETCH_POWER,
+    SUPPORT_SHARE,
     BlockKrylov,
     LowRankUpdate,
     _lagged,
     _qr_deflate,
+    _qr_rows,
     _lanczos_lockstep,
+    _support_product,
     estimate_trace_f,
     fun_action,
     multiple_frechet_eval,
@@ -82,21 +85,22 @@ def _qr_block(case):
     return U * ([100.0] + small), thr
 
 
+_QR_RANKS = [
+    ("all zero", 0),
+    ("zero first column", 2),
+    ("duplicated columns", 2),
+    ("dependent middle column", 2),
+    ("nearly dependent columns", 2),
+    ("above then below thr", 2),
+    ("below then above thr", 2),
+]
+_QR_CASES = [case for case, _ in _QR_RANKS]
+
+
 class TestQrDeflate:
     """Contract of the pivoted Gram-Schmidt deflation, with scipy's pivoted QR as the oracle."""
 
-    @pytest.mark.parametrize(
-        "case, rank",
-        [
-            ("all zero", 0),
-            ("zero first column", 2),
-            ("duplicated columns", 2),
-            ("dependent middle column", 2),
-            ("nearly dependent columns", 2),
-            ("above then below thr", 2),
-            ("below then above thr", 2),
-        ],
-    )
+    @pytest.mark.parametrize("case, rank", _QR_RANKS)
     def test_against_scipy_pivoted_qr(self, case, rank):
         V, thr = _qr_block(case)
         Q, C = _qr_deflate(V, thr)
@@ -105,6 +109,36 @@ class TestQrDeflate:
         assert Q.shape == (V.shape[0], rank) and C.shape == (rank, V.shape[1])
         assert np.linalg.norm(Q.T @ Q - np.eye(rank)) <= 1e-14
         assert np.linalg.norm(V - Q @ C) <= 1e-14 * np.linalg.norm(V)
+
+    @pytest.mark.parametrize("case", _QR_CASES)
+    def test_rows_match_columns_bit_for_bit(self, case):
+        V, thr = _qr_block(case)
+        Q, C = _qr_deflate(V, thr)
+        Q_rows, C_rows = _qr_rows(V.T.copy(), thr)
+        assert np.array_equal(Q_rows, Q.T) and np.array_equal(C_rows, C)
+
+
+class TestSupportProduct:
+    """The product from the support's CSR rows equals scipy's full CSR product."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bit_identical_to_full_product_up_to_the_gate(self, k):
+        g = random_connected_graph(3000, 1500, seed=5, weighted=True)
+        A = g.adjacency
+        assert A.has_sorted_indices
+        rng = np.random.default_rng(k)
+        gate = SUPPORT_SHARE * A.nnz
+        perm = rng.permutation(g.n)
+        largest = int(np.searchsorted(np.cumsum(np.diff(A.indptr)[perm]), gate, side="right"))
+        assert largest > 128
+        for size in [1, 2, 8, 32, 128, largest]:  # the last support's rows reach the gate
+            S = np.sort(perm[:size])
+            Q = np.zeros((k, g.n))
+            Q[:, S] = rng.standard_normal((k, size))
+            Y, reach = _support_product(A, Q, S)
+            assert np.array_equal(Y, (A @ Q.T).T)
+            nbrs = A.indices[np.concatenate([np.arange(A.indptr[v], A.indptr[v + 1]) for v in S])]
+            assert np.array_equal(reach, np.union1d(S, nbrs))
 
 
 class TestBlockKrylov:
@@ -140,19 +174,34 @@ class TestBlockKrylov:
 
     def test_exhaustion_on_small_space(self):
         g = path(4)
-        kry = BlockKrylov(g.adjacency, [0, 1], mode="arnoldi")
-        grew = True
-        steps = 0
-        while grew and steps < 10:
-            grew = kry.extend()
-            steps += 1
-        assert kry.exhausted
-        assert kry.total_cols <= 4
+        for mode in ("arnoldi", "lanczos"):
+            kry = BlockKrylov(g.adjacency, [0, 1], mode=mode)
+            grew = True
+            steps = 0
+            while grew and steps < 10:
+                grew = kry.extend()
+                steps += 1
+            assert kry.exhausted
+            assert kry.total_cols <= 4
 
     def test_invalid_start_nodes_rejected(self):
         for nodes in ([], [0, 2, 0], [3], [1, -1]):  # empty, duplicate, out of range
             with pytest.raises(ValidationError):
                 BlockKrylov(np.eye(3), nodes)
+
+    def test_lanczos_matches_arnoldi(self):
+        # the three-term recurrence keeps two blocks; up to order 10 it agrees
+        # with full reorthogonalization to rounding
+        g = random_connected_graph(1500, 12000, seed=3)
+        nodes = [289, 366]
+        full = BlockKrylov(g, nodes, mode="arnoldi")
+        short = BlockKrylov(g, nodes, mode="lanczos")
+        tol = 1e-12 * g.norm1
+        for m in range(1, 11):
+            assert full.extend() and short.extend()
+            assert np.max(np.abs(short.projected(m) - full.projected(m))) <= tol
+            assert np.max(np.abs(short.start_projection(m) - full.start_projection(m))) <= tol
+        assert short.total_cols == full.total_cols
 
     def test_start_projection_is_the_rows_at_the_start_nodes(self):
         # W_m = U_m^T U for the indicator block U of the start nodes, exactly
@@ -251,6 +300,17 @@ class TestRelativeStop:
         assert res.converged and res.iterations <= 20
         assert abs(res.delta - want) <= 10 * tol * abs(want)
 
+    def test_drift_flags_lost_orthogonality(self, wide):
+        # at the stop the basis is still orthogonal to the start block; run
+        # on to order 40 (lag 40 never fires) and the lost orthogonality
+        # shows in the drift, and in Delta
+        g, X, want = wide
+        res = trace_fun_update(g, X, Exp(), tol=1e-10)
+        assert res.converged and res.drift <= 1e-12
+        res = trace_fun_update(g, X, Exp(), lag=40, m_max=40)
+        assert res.iterations == 40 and res.drift > 1e-4
+        assert abs(res.delta - want) > 0.1 * abs(want)
+
     @pytest.mark.parametrize("pair", [(2, 3), (8, 9)])
     def test_hub_edge_addition_against_dense(self, pair):
         # Delta is about 4e7, so an absolute stop of 1e-6 never fires and the
@@ -262,6 +322,22 @@ class TestRelativeStop:
         want = _dense_trace_delta(g, X)
         assert res.converged and res.iterations <= 20
         assert abs(res.delta - want) <= 1e-5 * abs(want)
+
+
+@pytest.mark.parametrize("edge", [(999, 1000, -1.0), (500, 1500, 1.0)])
+def test_trace_update_on_support_products_against_dense(edge):
+    # on a path, block j is nonzero on about 2j + 2 nodes, so every product
+    # of the run is a support product
+    g = path(2000)
+    X = LowRankUpdate.from_edge(g.n, *edge)
+    kry = BlockKrylov(g, X.nodes, mode="lanczos")
+    for _ in range(5):
+        kry.extend()
+    assert kry._support is not None  # the fifth product was still a support product
+    res = trace_fun_update(g, X, Exp(), tol=1e-12)
+    want = _dense_trace_delta(g, X)
+    assert res.converged and res.iterations >= 5
+    assert abs(res.delta - want) <= 1e-10 * abs(want)
 
 
 def _frechet(M, i, j, f, **kw):
