@@ -140,6 +140,8 @@ class RunSpec:
             raise ValidationError(f"lag must be >= 1, got {self.lag}")
         if self.m_max is not None and self.m_max < 1:
             raise ValidationError(f"m_max must be >= 1, got {self.m_max}")
+        if self.tol is not None and not 0.0 <= self.tol < np.inf:
+            raise ValidationError(f"tol must be finite and >= 0, got {self.tol}")
 
 
 @dataclass
@@ -253,7 +255,7 @@ def _run_unweighted(spec: RunSpec, graph, f) -> TraceVariationReport:
     report.iterations = {"steps": len(plan.edges), **plan.diagnostics}
     if plan.exhausted:
         report.warnings.append("search space exhausted before the budget was spent")
-    return report, plan
+    return report
 
 
 _CANDIDATE_MODES = {
@@ -299,7 +301,7 @@ def _run_weighted(spec: RunSpec, graph, f) -> TraceVariationReport:
         )
     if not solve.converged:
         report.warnings.append("interior-point solve did not fully converge")
-    return report, x
+    return report
 
 
 def _beside_denominator(graph, f, spec, optimize):
@@ -345,7 +347,7 @@ def run(spec: RunSpec):
         optimizer = _run_weighted
     else:
         raise ValidationError(f"unknown subcommand {spec.subcommand!r}")
-    (report, _), estimate = _beside_denominator(
+    report, estimate = _beside_denominator(
         graph, f, spec, lambda: optimizer(spec, graph, f)
     )
     _set_denominator(report, estimate)
@@ -385,7 +387,7 @@ def compare(specs):
         graph, f, specs[0], lambda: [_run_unweighted(spec, graph, f) for spec in specs]
     )
     rows = []
-    for spec, (report, _) in zip(specs, runs):
+    for spec, report in zip(specs, runs):
         _set_denominator(report, estimate)
         rows.append(
             {

@@ -235,6 +235,8 @@ class MiobiState:
     def initialize(cls, graph: SparseSymGraph, h: int):
         A = graph.adjacency
         n = graph.n
+        if h < 1:
+            raise ValidationError(f"the number of retained eigenpairs must be >= 1, got {h}")
         if h > n:
             raise ValidationError(f"cannot retain {h} eigenpairs of an order-{n} matrix")
         if h >= n - 1 or n <= 3:

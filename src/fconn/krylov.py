@@ -62,23 +62,25 @@ Every block Krylov space starts from graph nodes, since the space of an
 update X = U B U^T with indicator columns U depends only on A and the nodes
 (Beckermann, Kressner & Schweitzer, SIMAX 2018): its first block is the
 indicator block, and the basis applied to it is the basis rows at the nodes.
-:class:`BlockKrylov` has two layouts. In Arnoldi mode (the weighted model)
-it keeps every basis block as (n, s) columns and orthogonalizes against each
-block in turn. In Lanczos mode (``trace_fun_update``, the greedy scorer) it
-keeps only the previous and the current block, as the rows of one
-C-contiguous (k, n) array B, so each of the two orthogonalization passes is
-one stacked block classical Gram-Schmidt step, ``C = B W^T; W -= C^T B``
-(CGS2), on the rows W of A times the current block. Block j is nonzero
-only on the nodes within j steps of the start nodes, so while the CSR rows
-of that support hold at most ``SUPPORT_SHARE`` of A's entries, A times the
-block is computed from those rows alone. That product is exact, and for a
-CSR matrix with sorted indices, as every graph's is, it equals the full
-product bit for bit. Each new block is
-orthonormalized by a pivoted Gram-Schmidt with two orthogonalization passes
-written in numpy, on rows in place (``_qr_rows``) or on columns
-(``_qr_deflate``, its wrapper), so the module needs no ``scipy.linalg``; a
-vector whose residual norm is at most the deflation threshold
-1e-12 * max(1, ||A||_1) is deflated.
+:class:`BlockKrylov` has one layout and one step in both of its modes. It
+keeps its basis blocks as the rows of C-contiguous (s_j, n) arrays in one
+list: every block, one array each, in Arnoldi mode (the weighted model and
+``multiple_frechet_eval``), and only the previous and the current block,
+stacked in one array, in Lanczos mode (``trace_fun_update``, the greedy
+scorer). A step takes the rows W of A times the current block and makes two
+block classical Gram-Schmidt passes over the kept list (CGS2): each pass
+computes ``C_j = B_j W^T`` for every kept array B_j from the same W, then
+subtracts every ``C_j^T B_j``. Block j is nonzero only on the nodes within
+j steps of the start nodes, so while the CSR rows of that support hold at
+most ``SUPPORT_SHARE`` of A's entries, A times the block is computed from
+those rows alone. That product is exact, and for a CSR matrix with sorted
+indices, as every graph's is, it equals the full product bit for bit. Each
+new block is orthonormalized on its rows in place by a pivoted Gram-Schmidt
+with two orthogonalization passes written in numpy (``_qr_rows``), so the
+module needs no ``scipy.linalg``; a vector whose residual norm is at most the
+deflation threshold 1e-12 * max(1, ||A||_1) is deflated. Callers reach an
+order through ``BlockKrylov.reach``, which extends the space by at most one
+block and says whether the value at that order is still not exact.
 
 All routines accept a :class:`fconn.graph.SparseSymGraph`, a scipy sparse
 matrix or a dense ndarray as the large symmetric matrix, and every Krylov
@@ -246,17 +248,6 @@ def _qr_rows(W, thr):
     return W[:r], C
 
 
-def _qr_deflate(V, thr):
-    """Rank-revealing economic QR of the columns of V; see :func:`_qr_rows`.
-
-    Returns (Q, C) with V ~ Q @ C, Q having r <= V.shape[1] orthonormal
-    columns. r may be zero. The arithmetic is that of :func:`_qr_rows` on a
-    row copy of V.
-    """
-    Q, C = _qr_rows(np.array(np.asarray(V, dtype=float).T, order="C"), thr)
-    return Q.T, C
-
-
 # A @ Q is computed from the CSR rows of the support of Q (the nodes a block
 # can be nonzero on) while those rows hold at most this share of A's stored
 # entries. On a 20000-node tree with 200000 stored entries and a 2-row block,
@@ -305,30 +296,30 @@ class BlockKrylov:
     The first block is the indicator columns of ``nodes``, in the order given;
     no nodes, a repeated node or one out of range raise ValidationError.
 
-    ``mode='arnoldi'`` keeps the whole basis as a list of (n, s_j) column
-    blocks and fully reorthogonalizes each new block against every one of
-    them, one block at a time, in two passes. ``mode='lanczos'`` uses the
-    symmetric three-term recurrence and keeps only the previous and the
-    current block, stacked as the rows of one C-contiguous (k, n) array B:
-    each of its two orthogonalization passes is one block classical
-    Gram-Schmidt step, ``C = B W^T; W -= C^T B``, on the rows W of A times the
-    current block. While the current block's support (the nodes it can be
-    nonzero on: for block j, the nodes within j steps of the start nodes)
-    has CSR rows holding at most ``SUPPORT_SHARE`` of A's stored entries, A
-    times the block is computed from those rows only (see
-    :func:`_support_product`); this is exact, and bit-identical to the full
-    product for a CSR matrix with sorted indices. Other matrices, and every
-    block past that point, take the full product.
+    The basis blocks are kept as the rows of C-contiguous (s_j, n) arrays in
+    one list. ``mode='arnoldi'`` keeps every block, one array each, so the
+    whole basis is at hand (:meth:`basis`) and each new block is fully
+    reorthogonalized. ``mode='lanczos'`` uses the symmetric three-term
+    recurrence and keeps only the previous and the current block, stacked as
+    the rows of a single array. Both run the same step: A times the current
+    block, as rows W, then two block classical Gram-Schmidt passes over the
+    kept arrays B_j (CGS2), each computing ``C_j = B_j W^T`` for every j from
+    the same W before it subtracts every ``C_j^T B_j``. While the current
+    block's support (the nodes it can be nonzero on: for block j, the nodes
+    within j steps of the start nodes) has CSR rows holding at most
+    ``SUPPORT_SHARE`` of A's stored entries, A times the block is computed
+    from those rows only (see :func:`_support_product`); this is exact, and
+    bit-identical to the full product for a CSR matrix with sorted indices.
+    Other matrices, and every block past that point, take the full product.
 
     ``extend()`` orthogonalizes A times the newest block, filling one more
     block column of the projected matrix, and appends the next basis block.
     It returns False once the Krylov space is exhausted (new block deflates
     to nothing), in which case the factorization is exact. Rank-deficient
-    blocks are handled by deflation: each new block is orthonormalized by a
-    pivoted Gram-Schmidt with two orthogonalization passes (numpy only; on
-    rows in place in Lanczos mode, :func:`_qr_rows`, and on columns in
-    Arnoldi mode, :func:`_qr_deflate`), and a vector whose residual norm is at
-    most the deflation threshold is dropped.
+    blocks are handled by deflation: each new block is orthonormalized on its
+    rows by :func:`_qr_rows`, and a vector whose residual norm is at most the
+    deflation threshold is dropped. ``reach(m)`` is how callers step through
+    the orders: it extends at most once and reports the order reached.
     """
 
     def __init__(self, A, nodes, mode="arnoldi", deflation_tol=None):
@@ -349,16 +340,12 @@ class BlockKrylov:
         self._thr = deflation_tol
         self._nodes = nodes
         s = len(nodes)
-        if self._keep:
-            Q0 = np.zeros((n, s))
-            Q0[nodes, np.arange(s)] = 1.0
-            self._blocks = [Q0]
-        else:
-            self._rows = np.zeros((s, n))  # previous block's rows, then the current one's
-            self._rows[np.arange(s), nodes] = 1.0
-            self._split = 0  # number of rows of the previous block
-            csr = getattr(A, "format", None) == "csr"
-            self._support = np.sort(nodes) if csr else None
+        Q0 = np.zeros((s, n))
+        Q0[np.arange(s), nodes] = 1.0
+        self._rows = [Q0]  # kept row arrays; the current block is the last one's rows from _split
+        self._split = 0  # Lanczos: number of rows of the previous block in its one array
+        csr = getattr(A, "format", None) == "csr"
+        self._support = np.sort(nodes) if csr else None
         self._offsets = [0, s]
         self._H = np.zeros((s, s))
         self._W = np.eye(s)  # rows of the basis at the start nodes, transposed
@@ -383,8 +370,7 @@ class BlockKrylov:
             return False
         m = self.filled
         col = slice(self._offsets[m], self._offsets[m + 1])
-        step = self._arnoldi_step if self._keep else self._lanczos_step
-        C, at_nodes = step(m, col)
+        C, at_nodes = self._step(m, col)
         self.filled = m + 1
         r = C.shape[0]
         if r == 0:
@@ -399,31 +385,35 @@ class BlockKrylov:
         self._W = np.concatenate([self._W, at_nodes])
         return True
 
-    def _arnoldi_step(self, m, col):
-        """Orthogonalize A times the newest column block against every block; keep the new one."""
-        V = np.asarray(self._A @ self._blocks[-1], dtype=float)
-        for _ in range(2):
-            for idx, blk in enumerate(self._blocks):
-                C = blk.T @ V
-                V -= blk @ C
-                self._H[self._offsets[idx] : self._offsets[idx + 1], col] += C
-        Q, C = _qr_deflate(V, self._thr)
-        self._blocks.append(Q)
-        return C, Q[self._nodes].T
+    def reach(self, m):
+        """Extend once if the space is below order m; return ``(order, grew)``.
 
-    def _lanczos_step(self, m, col):
-        """Orthogonalize A times the current row block against the last two; keep the new one."""
-        B = self._rows
-        curr = B[self._split :]
+        ``order`` is min(m, filled), the order a caller can read. ``grew`` is
+        False once the space was exhausted at or below order m, so the
+        factorization at ``order`` is exact and no later order differs.
+        """
+        if self.filled < m and not self._exhausted:
+            self.extend()
+        return min(m, self.filled), not (self._exhausted and self.filled <= m)
+
+    def _step(self, m, col):
+        """Orthogonalize A times the current block against the kept rows; keep the new block."""
+        kept = self._rows
+        curr = kept[-1][self._split :]
         W = self._product(curr)
-        span = slice(self._offsets[max(m - 1, 0)], self._offsets[m + 1])
+        end = self._offsets[m + 1]
+        span = slice(end - sum(B.shape[0] for B in kept), end)
         for _ in range(2):
-            C = B @ W.T
-            W -= C.T @ B
-            self._H[span, col] += C
+            Cs = [B @ W.T for B in kept]
+            for B, C in zip(kept, Cs):
+                W -= C.T @ B
+            self._H[span, col] += np.concatenate(Cs)
         Q, C = _qr_rows(W, self._thr)
-        self._rows = np.concatenate([curr, Q])
-        self._split = curr.shape[0]
+        if self._keep:
+            kept.append(Q)
+        else:
+            self._rows = [np.concatenate([curr, Q])]
+            self._split = curr.shape[0]
         return C, Q[:, self._nodes]
 
     def _product(self, Q):
@@ -457,9 +447,7 @@ class BlockKrylov:
         """Basis matrix with the first m blocks as columns (Arnoldi mode only)."""
         if not self._keep:
             raise ValueError("basis was not kept")
-        m = self.filled if m is None else m
-        k = self._offsets[min(m, len(self._offsets) - 1)]
-        return np.hstack(self._blocks)[:, :k]
+        return np.concatenate(self._rows[: self.filled if m is None else m]).T
 
 
 def _core_change(curr, prev):
@@ -499,12 +487,15 @@ def _lagged(step, moved, lag, tol, m_max):
     converged. Otherwise it returns the value at ``m_max`` unconverged.
     Every caller's ``moved`` is relative (see :func:`_relative`), so ``tol``
     is a relative tolerance. Returns ``(value, m, converged)``; ``lag`` and
-    ``m_max`` below 1 raise ValidationError.
+    ``m_max`` below 1, and a ``tol`` that is negative or not finite, raise
+    ValidationError.
     """
     if lag < 1:
         raise ValidationError(f"lag must be >= 1, got {lag}")
     if m_max < 1:
         raise ValidationError(f"m_max must be >= 1, got {m_max}")
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
     recent = deque(maxlen=lag)  # values at orders m - lag, ..., m - 1
     for m in range(1, m_max + 1):
         value, grew = step(m)
@@ -553,7 +544,7 @@ def trace_fun_update(
     s = X.rank
 
     def step(m):
-        grew = kry.extend()
+        _, grew = kry.reach(m)
         H = kry.projected()
         W = kry.start_projection()
         w_pert = np.linalg.eigvalsh(H + W @ X.B @ W.T)
@@ -626,13 +617,6 @@ def multiple_frechet_eval(M, F, f, lag=DEFAULT_LAG, tol=1e-8, m_max=DEFAULT_M_MA
     M = _as_matrix(M)
     nodes = sorted({v for p in F for v in p})
     kry = {v: BlockKrylov(M, [v], mode="arnoldi", deflation_tol=thr) for v in nodes}
-
-    def reach(k, m):
-        """Extend k to order m if needed; False once its space is exhausted by order m."""
-        if k.filled < m and not k.exhausted:
-            k.extend()
-        return not (k.exhausted and k.filled <= m)
-
     scales = {}  # (node, order) -> max |f| over the projected spectrum
 
     def scale(v, m):
@@ -649,12 +633,11 @@ def multiple_frechet_eval(M, F, f, lag=DEFAULT_LAG, tol=1e-8, m_max=DEFAULT_M_MA
         ku, kv = kry[i], kry[j]
 
         def step(m):
-            grew = reach(ku, m)
-            grew = reach(kv, m) or grew
-            mu, mv = min(m, ku.filled), min(m, kv.filled)
+            mu, grew_u = ku.reach(m)
+            mv, grew_v = kv.reach(m)
             E = np.outer(ku.start_projection(mu)[:, 0], kv.start_projection(mv)[:, 0])
             core = matfun.block_frechet(f, ku.projected(mu), kv.projected(mv), E)
-            return (core, _ROUNDING * max(scale(i, mu), scale(j, mv))), grew
+            return (core, _ROUNDING * max(scale(i, mu), scale(j, mv))), grew_u or grew_v
 
         (core, _), m, converged = _lagged(step, moved, lag, tol, m_max)
         cores[(i, j)] = core

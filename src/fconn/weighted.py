@@ -115,8 +115,8 @@ class WeightedProblem:
         that increase weights; by default the largest existing edge weight is
         used (a new or tuned edge may not exceed the strongest initial tie).
         """
-        if budget <= 0:
-            raise ValidationError("budget must be positive")
+        if not 0.0 < budget < np.inf:
+            raise ValidationError(f"budget must be positive and finite, got {budget}")
         pairs = []
         seen = set()
         for p in F:
@@ -136,6 +136,8 @@ class WeightedProblem:
         if upper is None:
             upper = float(graph.edge_arrays[2].max()) if graph.num_edges else 1.0
         ub = np.broadcast_to(np.asarray(upper, dtype=float), (len(pairs),)).astype(float).copy()
+        if not np.all(np.isfinite(ub)):
+            raise ValidationError(f"upper must be finite, got {upper}")
         if mode is WeightedMode.DOWNGRADE:
             ub = np.zeros(len(pairs))
         lb = np.where(exists, -w, 0.0)
@@ -221,11 +223,7 @@ class _KrylovModel:
         kry, start = self._kry, max(self.order - DEFAULT_LAG, 1)
 
         def step(m):
-            m = start + m - 1
-            if kry.filled < m and not kry.exhausted:
-                kry.extend()
-            grew = not (kry.exhausted and kry.filled <= m)
-            m = min(m, kry.filled)
+            m, grew = kry.reach(start + m - 1)
             return (m, *self._at(x, m)), grew
 
         def moved(curr, prev):

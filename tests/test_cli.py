@@ -170,6 +170,24 @@ def test_bad_krylov_controls_exit_2_for_every_method(method, flag, edge_list, ca
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["add", "--budget", "nan"],
+        ["add", "--budget", "inf"],
+        ["downgrade", "--budget", "nan"],
+        ["add", "--budget", "2", "--upper", "nan"],
+        ["break", "--budget", "1", "--method", "miobi", "--eigenpairs", "0"],
+        ["break", "--budget", "1", "--method", "miobi", "--eigenpairs", "-1"],
+        ["break", "--budget", "1", "--tol", "-1"],
+        ["break", "--budget", "1", "--tol", "nan"],
+    ],
+)
+def test_non_finite_or_out_of_range_numbers_exit_2(argv, edge_list, capsys):
+    assert main(argv + ["--input", edge_list, "--probes", "8"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unconverged_scoring_is_reported(edge_list, capsys):
     argv = ["break", "--input", edge_list, "--budget", "1", "--q", "3", "--probes", "8"]
     assert main(argv + ["--m-max", "2"]) == 0

@@ -11,7 +11,6 @@ from fconn.krylov import (
     BlockKrylov,
     LowRankUpdate,
     _lagged,
-    _qr_deflate,
     _qr_rows,
     _lanczos_lockstep,
     _support_product,
@@ -63,7 +62,7 @@ class TestLowRankUpdate:
 
 
 def _qr_block(case):
-    """(V, thr) of one _qr_deflate contract case, on 50 rows."""
+    """(V, thr) of one _qr_rows contract case: its columns are the vectors, on 50 rows."""
     rng = np.random.default_rng(7)
     X = rng.standard_normal((50, 3))
     if case == "all zero":
@@ -94,7 +93,6 @@ _QR_RANKS = [
     ("above then below thr", 2),
     ("below then above thr", 2),
 ]
-_QR_CASES = [case for case, _ in _QR_RANKS]
 
 
 class TestQrDeflate:
@@ -103,19 +101,12 @@ class TestQrDeflate:
     @pytest.mark.parametrize("case, rank", _QR_RANKS)
     def test_against_scipy_pivoted_qr(self, case, rank):
         V, thr = _qr_block(case)
-        Q, C = _qr_deflate(V, thr)
+        Q, C = _qr_rows(V.T.copy(), thr)
         _, R, _ = scipy.linalg.qr(V, mode="economic", pivoting=True)
         assert int(np.sum(np.abs(np.diag(R)) > thr)) == rank
-        assert Q.shape == (V.shape[0], rank) and C.shape == (rank, V.shape[1])
-        assert np.linalg.norm(Q.T @ Q - np.eye(rank)) <= 1e-14
-        assert np.linalg.norm(V - Q @ C) <= 1e-14 * np.linalg.norm(V)
-
-    @pytest.mark.parametrize("case", _QR_CASES)
-    def test_rows_match_columns_bit_for_bit(self, case):
-        V, thr = _qr_block(case)
-        Q, C = _qr_deflate(V, thr)
-        Q_rows, C_rows = _qr_rows(V.T.copy(), thr)
-        assert np.array_equal(Q_rows, Q.T) and np.array_equal(C_rows, C)
+        assert Q.shape == (rank, V.shape[0]) and C.shape == (rank, V.shape[1])
+        assert np.linalg.norm(Q @ Q.T - np.eye(rank)) <= 1e-14
+        assert np.linalg.norm(V - Q.T @ C) <= 1e-14 * np.linalg.norm(V)
 
 
 class TestSupportProduct:
@@ -143,23 +134,28 @@ class TestSupportProduct:
 
 class TestBlockKrylov:
     def test_arnoldi_relation_and_orthonormality(self):
-        g = random_connected_graph(40, 50, seed=0)
-        A = g.adjacency
-        kry = BlockKrylov(A, [3, 7], mode="arnoldi")
-        for _ in range(8):
-            kry.extend()
-        m = kry.filled
-        k_m = kry._offsets[m]
-        U_m = kry.basis(m)
-        U_all = kry.basis(m + 1)  # includes the residual block m+1
-        anorm = np.max(np.abs(A).sum(axis=0))
-        assert np.linalg.norm(U_all.T @ U_all - np.eye(U_all.shape[1])) <= 1e-10
-        # A U_m = U_m H_m + U_{m+1} H_{m+1,m} E_m^T: the first k_m columns of
-        # the stored projected matrix encode the relation including coupling
-        resid = A @ U_m - U_all @ kry._H[: U_all.shape[1], :k_m]
-        assert np.linalg.norm(resid) <= 1e-10 * anorm
-        H = kry.projected(m)
-        assert np.linalg.norm(H - H.T) == 0.0
+        cases = [
+            (random_connected_graph(40, 50, seed=0), [3, 7], 8, 1e-10),
+            # the scale at which the two-block Lanczos recurrence loses orthogonality
+            (random_connected_graph(1500, 12000, seed=3), [289, 366], 30, 1e-12),
+        ]
+        for g, nodes, orders, orth_tol in cases:
+            A = g.adjacency
+            kry = BlockKrylov(A, nodes, mode="arnoldi")
+            for _ in range(orders):
+                kry.extend()
+            m = kry.filled
+            k_m = kry._offsets[m]
+            U_m = kry.basis(m)
+            U_all = kry.basis(m + 1)  # includes the residual block m+1
+            anorm = np.max(np.abs(A).sum(axis=0))
+            assert np.linalg.norm(U_all.T @ U_all - np.eye(U_all.shape[1])) <= orth_tol
+            # A U_m = U_m H_m + U_{m+1} H_{m+1,m} E_m^T: the first k_m columns of
+            # the stored projected matrix encode the relation including coupling
+            resid = A @ U_m - U_all @ kry._H[: U_all.shape[1], :k_m]
+            assert np.linalg.norm(resid) <= 1e-10 * anorm
+            H = kry.projected(m)
+            assert np.linalg.norm(H - H.T) == 0.0
 
     def test_prefix_extension(self):
         g = random_connected_graph(30, 40, seed=1)
@@ -173,16 +169,20 @@ class TestBlockKrylov:
         assert np.array_equal(kry.projected(3)[: h2.shape[0], : h2.shape[1]], h2)
 
     def test_exhaustion_on_small_space(self):
-        g = path(4)
         for mode in ("arnoldi", "lanczos"):
-            kry = BlockKrylov(g.adjacency, [0, 1], mode=mode)
-            grew = True
-            steps = 0
-            while grew and steps < 10:
-                grew = kry.extend()
-                steps += 1
+            kry = BlockKrylov(path(4).adjacency, [0, 1], mode=mode)
+            grew, m = True, 0
+            while grew and m < 10:
+                m += 1
+                order, grew = kry.reach(m)
+                assert order == min(m, kry.filled)
+            assert not grew and m < 10
             assert kry.exhausted
             assert kry.total_cols <= 4
+            # past exhaustion, reach extends no more and the order stays at filled
+            filled = kry.filled
+            assert kry.reach(m + 3) == (filled, False)
+            assert kry.filled == filled
 
     def test_invalid_start_nodes_rejected(self):
         for nodes in ([], [0, 2, 0], [3], [1, -1]):  # empty, duplicate, out of range
