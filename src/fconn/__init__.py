@@ -56,7 +56,6 @@ from .matfun import (
     sym_eig,
 )
 from .weighted import (
-    CandidateMode,
     SolveReport,
     WeightedMode,
     WeightedProblem,

@@ -55,18 +55,12 @@ from .krylov import (
     trace_fun_update,
 )
 from .matfun import function_from_spec
-from .weighted import (
-    CandidateMode,
-    WeightedMode,
-    WeightedProblem,
-    interior_point_solve,
-    select_candidates,
-)
+from .weighted import WeightedMode, WeightedProblem, interior_point_solve, select_candidates
 
 __all__ = ["RunSpec", "TraceVariationReport", "run", "compare", "main"]
 
-_UNWEIGHTED = {"break", "make"}
-_WEIGHTED = {"downgrade", "add", "tune", "rewire"}
+_UNWEIGHTED = {m.value for m in Mode}
+_WEIGHTED = {m.value for m in WeightedMode}
 
 _STRATEGIES = {s.value: s for s in Strategy}
 
@@ -86,8 +80,6 @@ _EXIT_CODES = (
     (ConvergenceError, 4),
     (DomainError, 5),
     (ExhaustedSearchSpaceError, 7),
-    (ValidationError, 2),
-    (FconnError, 2),
 )
 
 
@@ -142,6 +134,10 @@ class RunSpec:
             raise ValidationError(f"m_max must be >= 1, got {self.m_max}")
         if self.tol is not None and not 0.0 <= self.tol < np.inf:
             raise ValidationError(f"tol must be finite and >= 0, got {self.tol}")
+        if self.n_p < 1 or self.n_f < 1:
+            raise ValidationError(f"n_p and n_f must be >= 1, got {self.n_p} and {self.n_f}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -214,8 +210,7 @@ def _run_unweighted(spec: RunSpec, graph, f) -> TraceVariationReport:
     report = TraceVariationReport()
     t0 = time.perf_counter()
     if spec.method == "eigenv":
-        mode = Mode.BREAK if spec.subcommand == "break" else Mode.MAKE
-        plan = eigenv_baseline(graph, int(spec.budget), mode)
+        plan = eigenv_baseline(graph, int(spec.budget), Mode(spec.subcommand))
     else:
         cfg = GreedyConfig(
             budget=int(spec.budget),
@@ -258,30 +253,12 @@ def _run_unweighted(spec: RunSpec, graph, f) -> TraceVariationReport:
     return report
 
 
-_CANDIDATE_MODES = {
-    "tune": CandidateMode.TUNING,
-    "rewire": CandidateMode.REWIRING,
-    "add": CandidateMode.ADDITION,
-    "downgrade": CandidateMode.TUNING,  # existing edges, largest gradient
-}
-
-_WEIGHTED_MODES = {
-    "tune": WeightedMode.TUNE,
-    "rewire": WeightedMode.REWIRE,
-    "add": WeightedMode.ADD,
-    "downgrade": WeightedMode.DOWNGRADE,
-}
-
-
 def _run_weighted(spec: RunSpec, graph, f) -> TraceVariationReport:
     report = TraceVariationReport()
     t0 = time.perf_counter()
-    F = select_candidates(
-        graph, _CANDIDATE_MODES[spec.subcommand], n_P=spec.n_p, n_F=spec.n_f, f=f
-    )
-    prob = WeightedProblem.build(
-        graph, F, _WEIGHTED_MODES[spec.subcommand], spec.budget, f, upper=spec.upper
-    )
+    mode = WeightedMode(spec.subcommand)
+    F = select_candidates(graph, mode, f, n_P=spec.n_p, n_F=spec.n_f)
+    prob = WeightedProblem.build(graph, F, mode, spec.budget, f, upper=spec.upper)
     x, solve = interior_point_solve(prob, inner=spec.method)
     report.wall_time = time.perf_counter() - t0
     report.numerator = solve.objective

@@ -34,6 +34,7 @@ __all__ = [
     "select_search_space",
     "top_edges",
     "top_missing_pairs",
+    "ranked_pairs",
 ]
 
 
@@ -531,10 +532,6 @@ class CentralityRanking:
         if abs(np.linalg.norm(s) - 1.0) > 1e-12:
             raise ValidationError("centrality scores must have unit 2-norm")
 
-    @classmethod
-    def from_graph(cls, g, ordering=Ordering.PRODUCT, tol=1e-8, max_iter=None):
-        return cls(eigenvector_centrality(g, tol=tol, max_iter=max_iter), ordering)
-
     def key(self, pair):
         """Comparable ranking key of a node pair (larger key = more important)."""
         si = float(self.scores[pair[0]])
@@ -618,6 +615,21 @@ def top_missing_pairs(n, ranking: CentralityRanking, count, forbidden):
         qp = min(n, 2 * qp)
 
 
+def ranked_pairs(g: SparseSymGraph, scores, ordering: Ordering, count, missing):
+    """The ``count`` best edges of ``g``, or with ``missing`` its best missing pairs.
+
+    Pairs are ranked by the node ``scores`` (see :class:`CentralityRanking`)
+    under ``ordering``, with :func:`top_edges` or :func:`top_missing_pairs`;
+    the result is a list of (min, max) tuples, best first. Every method that
+    draws candidates from a centrality pool takes it from here.
+    """
+    ranking = CentralityRanking(scores, ordering)
+    edges = np.column_stack(g.edge_arrays[:2])
+    if missing:
+        return top_missing_pairs(g.n, ranking, count, edges)
+    return top_edges(edges, ranking, count)
+
+
 # ---------------------------------------------------------------------
 # Greedy search-space selection
 # ---------------------------------------------------------------------
@@ -660,9 +672,8 @@ def select_search_space(g: SparseSymGraph, strategy: Strategy, chosen, ranked=No
     its d highest-degree nodes. The ranked strategies (DG_1/DG_2/AD_1/AD_2)
     keep the ranking of the *initial* graph fixed across steps: ``ranked``
     holds its best candidates in rank order (the top q + step of them at
-    greedy step ``step``, from :func:`top_edges` or
-    :func:`top_missing_pairs`), and they return those not chosen. Without
-    ``ranked`` they raise ValueError.
+    greedy step ``step``, from :func:`ranked_pairs`), and they return those
+    not chosen. Without ``ranked`` they raise ValueError.
     """
     if strategy is Strategy.DG_FULL:
         return [p for p in g.edge_pairs if p not in chosen]
@@ -677,13 +688,15 @@ def select_search_space(g: SparseSymGraph, strategy: Strategy, chosen, ranked=No
         d = int(deg.max()) if g.num_edges else 0
         if d == 0:
             return []
-        nodes = sorted(range(g.n), key=lambda v: (-deg[v], v))[:d]
-        edge_set = g.edge_set()
-        return [
-            normalize_pair(a, b)
-            for ai, a in enumerate(sorted(nodes))
-            for b in sorted(nodes)[ai + 1 :]
-            if normalize_pair(a, b) not in edge_set and normalize_pair(a, b) not in chosen
-        ]
+        n, (i, j, _) = g.n, g.edge_arrays
+        nodes = np.sort(np.lexsort((np.arange(n), -deg))[:d])
+        a, b = np.triu_indices(d, 1)
+        lo, hi = nodes[a], nodes[b]
+        # the edge keys i n + j are sorted, as the edges are
+        keys, edge_keys = lo * n + hi, i * n + j
+        at = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
+        new = edge_keys[at] != keys
+        pairs = zip(lo[new].tolist(), hi[new].tolist())
+        return [p for p in pairs if p not in chosen]
 
     raise ValueError(f"unknown strategy {strategy}")

@@ -25,15 +25,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import (
-    CentralityRanking,
     Ordering,
     SparseSymGraph,
     Strategy,
     eigenvector_centrality,
     normalize_pair,
+    ranked_pairs,
     select_search_space,
-    top_edges,
-    top_missing_pairs,
 )
 from .krylov import DEFAULT_LAG, DEFAULT_M_MAX, DEFAULT_TOL, LowRankUpdate, trace_fun_update
 
@@ -142,13 +140,13 @@ def _greedy(graph, cfg, strategy, score, on_accept=None):
         )
     ranked = None
     if strategy.implied_ordering is not None:
-        ranking = CentralityRanking(eigenvector_centrality(graph), strategy.implied_ordering)
-        edges = np.column_stack(graph.edge_arrays[:2])
-        count = cfg.q + cfg.budget - 1
-        if strategy.is_removal:
-            ranked = top_edges(edges, ranking, count)
-        else:
-            ranked = top_missing_pairs(graph.n, ranking, count, edges)
+        ranked = ranked_pairs(
+            graph,
+            eigenvector_centrality(graph),
+            strategy.implied_ordering,
+            cfg.q + cfg.budget - 1,
+            missing=not strategy.is_removal,
+        )
     work = graph
     chosen, picked, deltas = [], set(), []
     exhausted = False
@@ -318,14 +316,9 @@ def eigenv_baseline(graph: SparseSymGraph, k: int, mode: Mode) -> ModificationPl
     """
     if k < 1:
         raise ValidationError("budget must be >= 1")
-    ranking = CentralityRanking(eigenvector_centrality(graph), Ordering.PRODUCT)
-    existing = np.column_stack(graph.edge_arrays[:2])
-    if mode is Mode.BREAK:
-        if graph.num_edges < k:
-            raise ValidationError(f"budget {k} exceeds the number of edges {graph.num_edges}")
-        pairs = top_edges(existing, ranking, k)
-        edges = [(i, j, -graph.weight(i, j)) for i, j in pairs]
-    else:
-        pairs = top_missing_pairs(graph.n, ranking, k, existing)
-        edges = [(i, j, 1.0) for i, j in pairs]
+    if mode is Mode.BREAK and graph.num_edges < k:
+        raise ValidationError(f"budget {k} exceeds the number of edges {graph.num_edges}")
+    scores = eigenvector_centrality(graph)
+    pairs = ranked_pairs(graph, scores, Ordering.PRODUCT, k, missing=mode is Mode.MAKE)
+    edges = [(i, j, _candidate_delta(graph, (i, j), mode)) for i, j in pairs]
     return ModificationPlan(edges=edges, mode=mode, exhausted=len(edges) < k)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 
 __all__ = [
     "ScalarFunction",
@@ -122,8 +122,8 @@ class Resolvent(ScalarFunction):
     """
 
     def __init__(self, alpha, power=1, scale=1.0):
-        if alpha <= 0:
-            raise ValueError("resolvent parameter alpha must be positive")
+        if not 0 < alpha < np.inf:
+            raise ValueError(f"resolvent parameter alpha must be positive and finite, got {alpha}")
         if power < 1:
             raise ValueError("resolvent power must be >= 1")
         self.alpha = float(alpha)
@@ -171,6 +171,8 @@ class Polynomial(ScalarFunction):
         coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("polynomial coefficients must be a nonempty 1-D sequence")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError(f"polynomial coefficients must be finite, got {coeffs}")
         self.coeffs = coeffs
 
     @property
@@ -210,7 +212,18 @@ class Polynomial(ScalarFunction):
 
 
 def function_from_spec(spec: str) -> ScalarFunction:
-    """Parse a function tag such as ``exp``, ``resolvent:alpha=0.05`` or ``poly:1,0,2``."""
+    """Parse a function tag such as ``exp``, ``resolvent:alpha=0.05`` or ``poly:1,0,2``.
+
+    A malformed tag, a number that does not parse and a parameter the
+    function's constructor rejects all raise :class:`ValidationError`.
+    """
+    try:
+        return _parse_function(spec)
+    except ValueError as exc:
+        raise ValidationError(f"bad function {spec!r}: {exc}") from None
+
+
+def _parse_function(spec):
     head, _, rest = spec.partition(":")
     head = head.strip().lower()
     if head == "exp":
@@ -230,7 +243,7 @@ def function_from_spec(spec: str) -> ScalarFunction:
         if not rest:
             raise ValueError("poly requires coefficients, e.g. poly:0,0,1 for z^2")
         return Polynomial([float(tok) for tok in rest.split(",")])
-    raise ValueError(f"unknown function tag {spec!r}")
+    raise ValueError("unknown function tag")
 
 
 def symmetrize(H):

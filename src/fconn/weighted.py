@@ -13,6 +13,10 @@ phi, grad phi and the Hessian of a whole solve come from one Krylov model,
 The budget constraint is linearized by splitting each variable into
 nonnegative increase/decrease parts, so every constraint admits a log
 barrier; see :class:`_BarrierProblem`.
+
+F itself comes from :func:`select_candidates`: the :class:`WeightedMode`
+fixes which centrality pools it draws from (existing edges, missing pairs or
+half of each), and a gradient cut at x = 0 keeps n_F of the n_P candidates.
 """
 
 from __future__ import annotations
@@ -26,15 +30,7 @@ import numpy as np
 
 from . import matfun
 from .errors import ExhaustedSearchSpaceError, ValidationError
-from .graph import (
-    CentralityRanking,
-    Ordering,
-    SparseSymGraph,
-    eigenvector_centrality,
-    normalize_pair,
-    top_edges,
-    top_missing_pairs,
-)
+from .graph import Ordering, SparseSymGraph, eigenvector_centrality, normalize_pair, ranked_pairs
 from .krylov import (
     _ROUNDING,
     DEFAULT_LAG,
@@ -54,7 +50,6 @@ __all__ = [
     "gradient",
     "hessian",
     "interior_point_solve",
-    "CandidateMode",
     "select_candidates",
 ]
 
@@ -577,59 +572,39 @@ def _armijo(bp, c, w, d, val, grad, mu):
 # ---------------------------------------------------------------------
 
 
-class CandidateMode(enum.Enum):
-    TUNING = "tuning"      # existing edges only
-    REWIRING = "rewiring"  # half existing, half missing
-    ADDITION = "addition"  # missing edges only
-
-
-def select_candidates(graph, mode: CandidateMode, f, n_P=100, n_F=30):
+def select_candidates(graph, mode: WeightedMode, f, n_P, n_F):
     """Pick the n_F most gradient-sensitive edges among n_P centrality candidates.
 
-    TUNING ranks existing edges by score products; ADDITION ranks missing
-    pairs by the minmax ordering; REWIRING draws half of its candidates (and
-    half of F) from each pool under the minmax ordering. The final cut keeps
-    the candidates with the largest entries 2 f'(A)_ij, i.e. the largest
-    gradient components at x = 0.
+    The mode fixes the pools: DOWNGRADE and TUNE rank existing edges by
+    score products, ADD ranks missing pairs by the minmax ordering, and
+    REWIRE draws half of its candidates (and half of F) from each of those
+    two pools under the minmax ordering. Every pool comes from one
+    eigenvector centrality through :func:`fconn.graph.ranked_pairs`. The
+    final cut keeps each pool's candidates with the largest entries
+    2 f'(A)_ij, i.e. the largest gradient components at x = 0.
     """
+    if mode is WeightedMode.REWIRE:
+        pools = [(False, n_P // 2, n_F // 2), (True, n_P - n_P // 2, n_F - n_F // 2)]
+    else:
+        pools = [(mode is WeightedMode.ADD, n_P, n_F)]
+    existing_only = mode in (WeightedMode.DOWNGRADE, WeightedMode.TUNE)
+    ordering = Ordering.PRODUCT if existing_only else Ordering.MINMAX
     scores = eigenvector_centrality(graph)
+    ranked = [ranked_pairs(graph, scores, ordering, size, missing) for missing, size, _ in pools]
+    for (missing, size, _), cands in zip(pools, ranked):
+        if missing and not cands:
+            raise ExhaustedSearchSpaceError("graph is complete: no edges to add")
+        if len(cands) < size:
+            kind = "missing pairs" if missing else "existing edges"
+            warnings.warn(f"only {len(cands)} {kind} available (pool of {size})")
     fprime = f.derivative()
-
-    def grad_sorted(pairs, count):
-        cols = {}  # f'(A) e_v, one Lanczos column per node the pairs touch
-        for v in sorted({v for p in pairs for v in p}):
-            e = np.zeros(graph.n)
-            e[v] = 1.0
-            cols[v] = fun_action(graph, fprime, e)
-        vals = {(i, j): 0.5 * (cols[j][i] + cols[i][j]) for i, j in pairs}
-        ranked = sorted(pairs, key=lambda p: (-vals[p], p))
-        return ranked[:count]
-
-    if mode is CandidateMode.TUNING:
-        rank = CentralityRanking(scores, Ordering.PRODUCT)
-        cands = top_edges(graph.edge_pairs, rank, n_P)
-        if len(cands) < n_P:
-            warnings.warn(f"only {len(cands)} existing edges available (n_P={n_P})")
-        return grad_sorted(cands, n_F)
-
-    if mode is CandidateMode.ADDITION:
-        rank = CentralityRanking(scores, Ordering.MINMAX)
-        cands = top_missing_pairs(graph.n, rank, n_P, graph.edge_set())
-        if not cands:
-            raise ExhaustedSearchSpaceError("graph is complete: no edges to add")
-        if len(cands) < n_P:
-            warnings.warn(f"only {len(cands)} missing pairs available (n_P={n_P})")
-        return grad_sorted(cands, n_F)
-
-    if mode is CandidateMode.REWIRING:
-        rank = CentralityRanking(scores, Ordering.MINMAX)
-        c1 = top_edges(graph.edge_pairs, rank, n_P // 2)
-        c2 = top_missing_pairs(graph.n, rank, n_P - n_P // 2, graph.edge_set())
-        if len(c1) < n_P // 2 or len(c2) < n_P - n_P // 2:
-            warnings.warn("candidate pools smaller than requested")
-        if not c2:
-            raise ExhaustedSearchSpaceError("graph is complete: no edges to add")
-        take1 = n_F // 2
-        return grad_sorted(c1, take1) + grad_sorted(c2, n_F - take1)
-
-    raise ValueError(f"unknown candidate mode {mode}")
+    cols = {}  # f'(A) e_v, one Lanczos column per node the pools touch
+    for v in sorted({v for cands in ranked for p in cands for v in p}):
+        e = np.zeros(graph.n)
+        e[v] = 1.0
+        cols[v] = fun_action(graph, fprime, e)
+    F = []
+    for (_, _, take), cands in zip(pools, ranked):
+        vals = {(i, j): 0.5 * (cols[j][i] + cols[i][j]) for i, j in cands}
+        F += sorted(cands, key=lambda p: (-vals[p], p))[:take]
+    return F

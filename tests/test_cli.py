@@ -181,6 +181,17 @@ def test_bad_krylov_controls_exit_2_for_every_method(method, flag, edge_list, ca
         ["break", "--budget", "1", "--method", "miobi", "--eigenpairs", "-1"],
         ["break", "--budget", "1", "--tol", "-1"],
         ["break", "--budget", "1", "--tol", "nan"],
+        ["break", "--budget", "1", "--function", "foo"],
+        ["break", "--budget", "1", "--function", "resolvent:alpha=-1"],
+        ["break", "--budget", "1", "--function", "resolvent:alpha=abc"],
+        ["break", "--budget", "1", "--function", "resolvent:alpha=nan"],
+        ["break", "--budget", "1", "--function", "poly:"],
+        ["break", "--budget", "1", "--function", "poly:1,inf"],
+        ["break", "--budget", "1", "--seed", "-1"],
+        ["trace", "--seed", "-3"],
+        ["add", "--budget", "1", "--n-p", "0"],
+        ["downgrade", "--budget", "1", "--n-p", "-3"],
+        ["tune", "--budget", "1", "--n-f", "0"],
     ],
 )
 def test_non_finite_or_out_of_range_numbers_exit_2(argv, edge_list, capsys):

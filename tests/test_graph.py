@@ -13,13 +13,22 @@ from fconn.graph import (
     eigenvector_centrality,
     load_graph,
     normalize_pair,
+    ranked_pairs,
     save_graph,
     select_search_space,
     top_edges,
     top_missing_pairs,
 )
 
-from conftest import cycle, missing_pairs, path, random_connected_graph, star, triangle
+from conftest import (
+    barabasi_albert,
+    cycle,
+    missing_pairs,
+    path,
+    random_connected_graph,
+    star,
+    triangle,
+)
 
 
 class TestGraphConstruction:
@@ -381,7 +390,7 @@ class TestSelection:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_top_missing_matches_brute_force(self, ordering, seed):
         g = random_connected_graph(30, 40, seed=seed)
-        r = CentralityRanking.from_graph(g, ordering)
+        r = CentralityRanking(eigenvector_centrality(g), ordering)
         for count in (1, 5, 20):
             got = top_missing_pairs(g.n, r, count, g.edge_set())
             want = brute_force_top_missing(g, r, count)
@@ -390,7 +399,7 @@ class TestSelection:
     def test_top_missing_with_score_plateau(self):
         # disconnected star forces zero scores on the far component
         g = SparseSymGraph(7, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (4, 5, 1.0)])
-        r = CentralityRanking.from_graph(g, Ordering.MINMAX)
+        r = CentralityRanking(eigenvector_centrality(g), Ordering.MINMAX)
         got = top_missing_pairs(g.n, r, 4, g.edge_set())
         want = brute_force_top_missing(g, r, 4)
         assert got == want
@@ -408,9 +417,30 @@ class TestSearchSpaces:
         # break on node index); their missing pairs are the leaf-leaf ones
         assert got == [(1, 2), (1, 3), (2, 3)]
 
+    @pytest.mark.parametrize(
+        "graph", [barabasi_albert(80, 3, seed=2), star(6)], ids=["barabasi-albert", "star"]
+    )
+    def test_ad3_matches_brute_force(self, graph):
+        # the missing pairs among the d nodes first by (-degree, index), d the
+        # maximum degree, in (min, max) order; checked again after a step
+        def brute_force(g, chosen):
+            deg = g.degrees()
+            top = sorted(sorted(range(g.n), key=lambda v: (-deg[v], v))[: int(deg.max())])
+            return [
+                (a, b) for a in top for b in top
+                if a < b and not g.has_edge(a, b) and (a, b) not in chosen
+            ]
+
+        want = brute_force(graph, set())
+        assert len(want) > 1
+        assert select_search_space(graph, Strategy.AD_3, set()) == want
+        pick = want[len(want) // 2]
+        work = graph.with_edge_delta(*pick, 1.0)
+        assert select_search_space(work, Strategy.AD_3, {pick}) == brute_force(work, {pick})
+
     def test_path3_dg2_tie_breaks_to_first_edge(self):
         g = path(3)
-        r = CentralityRanking.from_graph(g, Ordering.MINMAX, tol=1e-12)
+        r = CentralityRanking(eigenvector_centrality(g, tol=1e-12), Ordering.MINMAX)
         ranked = top_edges(g.edge_pairs, r, 1)
         assert select_search_space(g, Strategy.DG_2, set(), ranked) == [(0, 1)]
 
@@ -425,7 +455,7 @@ class TestSearchSpaces:
     def test_dg_ranked_uses_initial_edges(self):
         # after removing the top edge, it must not reappear, and the window grows
         g = random_connected_graph(12, 10, seed=3)
-        r = CentralityRanking.from_graph(g, Ordering.PRODUCT)
+        r = CentralityRanking(eigenvector_centrality(g), Ordering.PRODUCT)
         ranked = top_edges(g.edge_pairs, r, 5)
         first = select_search_space(g, Strategy.DG_1, set(), ranked[:4])
         assert len(first) == 4
@@ -445,8 +475,9 @@ class TestSearchSpaces:
         q = 6
         ranked = None
         if strategy.implied_ordering is not None:
-            ranking = CentralityRanking.from_graph(g, strategy.implied_ordering)
-            ranked = ranked_pairs(g, strategy, ranking, q + 2)
+            scores = eigenvector_centrality(g)
+            missing = not strategy.is_removal
+            ranked = ranked_pairs(g, scores, strategy.implied_ordering, q + 2, missing)
         edge_set = g.edge_set()
         work = g
         chosen = set()
@@ -479,13 +510,6 @@ def sorted_top(pairs, ranking, count):
 RANKED = [Strategy.DG_1, Strategy.DG_2, Strategy.AD_1, Strategy.AD_2]
 
 
-def ranked_pairs(g, strategy, ranking, count):
-    """The greedy's ranked candidates: the best edges (DG) or missing pairs (AD)."""
-    if strategy.is_removal:
-        return top_edges(g.edge_pairs, ranking, count)
-    return top_missing_pairs(g.n, ranking, count, g.edge_set())
-
-
 @pytest.mark.parametrize("strategy", RANKED)
 @pytest.mark.parametrize(
     "graph",
@@ -493,11 +517,13 @@ def ranked_pairs(g, strategy, ranking, count):
     ids=["star", "cycle", "path", "random"],
 )
 def test_ranked_selection_matches_sorted_order(strategy, graph):
-    ranking = CentralityRanking.from_graph(graph, strategy.implied_ordering, tol=1e-12)
+    scores = eigenvector_centrality(graph, tol=1e-12)
+    ranking = CentralityRanking(scores, strategy.implied_ordering)
     initial = graph.edge_set()
     pool = initial if strategy.is_removal else missing_pairs(graph)
     q, steps = 4, 3
-    ranked = ranked_pairs(graph, strategy, ranking, q + steps - 1)
+    missing = not strategy.is_removal
+    ranked = ranked_pairs(graph, scores, strategy.implied_ordering, q + steps - 1, missing)
     work, chosen = graph, set()
     for step in range(steps):
         want = [p for p in sorted_top(pool, ranking, q + step) if p not in chosen]

@@ -287,6 +287,17 @@ class TestEigenvBaseline:
         r = CentralityRanking(eigenvector_centrality(g), Ordering.PRODUCT)
         assert plan.pairs == top_edges(g.edge_pairs, r, 4)
 
+    def test_make_uses_product_ordering(self):
+        g = random_connected_graph(15, 20, seed=15)
+        from fconn.graph import CentralityRanking, Ordering, eigenvector_centrality
+
+        plan = eigenv_baseline(g, 4, Mode.MAKE)
+        r = CentralityRanking(eigenvector_centrality(g), Ordering.PRODUCT)
+        # by product; the minmax ordering would rank (6, 13) first here
+        want = sorted(missing_pairs(g), key=lambda p: (-r.key(p)[0], p))[:4]
+        assert plan.pairs == want
+        assert [d for _, _, d in plan.edges] == [1.0] * 4
+
     def test_budget_validation(self):
         with pytest.raises(ValidationError):
             eigenv_baseline(path(3), 0, Mode.BREAK)

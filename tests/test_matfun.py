@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fconn.errors import DomainError
+from fconn.errors import DomainError, ValidationError
 from fconn.matfun import (
     Cosh,
     Exp,
@@ -98,9 +98,9 @@ class TestScalarCatalog:
         assert isinstance(r, Resolvent) and r.alpha == 0.05
         p = function_from_spec("poly:1,0,2")
         assert isinstance(p, Polynomial) and p.degree == 2
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             function_from_spec("gamma")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             function_from_spec("resolvent")
 
 

@@ -8,7 +8,6 @@ from fconn.graph import CentralityRanking, Ordering, eigenvector_centrality, top
 from fconn.krylov import _ROUNDING
 from fconn.matfun import Exp, Resolvent
 from fconn.weighted import (
-    CandidateMode,
     WeightedMode,
     WeightedProblem,
     entry_gradient_cache,
@@ -213,7 +212,7 @@ def _timed_solve(prob, inner):
 
 def test_newton_converges_on_downgrade():
     g = random_connected_graph(60, 240, seed=[3, 4, 0], weighted=True)
-    F = select_candidates(g, CandidateMode.TUNING, Exp(), n_P=18, n_F=6)
+    F = select_candidates(g, WeightedMode.DOWNGRADE, Exp(), n_P=18, n_F=6)
     prob = WeightedProblem.build(g, F, WeightedMode.DOWNGRADE, 5.0, Exp())
     x, report = _timed_solve(prob, "hessian")
     assert report.converged and report.inner_iterations < 150
@@ -221,13 +220,10 @@ def test_newton_converges_on_downgrade():
     assert report.objective == pytest.approx(_dense_phi(prob, g.adjacency.toarray(), x), rel=1e-10)
 
 
-@pytest.mark.parametrize(
-    "mode,candidates",
-    [(WeightedMode.ADD, CandidateMode.ADDITION), (WeightedMode.REWIRE, CandidateMode.REWIRING)],
-)
-def test_newton_and_lbfgs_agree(mode, candidates):
+@pytest.mark.parametrize("mode", [WeightedMode.ADD, WeightedMode.REWIRE])
+def test_newton_and_lbfgs_agree(mode):
     g = random_connected_graph(60, 240, seed=[1, 4, 0], weighted=True)
-    F = select_candidates(g, candidates, Exp(), n_P=8, n_F=3)
+    F = select_candidates(g, mode, Exp(), n_P=8, n_F=3)
     prob = WeightedProblem.build(g, F, mode, 2.0, Exp())
     _, newton = _timed_solve(prob, "hessian")
     _, lbfgs = _timed_solve(prob, "lbfgs")
@@ -241,7 +237,7 @@ def test_newton_stops_at_the_rounding_level_of_phi():
     # the projected A + X and A: about 2e-9 here, where phi is about -6e3.
     # The projected spectra lack the smallest eigenvalues of the dense ones.
     g = random_connected_graph(60, 240, seed=[1, 4, 0], weighted=True)
-    F = select_candidates(g, CandidateMode.TUNING, Exp(), n_P=8, n_F=3)
+    F = select_candidates(g, WeightedMode.DOWNGRADE, Exp(), n_P=8, n_F=3)
     prob = WeightedProblem.build(g, F, WeightedMode.DOWNGRADE, 2.0, Exp())
     x, report = _timed_solve(prob, "hessian")
     assert report.converged and report.inner_iterations < 150
@@ -253,24 +249,26 @@ def test_newton_stops_at_the_rounding_level_of_phi():
     assert model.phi_floor == pytest.approx(want, rel=1e-2)
 
 
-@pytest.mark.parametrize("mode", list(CandidateMode))
+@pytest.mark.parametrize("mode", list(WeightedMode))
 def test_select_candidates_ranks_each_pool_by_dense_derivative(mode):
     # F is the top n_F of each centrality pool by the dense f'(A)_ij, ties
-    # broken by pair; with f = exp, f' = exp too.
+    # broken by pair; with f = exp, f' = exp too. DOWNGRADE and TUNE draw
+    # existing edges by products, ADD missing pairs by minmax, REWIRE half
+    # of each by minmax.
     g = random_connected_graph(40, 80, seed=[5, 4, 0], weighted=True)
     n_P, n_F = 16, 6
     fprime = oracles.matrix_function(Exp(), g.adjacency.toarray())
     scores = eigenvector_centrality(g)
-    order = Ordering.PRODUCT if mode is CandidateMode.TUNING else Ordering.MINMAX
-    rank = CentralityRanking(scores, order)
+    existing_only = mode in (WeightedMode.DOWNGRADE, WeightedMode.TUNE)
+    rank = CentralityRanking(scores, Ordering.PRODUCT if existing_only else Ordering.MINMAX)
 
     def best(pool, count):
         assert len(pool) > count
         return sorted(pool, key=lambda p: (-fprime[p], p))[:count]
 
-    if mode is CandidateMode.TUNING:
+    if existing_only:
         want = best(top_edges(g.edge_pairs, rank, n_P), n_F)
-    elif mode is CandidateMode.ADDITION:
+    elif mode is WeightedMode.ADD:
         want = best(top_missing_pairs(g.n, rank, n_P, g.edge_set()), n_F)
     else:
         existing = top_edges(g.edge_pairs, rank, n_P // 2)
