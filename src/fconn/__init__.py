@@ -26,7 +26,6 @@ from .errors import (
     ValidationError,
 )
 from .graph import (
-    CentralityRanking,
     Ordering,
     SparseSymGraph,
     Strategy,
@@ -50,7 +49,6 @@ from .matfun import (
     Resolvent,
     ScalarFunction,
     Sinh,
-    apply_fun_sym,
     block_frechet,
     function_from_spec,
     sym_eig,

@@ -138,6 +138,16 @@ class RunSpec:
             raise ValidationError(f"n_p and n_f must be >= 1, got {self.n_p} and {self.n_f}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if self.budget is not None and not 0.0 < self.budget < np.inf:
+            raise ValidationError(f"budget must be positive and finite, got {self.budget}")
+        if self.upper is not None and not np.isfinite(self.upper):
+            raise ValidationError(f"upper must be finite, got {self.upper}")
+        if self.q < 1 or self.eigenpairs < 1:
+            raise ValidationError(
+                f"q and eigenpairs must be >= 1, got {self.q} and {self.eigenpairs}"
+            )
+        if self.probes < 2 or self.probes % 2:
+            raise ValidationError(f"probes must be an even number >= 2, got {self.probes}")
 
 
 @dataclass
@@ -306,8 +316,8 @@ def _set_denominator(report, estimate):
 
 def run(spec: RunSpec):
     """Execute one run and write its artifacts. Returns the report."""
-    graph = load_graph(spec.input, spec.fmt)
     f = function_from_spec(spec.function)
+    graph = load_graph(spec.input, spec.fmt)
 
     if spec.subcommand == "trace":
         report = TraceVariationReport()
@@ -358,8 +368,8 @@ def compare(specs):
     keys = {(s.input, s.budget, s.function, s.subcommand) for s in specs}
     if len(keys) != 1:
         raise ValidationError("compare requires specs sharing input, budget and function")
-    graph = load_graph(specs[0].input, specs[0].fmt)
     f = function_from_spec(specs[0].function)
+    graph = load_graph(specs[0].input, specs[0].fmt)
     runs, estimate = _beside_denominator(
         graph, f, specs[0], lambda: [_run_unweighted(spec, graph, f) for spec in specs]
     )

@@ -1,4 +1,4 @@
-"""Sparse symmetric graphs: storage, file I/O, centrality, edge orderings.
+"""Sparse symmetric graphs: storage, file I/O, centrality, pair ranking.
 
 Nodes are 0-based integers internally; the file formats use 1-based indices
 (edge lists and Matrix-Market coordinate files both follow that convention).
@@ -11,12 +11,15 @@ these arrays; the tuple views ``edges``, ``edge_pairs`` and ``edge_set()``
 are materialized only when asked for. Graphs are immutable: every
 modification returns a new object, which shares the arrays it does not
 change with the original, so instances are safe to share between threads.
+
+:func:`ranked_pairs` ranks a graph's edges or missing pairs by node
+centrality, with one ordering key (``_pair_keys``) and one edge-membership
+test (``_not_edges``), which AD_3 in :func:`select_search_space` shares.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -29,11 +32,8 @@ __all__ = [
     "save_graph",
     "eigenvector_centrality",
     "Ordering",
-    "CentralityRanking",
     "Strategy",
     "select_search_space",
-    "top_edges",
-    "top_missing_pairs",
     "ranked_pairs",
 ]
 
@@ -513,55 +513,27 @@ class Ordering(enum.Enum):
     MINMAX = "minmax"    # compare (min score, max score) lexicographically
 
 
-@dataclass(frozen=True)
-class CentralityRanking:
-    """Node scores plus the ordering used to rank node pairs.
+def _pair_keys(scores, ordering, lo, hi):
+    """Sort keys of the pairs (lo[k], hi[k]) under ``ordering``, primary key first.
 
-    ``scores`` must be entrywise nonnegative with unit 2-norm (as produced by
-    :func:`eigenvector_centrality`).
+    The better pair has the smaller key: -(s_lo s_hi) for PRODUCT, and
+    (-min, -max) of the two scores for MINMAX.
     """
-
-    scores: np.ndarray
-    ordering: Ordering = Ordering.PRODUCT
-
-    def __post_init__(self):
-        s = np.asarray(self.scores, dtype=float)
-        object.__setattr__(self, "scores", s)
-        if np.any(s < 0):
-            raise ValidationError("centrality scores must be nonnegative")
-        if abs(np.linalg.norm(s) - 1.0) > 1e-12:
-            raise ValidationError("centrality scores must have unit 2-norm")
-
-    def key(self, pair):
-        """Comparable ranking key of a node pair (larger key = more important)."""
-        si = float(self.scores[pair[0]])
-        sj = float(self.scores[pair[1]])
-        if self.ordering is Ordering.PRODUCT:
-            return (si * sj,)
-        return (min(si, sj), max(si, sj))
+    a, b = scores[lo], scores[hi]
+    if ordering is Ordering.PRODUCT:
+        return (-(a * b),)
+    return (-np.minimum(a, b), -np.maximum(a, b))
 
 
-def _pair_array(pairs):
-    """(lo, hi) int arrays of node pairs given as an (E, 2) array or an iterable."""
-    if not isinstance(pairs, np.ndarray):
-        pairs = list(pairs)
-    P = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return P.min(axis=1), P.max(axis=1)
-
-
-def _rank_order(ranking, lo, hi, count):
-    """Indices of the ``count`` best pairs by ranking key descending, ties by (min, max index).
+def _rank_order(scores, ordering, lo, hi, count):
+    """Indices of the ``count`` best pairs by ranking key, ties by (min, max index).
 
     Equal to the first ``count`` entries of the full lexsort, but only the
     head is sorted: ``np.partition`` finds the count-th best primary key (the
     product, or the min score for MINMAX), and only the pairs at least that
     good, every pair tied with the cut included, are lexsorted.
     """
-    a, b = ranking.scores[lo], ranking.scores[hi]
-    if ranking.ordering is Ordering.PRODUCT:
-        keys = (-(a * b),)
-    else:
-        keys = (-np.minimum(a, b), -np.maximum(a, b))
+    keys = _pair_keys(scores, ordering, lo, hi)
     count = min(max(count, 0), len(lo))
     head = np.arange(len(lo))
     if 0 < count < len(lo):
@@ -570,64 +542,57 @@ def _rank_order(ranking, lo, hi, count):
     return head[order[:count]]
 
 
-def top_edges(pairs, ranking: CentralityRanking, count: int):
-    """The ``count`` most important pairs among ``pairs``, deterministic order.
-
-    ``pairs`` is an (E, 2) array or an iterable of node pairs; the result is
-    a list of (min, max) tuples, best first.
-    """
-    lo, hi = _pair_array(pairs)
-    top = _rank_order(ranking, lo, hi, count)
-    return list(zip(lo[top].tolist(), hi[top].tolist()))
-
-
-def top_missing_pairs(n, ranking: CentralityRanking, count, forbidden):
-    """Top ``count`` node pairs not in ``forbidden``, without scanning all O(n^2) pairs.
-
-    Candidates are enumerated among the q' highest-score nodes and q' is grown
-    until the selection is certified: every pair touching a node outside the
-    top q' has key at most key(best node, next node), so once the count-th
-    candidate key strictly exceeds that bound no outside pair can displace the
-    selection. Score plateaus fall back to the exact full scan (q' = n).
-    ``forbidden`` is an (E, 2) array or an iterable of node pairs.
-    """
-    if count <= 0:
-        return []
-    flo, fhi = _pair_array(forbidden)
-    fkeys = np.unique(flo * n + fhi)
-    order = np.lexsort((np.arange(n), -ranking.scores))
-    qp = min(n, max(8, int(np.ceil(np.sqrt(2 * (count + len(fkeys))))) + 1))
-    while True:
-        nodes = order[:qp]
-        a, b = np.triu_indices(qp, 1)
-        lo, hi = np.minimum(nodes[a], nodes[b]), np.maximum(nodes[a], nodes[b])
-        allowed = ~np.isin(lo * n + hi, fkeys)
-        lo, hi = lo[allowed], hi[allowed]
-        top = _rank_order(ranking, lo, hi, count)
-        cands = list(zip(lo[top].tolist(), hi[top].tolist()))
-        if qp >= n:
-            return cands
-        if len(cands) >= count:
-            kth = ranking.key(cands[count - 1])
-            bound = ranking.key((int(order[0]), int(order[qp])))
-            if kth > bound:
-                return cands
-        qp = min(n, 2 * qp)
+def _not_edges(g: SparseSymGraph, lo, hi):
+    """Mask of the pairs (lo[k], hi[k]), lo < hi, that are not edges of ``g``."""
+    n, (i, j, _) = g.n, g.edge_arrays
+    # the edge keys i n + j are sorted, as the edges are; the sentinel n^2
+    # exceeds every pair key, so each lookup lands inside the array
+    edge_keys = np.append(i * n + j, n * n)
+    keys = lo * n + hi
+    return edge_keys[np.searchsorted(edge_keys, keys)] != keys
 
 
 def ranked_pairs(g: SparseSymGraph, scores, ordering: Ordering, count, missing):
     """The ``count`` best edges of ``g``, or with ``missing`` its best missing pairs.
 
-    Pairs are ranked by the node ``scores`` (see :class:`CentralityRanking`)
-    under ``ordering``, with :func:`top_edges` or :func:`top_missing_pairs`;
-    the result is a list of (min, max) tuples, best first. Every method that
-    draws candidates from a centrality pool takes it from here.
+    Pairs are ranked by the node ``scores`` (from :func:`eigenvector_centrality`)
+    under ``ordering``, best first, ties by (min, max) index; the result is a
+    list of (min, max) tuples. Every method that draws candidates from a
+    centrality pool takes it from here.
+
+    Missing pairs are found without scanning all O(n^2) of them: they are
+    enumerated among the q' highest-score nodes, and q' doubles until the
+    selection is certified. Every pair touching a node outside the top q'
+    ranks no better than (best node, (q'+1)-th node), so once the count-th
+    candidate ranks strictly better than that pair, no outside pair can
+    displace the selection. Score plateaus fall back to the full scan (q' = n).
     """
-    ranking = CentralityRanking(scores, ordering)
-    edges = np.column_stack(g.edge_arrays[:2])
-    if missing:
-        return top_missing_pairs(g.n, ranking, count, edges)
-    return top_edges(edges, ranking, count)
+    if not missing:
+        lo, hi = g.edge_arrays[:2]
+        top = _rank_order(scores, ordering, lo, hi, count)
+        return list(zip(lo[top].tolist(), hi[top].tolist()))
+    if count <= 0:
+        return []
+    n = g.n
+    order = np.lexsort((np.arange(n), -scores))
+    qp = min(n, max(8, int(np.ceil(np.sqrt(2 * (count + g.num_edges)))) + 1))
+    while True:
+        nodes = order[:qp]
+        a, b = np.triu_indices(qp, 1)
+        lo, hi = np.minimum(nodes[a], nodes[b]), np.maximum(nodes[a], nodes[b])
+        new = _not_edges(g, lo, hi)
+        lo, hi = lo[new], hi[new]
+        top = _rank_order(scores, ordering, lo, hi, count)
+        if qp >= n:
+            break
+        if len(top) == count:
+            kth, bound = zip(*_pair_keys(
+                scores, ordering, [lo[top[-1]], order[0]], [hi[top[-1]], order[qp]]
+            ))
+            if kth < bound:
+                break
+        qp = min(n, 2 * qp)
+    return list(zip(lo[top].tolist(), hi[top].tolist()))
 
 
 # ---------------------------------------------------------------------
@@ -685,17 +650,11 @@ def select_search_space(g: SparseSymGraph, strategy: Strategy, chosen, ranked=No
 
     if strategy is Strategy.AD_3:
         deg = g.degrees()
-        d = int(deg.max()) if g.num_edges else 0
-        if d == 0:
-            return []
-        n, (i, j, _) = g.n, g.edge_arrays
-        nodes = np.sort(np.lexsort((np.arange(n), -deg))[:d])
+        d = int(deg.max())
+        nodes = np.sort(np.lexsort((np.arange(g.n), -deg))[:d])
         a, b = np.triu_indices(d, 1)
         lo, hi = nodes[a], nodes[b]
-        # the edge keys i n + j are sorted, as the edges are
-        keys, edge_keys = lo * n + hi, i * n + j
-        at = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
-        new = edge_keys[at] != keys
+        new = _not_edges(g, lo, hi)
         pairs = zip(lo[new].tolist(), hi[new].tolist())
         return [p for p in pairs if p not in chosen]
 

@@ -195,9 +195,6 @@ class LowRankUpdate:
         D[np.ix_(self.nodes, self.nodes)] = self.B
         return D
 
-    def negated(self):
-        return LowRankUpdate(self.n, self.nodes, -self.B)
-
 
 def _qr_rows(W, thr):
     """Rank-revealing QR of the rows of W, in place; rows with |R_ii| <= thr are deflated.

@@ -25,7 +25,6 @@ __all__ = [
     "function_from_spec",
     "symmetrize",
     "sym_eig",
-    "apply_fun_sym",
     "block_frechet",
 ]
 
@@ -263,13 +262,6 @@ def sym_eig(H):
     if H.shape[0] < 1:
         raise ValueError("matrix order must be >= 1")
     return np.linalg.eigh(H)
-
-
-def apply_fun_sym(f: ScalarFunction, H):
-    """Evaluate f(H) for symmetric H through its eigendecomposition."""
-    w, Q = sym_eig(H)
-    f.check_spectrum(w)
-    return (Q * f(w)) @ Q.T
 
 
 def block_frechet(f: ScalarFunction, H, G, E):

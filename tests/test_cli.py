@@ -170,32 +170,51 @@ def test_bad_krylov_controls_exit_2_for_every_method(method, flag, edge_list, ca
     assert "must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["add", "--budget", "nan"],
-        ["add", "--budget", "inf"],
-        ["downgrade", "--budget", "nan"],
-        ["add", "--budget", "2", "--upper", "nan"],
-        ["break", "--budget", "1", "--method", "miobi", "--eigenpairs", "0"],
-        ["break", "--budget", "1", "--method", "miobi", "--eigenpairs", "-1"],
-        ["break", "--budget", "1", "--tol", "-1"],
-        ["break", "--budget", "1", "--tol", "nan"],
-        ["break", "--budget", "1", "--function", "foo"],
-        ["break", "--budget", "1", "--function", "resolvent:alpha=-1"],
-        ["break", "--budget", "1", "--function", "resolvent:alpha=abc"],
-        ["break", "--budget", "1", "--function", "resolvent:alpha=nan"],
-        ["break", "--budget", "1", "--function", "poly:"],
-        ["break", "--budget", "1", "--function", "poly:1,inf"],
-        ["break", "--budget", "1", "--seed", "-1"],
-        ["trace", "--seed", "-3"],
-        ["add", "--budget", "1", "--n-p", "0"],
-        ["downgrade", "--budget", "1", "--n-p", "-3"],
-        ["tune", "--budget", "1", "--n-f", "0"],
-    ],
-)
+BAD_NUMBERS = [
+    ["add", "--budget", "nan"],
+    ["add", "--budget", "inf"],
+    ["downgrade", "--budget", "nan"],
+    ["add", "--budget", "2", "--upper", "nan"],
+    ["break", "--budget", "1", "--method", "miobi", "--eigenpairs", "0"],
+    ["break", "--budget", "1", "--method", "miobi", "--eigenpairs", "-1"],
+    ["break", "--budget", "1", "--tol", "-1"],
+    ["break", "--budget", "1", "--tol", "nan"],
+    ["break", "--budget", "1", "--function", "foo"],
+    ["break", "--budget", "1", "--function", "resolvent:alpha=-1"],
+    ["break", "--budget", "1", "--function", "resolvent:alpha=abc"],
+    ["break", "--budget", "1", "--function", "resolvent:alpha=nan"],
+    ["break", "--budget", "1", "--function", "poly:"],
+    ["break", "--budget", "1", "--function", "poly:1,inf"],
+    ["break", "--budget", "1", "--seed", "-1"],
+    ["trace", "--seed", "-3"],
+    ["add", "--budget", "1", "--n-p", "0"],
+    ["downgrade", "--budget", "1", "--n-p", "-3"],
+    ["tune", "--budget", "1", "--n-f", "0"],
+    ["add", "--budget", "0"],
+    ["downgrade", "--budget", "-1"],
+    ["break", "--budget", "0"],
+    ["make", "--budget", "-2", "--method", "eigenv"],
+    ["add", "--budget", "2", "--upper", "inf"],
+    ["break", "--budget", "1", "--q", "0"],
+    ["make", "--budget", "1", "--eigenpairs", "0"],
+    ["break", "--budget", "1", "--probes", "3"],
+    ["make", "--budget", "1", "--probes", "0"],
+    ["trace", "--probes", "1"],
+    ["downgrade", "--budget", "1", "--probes", "-2"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_NUMBERS)
 def test_non_finite_or_out_of_range_numbers_exit_2(argv, edge_list, capsys):
-    assert main(argv + ["--input", edge_list, "--probes", "8"]) == 2
+    # the argv's own options come last, so its --probes overrides the 8
+    assert main(argv[:1] + ["--input", edge_list, "--probes", "8"] + argv[1:]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", BAD_NUMBERS)
+def test_bad_numbers_are_rejected_before_the_input_is_read(argv, tmp_path, capsys):
+    # a missing input would exit 3: the numbers must be checked first
+    assert main(argv + ["--input", str(tmp_path / "missing.edges")]) == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from fconn.errors import ConvergenceError, InputFormatError, ValidationError
 from fconn.graph import (
-    CentralityRanking,
     Ordering,
     SparseSymGraph,
     Strategy,
@@ -16,8 +15,6 @@ from fconn.graph import (
     ranked_pairs,
     save_graph,
     select_search_space,
-    top_edges,
-    top_missing_pairs,
 )
 
 from conftest import (
@@ -294,36 +291,63 @@ class TestEigenvectorCentrality:
             eigenvector_centrality(triangle(), tol=0.0)
 
 
+def pair_key(scores, ordering, pair):
+    """Ranking key of a node pair, written apart from fconn (larger key = better pair)."""
+    si, sj = float(scores[pair[0]]), float(scores[pair[1]])
+    if ordering is Ordering.PRODUCT:
+        return (si * sj,)
+    return (min(si, sj), max(si, sj))
+
+
+def sorted_top(pairs, scores, ordering, count):
+    """Ranking by a key-sorted list: key descending, ties by (min index, max index)."""
+    return sorted(
+        (normalize_pair(*p) for p in pairs),
+        key=lambda p: tuple(-c for c in pair_key(scores, ordering, p)) + p,
+    )[:count]
+
+
+def on_pairs(n, pairs):
+    """Unweighted graph on ``n`` nodes whose edges are ``pairs``."""
+    return SparseSymGraph(n, [(i, j, 1.0) for i, j in pairs])
+
+
+def complete(n):
+    return on_pairs(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
 class TestCompareEdges:
-    """The pairwise order of node pairs under a ranking, as ``top_edges`` applies it."""
+    """The pairwise order of node pairs under an ordering, as ``ranked_pairs`` applies it."""
 
-    SCORES = np.array([0.9, 0.5, 0.4, 0.1])
-
-    def _ranking(self, ordering):
-        s = self.SCORES / np.linalg.norm(self.SCORES)
-        return CentralityRanking(s, ordering)
+    SCORES = np.array([0.9, 0.5, 0.4, 0.1]) / np.linalg.norm([0.9, 0.5, 0.4, 0.1])
 
     def test_product_ordering(self):
-        r = self._ranking(Ordering.PRODUCT)
-        assert top_edges([(0, 3), (1, 2)], r, 2) == [(1, 2), (0, 3)]
+        g = on_pairs(4, [(0, 3), (1, 2)])
+        assert ranked_pairs(g, self.SCORES, Ordering.PRODUCT, 2, False) == [(1, 2), (0, 3)]
 
     def test_minmax_ordering(self):
-        r = self._ranking(Ordering.MINMAX)
-        assert top_edges([(0, 3), (1, 2)], r, 2) == [(1, 2), (0, 3)]
+        g = on_pairs(4, [(0, 3), (1, 2)])
+        assert ranked_pairs(g, self.SCORES, Ordering.MINMAX, 2, False) == [(1, 2), (0, 3)]
 
     def test_degenerate_tie(self):
         s = np.full(4, 0.5)
-        r = CentralityRanking(s, Ordering.PRODUCT)
-        assert r.key((0, 1)) == r.key((2, 3))
-        assert top_edges([(2, 3), (0, 1)], r, 2) == [(0, 1), (2, 3)]
+        g = on_pairs(4, [(2, 3), (0, 1)])
+        assert ranked_pairs(g, s, Ordering.PRODUCT, 2, False) == [(0, 1), (2, 3)]
+        # the same tie among missing pairs: (0, 1) and (2, 3) are all that is left
+        rest = on_pairs(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+        assert ranked_pairs(rest, s, Ordering.PRODUCT, 2, True) == [(0, 1), (2, 3)]
 
     def test_minmax_breaks_on_max_after_min_tie(self):
         s = np.array([0.1, 0.8, 0.1, 0.3])
-        r = CentralityRanking(s / np.linalg.norm(s), Ordering.MINMAX)
+        s = s / np.linalg.norm(s)
         # min ties at 0.1; (0,1) has larger max than (2,3), and (1,2) larger
         # than (0,3) even though (0,3) comes first by index
-        assert top_edges([(2, 3), (0, 1)], r, 2) == [(0, 1), (2, 3)]
-        assert top_edges([(0, 3), (1, 2)], r, 2) == [(1, 2), (0, 3)]
+        assert ranked_pairs(on_pairs(4, [(2, 3), (0, 1)]), s, Ordering.MINMAX, 2, False) == [
+            (0, 1), (2, 3)
+        ]
+        assert ranked_pairs(on_pairs(4, [(0, 3), (1, 2)]), s, Ordering.MINMAX, 2, False) == [
+            (1, 2), (0, 3)
+        ]
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=8))
     @settings(max_examples=100, deadline=None)
@@ -332,37 +356,25 @@ class TestCompareEdges:
         scores = raw / np.linalg.norm(raw)
         n = len(scores)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        full, empty = complete(n), on_pairs(n, [])
         for ordering in Ordering:
-            r = CentralityRanking(scores, ordering)
-            ranked = top_edges(pairs[::-1], r, len(pairs))
+            ranked = ranked_pairs(full, scores, ordering, len(pairs), False)
             assert sorted(ranked) == pairs
             # keys descending, equal keys in index order
             for a, b in zip(ranked, ranked[1:]):
-                assert r.key(a) > r.key(b) or (r.key(a) == r.key(b) and a < b)
-            # a shorter list, which sorts only its head, is a prefix of the full one
-            for count in range(len(pairs)):
-                assert top_edges(pairs[::-1], r, count) == ranked[:count]
-
-    def test_score_validation(self):
-        with pytest.raises(ValidationError):
-            CentralityRanking(np.array([0.5, -0.5]), Ordering.PRODUCT)
-        with pytest.raises(ValidationError):
-            CentralityRanking(np.array([0.5, 0.5]), Ordering.PRODUCT)
-
-
-def brute_force_top_missing(g, ranking, count):
-    return sorted(
-        missing_pairs(g),
-        key=lambda p: tuple(-c for c in ranking.key(p)) + p,
-    )[:count]
+                ka, kb = pair_key(scores, ordering, a), pair_key(scores, ordering, b)
+                assert ka > kb or (ka == kb and a < b)
+            # a shorter list, which sorts only its head, is a prefix of the full
+            # one; so is the missing-pair pool of the edgeless graph
+            for count in range(len(pairs) + 1):
+                assert ranked_pairs(full, scores, ordering, count, False) == ranked[:count]
+                assert ranked_pairs(empty, scores, ordering, count, True) == ranked[:count]
 
 
 class TestSelection:
     def test_top_edges_deterministic_ties(self):
-        s = np.full(4, 0.5)
-        r = CentralityRanking(s, Ordering.PRODUCT)
-        pairs = [(2, 3), (0, 1), (1, 3)]
-        assert top_edges(pairs, r, 2) == [(0, 1), (1, 3)]
+        g = on_pairs(4, [(2, 3), (0, 1), (1, 3)])
+        assert ranked_pairs(g, np.full(4, 0.5), Ordering.PRODUCT, 2, False) == [(0, 1), (1, 3)]
 
     @pytest.mark.parametrize("ordering", list(Ordering))
     @pytest.mark.parametrize("shape", ["star", "cycle"])
@@ -373,36 +385,90 @@ class TestSelection:
         s = np.full(n, 1.0)
         if shape == "star":
             s[0] = 3.0
-        r = CentralityRanking(s / np.linalg.norm(s), ordering)
+        s = s / np.linalg.norm(s)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        shuffled = [pairs[k] for k in np.random.default_rng(3).permutation(len(pairs))]
-        want = sorted(pairs, key=lambda p: tuple(-c for c in r.key(p)) + p)
+        want = sorted_top(pairs, s, ordering, len(pairs))
+        full, empty = complete(n), on_pairs(n, [])
         for count in range(len(pairs) + 2):
-            assert top_edges(shuffled, r, count) == want[:count]
+            assert ranked_pairs(full, s, ordering, count, False) == want[:count]
+            assert ranked_pairs(empty, s, ordering, count, True) == want[:count]
 
     def test_complete_graph_product_order(self):
         s = np.array([0.9, 0.5, 0.4, 0.1])
-        r = CentralityRanking(s / np.linalg.norm(s), Ordering.PRODUCT)
-        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-        assert top_edges(pairs, r, 2) == [(0, 1), (0, 2)]
+        s = s / np.linalg.norm(s)
+        assert ranked_pairs(complete(4), s, Ordering.PRODUCT, 2, False) == [(0, 1), (0, 2)]
 
     @pytest.mark.parametrize("ordering", list(Ordering))
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_top_missing_matches_brute_force(self, ordering, seed):
         g = random_connected_graph(30, 40, seed=seed)
-        r = CentralityRanking(eigenvector_centrality(g), ordering)
+        scores = eigenvector_centrality(g)
         for count in (1, 5, 20):
-            got = top_missing_pairs(g.n, r, count, g.edge_set())
-            want = brute_force_top_missing(g, r, count)
-            assert got == want
+            got = ranked_pairs(g, scores, ordering, count, True)
+            assert got == sorted_top(missing_pairs(g), scores, ordering, count)
 
     def test_top_missing_with_score_plateau(self):
         # disconnected star forces zero scores on the far component
         g = SparseSymGraph(7, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (4, 5, 1.0)])
-        r = CentralityRanking(eigenvector_centrality(g), Ordering.MINMAX)
-        got = top_missing_pairs(g.n, r, 4, g.edge_set())
-        want = brute_force_top_missing(g, r, 4)
-        assert got == want
+        scores = eigenvector_centrality(g)
+        got = ranked_pairs(g, scores, Ordering.MINMAX, 4, True)
+        assert got == sorted_top(missing_pairs(g), scores, Ordering.MINMAX, 4)
+
+    def test_edgeless_graph(self):
+        # no edge to rank or to skip: uniform scores leave the missing pool in
+        # index order, and AD_3 (d = 0) is empty
+        g = on_pairs(6, [])
+        scores = eigenvector_centrality(g)
+        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        for ordering in Ordering:
+            assert ranked_pairs(g, scores, ordering, 5, False) == []
+            assert ranked_pairs(g, scores, ordering, 20, True) == pairs
+        assert select_search_space(g, Strategy.AD_3, set()) == []
+
+
+def lexsort_reference(scores, ordering, lo, hi):
+    """All pairs (lo[k], hi[k]) ranked by one full lexsort: key descending, then (lo, hi)."""
+    a, b = scores[lo], scores[hi]
+    if ordering is Ordering.PRODUCT:
+        keys = [-(a * b)]
+    else:
+        keys = [-np.maximum(a, b), -np.minimum(a, b)]  # lexsort's primary key is last
+    order = np.lexsort([hi, lo] + keys)
+    return list(zip(lo[order].tolist(), hi[order].tolist()))
+
+
+class TestRankedPairsAtScale:
+    @pytest.fixture(scope="class")
+    def tree(self):
+        return random_connected_graph(20000, 80000, seed=41)
+
+    @pytest.fixture(scope="class")
+    def hubs(self):
+        # a BA graph whose best node is joined to the next 499: under the
+        # product ordering the best missing pairs join it to nodes past those
+        # 499, so certifying a selection doubles q' twice, from about 145
+        g = barabasi_albert(2000, 5, seed=42)
+        top = np.argsort(-eigenvector_centrality(g), kind="stable")[:500].tolist()
+        spokes = [(top[0], x, 1.0) for x in top[1:] if not g.has_edge(top[0], x)]
+        return SparseSymGraph(g.n, list(g.edges) + spokes)
+
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_tree_edges_match_full_lexsort(self, tree, ordering):
+        scores = eigenvector_centrality(tree)
+        lo, hi, _ = tree.edge_arrays
+        want = lexsort_reference(scores, ordering, lo, hi)
+        for count in (1, 15, 100, 400):
+            assert ranked_pairs(tree, scores, ordering, count, False) == want[:count]
+
+    @pytest.mark.parametrize("ordering", list(Ordering))
+    def test_ba_missing_pairs_match_full_lexsort(self, hubs, ordering):
+        # the reference ranks every missing pair of the graph
+        scores = eigenvector_centrality(hubs)
+        lo, hi = np.triu_indices(hubs.n, 1)
+        new = hubs.adjacency.toarray()[lo, hi] == 0
+        want = lexsort_reference(scores, ordering, lo[new], hi[new])
+        for count in (1, 15, 100):
+            assert ranked_pairs(hubs, scores, ordering, count, True) == want[:count]
 
 
 class TestSearchSpaces:
@@ -440,8 +506,8 @@ class TestSearchSpaces:
 
     def test_path3_dg2_tie_breaks_to_first_edge(self):
         g = path(3)
-        r = CentralityRanking(eigenvector_centrality(g, tol=1e-12), Ordering.MINMAX)
-        ranked = top_edges(g.edge_pairs, r, 1)
+        scores = eigenvector_centrality(g, tol=1e-12)
+        ranked = ranked_pairs(g, scores, Ordering.MINMAX, 1, False)
         assert select_search_space(g, Strategy.DG_2, set(), ranked) == [(0, 1)]
 
     def test_ranked_strategies_need_ranking(self):
@@ -455,8 +521,7 @@ class TestSearchSpaces:
     def test_dg_ranked_uses_initial_edges(self):
         # after removing the top edge, it must not reappear, and the window grows
         g = random_connected_graph(12, 10, seed=3)
-        r = CentralityRanking(eigenvector_centrality(g), Ordering.PRODUCT)
-        ranked = top_edges(g.edge_pairs, r, 5)
+        ranked = ranked_pairs(g, eigenvector_centrality(g), Ordering.PRODUCT, 5, False)
         first = select_search_space(g, Strategy.DG_1, set(), ranked[:4])
         assert len(first) == 4
         pick = first[0]
@@ -465,7 +530,7 @@ class TestSearchSpaces:
         assert len(second) == 4
         assert pick not in second
         # ranked top-(q+1) of the initial edge set minus the pick
-        want = [p for p in top_edges(g.edge_pairs, r, 5) if p != pick]
+        want = [p for p in ranked if p != pick]
         assert second == want
 
     @pytest.mark.parametrize("strategy", list(Strategy))
@@ -499,14 +564,6 @@ class TestSearchSpaces:
             chosen.add(pick)
 
 
-def sorted_top(pairs, ranking, count):
-    """Ranking by a key-sorted list: key descending, ties by (min index, max index)."""
-    return sorted(
-        (normalize_pair(*p) for p in pairs),
-        key=lambda p: tuple(-c for c in ranking.key(p)) + p,
-    )[:count]
-
-
 RANKED = [Strategy.DG_1, Strategy.DG_2, Strategy.AD_1, Strategy.AD_2]
 
 
@@ -518,7 +575,6 @@ RANKED = [Strategy.DG_1, Strategy.DG_2, Strategy.AD_1, Strategy.AD_2]
 )
 def test_ranked_selection_matches_sorted_order(strategy, graph):
     scores = eigenvector_centrality(graph, tol=1e-12)
-    ranking = CentralityRanking(scores, strategy.implied_ordering)
     initial = graph.edge_set()
     pool = initial if strategy.is_removal else missing_pairs(graph)
     q, steps = 4, 3
@@ -526,7 +582,7 @@ def test_ranked_selection_matches_sorted_order(strategy, graph):
     ranked = ranked_pairs(graph, scores, strategy.implied_ordering, q + steps - 1, missing)
     work, chosen = graph, set()
     for step in range(steps):
-        want = [p for p in sorted_top(pool, ranking, q + step) if p not in chosen]
+        want = [p for p in sorted_top(pool, scores, strategy.implied_ordering, q + step) if p not in chosen]
         assert select_search_space(work, strategy, chosen, ranked[: q + step]) == want
         if not want:
             break

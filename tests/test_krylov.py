@@ -56,10 +56,6 @@ class TestLowRankUpdate:
             with pytest.raises(ValidationError):
                 LowRankUpdate.from_edge_deltas(4, deltas)
 
-    def test_negated(self):
-        X = LowRankUpdate.from_edge(4, 0, 1, 2.0)
-        assert np.allclose(X.negated().dense(), -X.dense())
-
 
 def _qr_block(case):
     """(V, thr) of one _qr_rows contract case: its columns are the vectors, on 50 rows."""
@@ -251,7 +247,7 @@ class TestTraceFunUpdate:
             X = LowRankUpdate.from_edge(30, i, j, -1.0)
             fwd = trace_fun_update(g, X, Exp(), tol=tol).delta
             g2 = g.with_edge_delta(i, j, -1.0)
-            back = trace_fun_update(g2, X.negated(), Exp(), tol=tol).delta
+            back = trace_fun_update(g2, LowRankUpdate(30, X.nodes, -X.B), Exp(), tol=tol).delta
             assert abs(fwd + back) <= 10 * tol * max(1.0, abs(fwd))
 
     @pytest.mark.parametrize("lag", [1, 2, 3])

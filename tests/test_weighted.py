@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from fconn.graph import CentralityRanking, Ordering, eigenvector_centrality, top_edges, top_missing_pairs
+from fconn.graph import Ordering, eigenvector_centrality, ranked_pairs
 from fconn.krylov import _ROUNDING
 from fconn.matfun import Exp, Resolvent
 from fconn.weighted import (
@@ -260,18 +260,18 @@ def test_select_candidates_ranks_each_pool_by_dense_derivative(mode):
     fprime = oracles.matrix_function(Exp(), g.adjacency.toarray())
     scores = eigenvector_centrality(g)
     existing_only = mode in (WeightedMode.DOWNGRADE, WeightedMode.TUNE)
-    rank = CentralityRanking(scores, Ordering.PRODUCT if existing_only else Ordering.MINMAX)
+    ordering = Ordering.PRODUCT if existing_only else Ordering.MINMAX
 
     def best(pool, count):
         assert len(pool) > count
         return sorted(pool, key=lambda p: (-fprime[p], p))[:count]
 
     if existing_only:
-        want = best(top_edges(g.edge_pairs, rank, n_P), n_F)
+        want = best(ranked_pairs(g, scores, ordering, n_P, False), n_F)
     elif mode is WeightedMode.ADD:
-        want = best(top_missing_pairs(g.n, rank, n_P, g.edge_set()), n_F)
+        want = best(ranked_pairs(g, scores, ordering, n_P, True), n_F)
     else:
-        existing = top_edges(g.edge_pairs, rank, n_P // 2)
-        missing = top_missing_pairs(g.n, rank, n_P - n_P // 2, g.edge_set())
+        existing = ranked_pairs(g, scores, ordering, n_P // 2, False)
+        missing = ranked_pairs(g, scores, ordering, n_P - n_P // 2, True)
         want = best(existing, n_F // 2) + best(missing, n_F - n_F // 2)
     assert select_candidates(g, mode, Exp(), n_P=n_P, n_F=n_F) == want
