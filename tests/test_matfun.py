@@ -102,32 +102,50 @@ class TestScalarCatalog:
         with pytest.raises(ValidationError):
             function_from_spec("resolvent")
 
-    @staticmethod
-    def _of_matrix(f, H):
-        """f(H) = Q f(w) Q^T for symmetric H = Q diag(w) Q^T, its spectrum checked first."""
-        w, Q = sym_eig(H)
-        f.check_spectrum(w)
-        return (Q * f(w)) @ Q.T
 
-    def test_closed_forms_on_matrices(self):
-        assert np.allclose(self._of_matrix(Exp(), np.zeros((2, 2))), np.eye(2))
+def fun_of_sym(f, H):
+    """f(H) = Q f(w) Q^T for symmetric H = Q diag(w) Q^T, its spectrum checked first."""
+    w, Q = sym_eig(H)
+    f.check_spectrum(w)
+    return (Q * f(w)) @ Q.T
+
+
+class TestApplyFunSym:
+    def test_exp_of_zero(self):
+        assert np.allclose(fun_of_sym(Exp(), np.zeros((2, 2))), np.eye(2))
+
+    def test_poly_square_of_involution(self):
         H = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(self._of_matrix(Polynomial([0, 0, 1]), H), np.eye(2))
-        want = np.array([[np.cosh(1), np.sinh(1)], [np.sinh(1), np.cosh(1)]])
-        assert np.allclose(self._of_matrix(Exp(), H), want, rtol=1e-14)
+        assert np.allclose(fun_of_sym(Polynomial([0, 0, 1]), H), np.eye(2))
 
-    def test_matrix_values_match_dense_oracle(self):
+    def test_exp_of_involution_closed_form(self):
+        H = np.array([[0.0, 1.0], [1.0, 0.0]])
+        got = fun_of_sym(Exp(), H)
+        want = np.array([[np.cosh(1), np.sinh(1)], [np.sinh(1), np.cosh(1)]])
+        assert np.allclose(got, want, rtol=1e-14)
+
+    def test_poly_matches_horner(self):
+        rng = np.random.default_rng(2)
+        H = rng.standard_normal((12, 12))
+        H = 0.5 * (H + H.T)
+        f = Polynomial([0.3, -1.0, 0.0, 2.0, 0.5])
+        got = fun_of_sym(f, H)
+        want = oracles.matrix_function(f, H)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_resolvent_pole_inside_spectrum(self):
+        H = np.diag([0.0, 5.0])
+        with pytest.raises(DomainError):
+            fun_of_sym(Resolvent(0.5), H)
+
+    def test_all_functions_match_dense_oracle(self):
         rng = np.random.default_rng(3)
         H = rng.standard_normal((10, 10))
         H = 0.25 * (H + H.T)
-        for f in ALL_FUNCTIONS + [Polynomial([0.3, -1.0, 0.0, 2.0, 0.5])]:
-            got = self._of_matrix(f, H)
+        for f in ALL_FUNCTIONS:
+            got = fun_of_sym(f, H)
             want = oracles.matrix_function(f, H)
             assert np.linalg.norm(got - want) <= 1e-11 * max(1, np.linalg.norm(want))
-
-    def test_resolvent_pole_inside_spectrum(self):
-        with pytest.raises(DomainError):
-            self._of_matrix(Resolvent(0.5), np.diag([0.0, 5.0]))
 
 
 class TestSymEig:
