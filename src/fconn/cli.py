@@ -140,14 +140,31 @@ class RunSpec:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.budget is not None and not 0.0 < self.budget < np.inf:
             raise ValidationError(f"budget must be positive and finite, got {self.budget}")
-        if self.upper is not None and not np.isfinite(self.upper):
-            raise ValidationError(f"upper must be finite, got {self.upper}")
+        if self.upper is not None:
+            self._check_upper()
         if self.q < 1 or self.eigenpairs < 1:
             raise ValidationError(
                 f"q and eigenpairs must be >= 1, got {self.q} and {self.eigenpairs}"
             )
         if self.probes < 2 or self.probes % 2:
             raise ValidationError(f"probes must be an even number >= 2, got {self.probes}")
+
+    def _check_upper(self):
+        """The sign rules of ``WeightedProblem.build`` for the cap, before any input is read.
+
+        Each optimized x lies in [lower, upper]. lower is 0 on a missing pair,
+        and add optimizes only missing pairs and rewire always some, so their
+        cap must be > 0; tune optimizes existing edges, where lower < 0, so its
+        cap may be 0. downgrade only lowers weights and takes no cap.
+        """
+        if self.subcommand not in ("add", "tune", "rewire"):
+            raise ValidationError(f"upper is not an option of {self.subcommand!r}")
+        if not np.isfinite(self.upper):
+            raise ValidationError(f"upper must be finite, got {self.upper}")
+        if self.subcommand == "tune" and self.upper < 0:
+            raise ValidationError(f"upper must be >= 0 for 'tune', got {self.upper}")
+        if self.subcommand != "tune" and self.upper <= 0:
+            raise ValidationError(f"upper must be > 0 for {self.subcommand!r}, got {self.upper}")
 
 
 @dataclass
@@ -446,11 +463,12 @@ def _build_parser():
         p.add_argument("--n-p", type=int, help="centrality candidates")
         p.add_argument("--n-f", type=int, help="optimized edges")
         p.add_argument("--method", choices=_METHODS[name])
-        p.add_argument(
-            "--upper",
-            type=float,
-            help="per-edge weight cap (default: largest existing weight)",
-        )
+        if name != "downgrade":
+            p.add_argument(
+                "--upper",
+                type=float,
+                help="per-edge weight cap (default: largest existing weight)",
+            )
 
     p = sub.add_parser("trace", help="estimate Tr(f(A))")
     _add_common(p)

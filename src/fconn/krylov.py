@@ -43,14 +43,19 @@ advance together, with one CSR SpMM over the active vectors per step,
 vector-wise recurrence updates and a stacked ``eigh`` of the (b, m, m)
 tridiagonal matrices. The kernel stores its vectors as the rows of (b, n)
 arrays, so the inner products and updates of each recurrence run over
-contiguous memory; each SpMM transposes its input and output. A form is
-||v||^2 e_1^T f(T_m) e_1 and needs no basis, so only the two newest basis
-vectors of each recurrence are kept. Each recurrence stops on its own form,
-by a vectorized copy of the relative lagged test with the rounding floor
-100 eps ||v||^2 max |f(T_m)|, and leaves the batch when it stops.
-``estimate_trace_f`` never runs a batch wider than half its p probes, so it
-holds fewer than ten n x p/2 blocks at once, its own Q and residual probes
-included: a tracemalloc peak of 22.5 MB at n = 20000 and p = 40.
+contiguous memory; scipy's SpMM takes its vectors as columns, so a step
+copies the rows into one reused block and the product back into rows, and
+allocates no other block. A form is ||v||^2 e_1^T f(T_m) e_1 and needs no
+basis, so only the two newest basis vectors of each recurrence are kept.
+Each recurrence stops on its own form, by a vectorized copy of the relative
+lagged test with the rounding floor 100 eps ||v||^2 max |f(T_m)|, and leaves
+the batch when it stops. A batch holds at most ``_BATCH_ENTRIES`` vector
+entries per block and five blocks at once, so the kernel's working set is
+at most 5 MiB for any number of probes p while n <= 2^17, where a batch
+still holds one vector. ``estimate_trace_f``
+holds one n x p/2 block beside the kernel, and three during the sketch's QRs
+and the residual probes' projection: a tracemalloc peak of 9.2 MiB at
+n = 20000 and p = 40.
 ``fun_action``, the package's one f(A) v (``select_candidates`` ranks edges
 by f'(A) e_v), runs the same recurrence on a single vector, keeps its basis
 V_m and returns ||v|| V_m f(T_m) e_1. Both take the start vector to be the
@@ -657,7 +662,15 @@ def multiple_frechet_eval(M, F, f, lag=DEFAULT_LAG, tol=1e-8, m_max=DEFAULT_M_MA
 
 
 def _rowdot(X, Y):
-    """Row-wise inner products of two (b, n) arrays."""
+    """Row-wise inner products of two (b, n) arrays, summed alike for every b.
+
+    numpy's einsum sums a lone row longer than its buffer (8192 entries) in
+    buffered pieces, and each of two or more rows in one pass, so a single
+    row is summed as both rows of a two-row broadcast view.
+    """
+    if len(X) == 1:
+        X, Y = (np.broadcast_to(Z, (2, Z.shape[1])) for Z in (X, Y))
+        return np.einsum("ij,ij->i", X, Y)[:1]
     return np.einsum("ij,ij->i", X, Y)
 
 
@@ -675,6 +688,12 @@ class _LanczosBatch:
     updates run over contiguous memory. Only the previous two basis vectors
     are kept. No recurrence's arithmetic depends on the others in its batch,
     so a start vector gives the same digits alone or in any batch.
+
+    The batch takes the start block as its own and allocates no block in a
+    step but the SpMM's result: three row blocks hold q_{s-1}, q_s and the
+    next vector in turn, and one more holds the SpMM's input, A's rows being
+    read once per step for every vector, and then the products that the
+    orthogonalization subtracts.
     """
 
     def __init__(self, A, starts, thr, m_max):
@@ -682,8 +701,10 @@ class _LanczosBatch:
         self._A = A
         self._thr = thr
         self.ids = np.arange(b)  # start-block row of each active recurrence
-        self.Q = starts  # newest basis vector q_s of each active recurrence (never written)
+        self.Q = starts  # newest basis vector q_s of each active recurrence
         self._P = np.zeros_like(starts)  # q_{s-1}
+        self._next = np.empty_like(starts)  # where q_{s+1} is built
+        self._work = np.empty(starts.size)  # SpMM input, then update products
         self.steps = 0
         # tridiagonal entries: alpha[c, s] = T[s, s], beta[c, s] = T[s+1, s]
         # (the residual norm) and gamma[c, s] = T[s-1, s] (an inner product)
@@ -695,23 +716,28 @@ class _LanczosBatch:
         """Advance every active recurrence by one basis vector.
 
         Returns a mask of the recurrences that grew; the others are exhausted
-        and their current tridiagonal matrix is exact.
+        and their current tridiagonal matrix is exact. The vectors q_s of the
+        previous step are overwritten.
         """
-        s, ids = self.steps, self.ids
-        W = np.ascontiguousarray((self._A @ self.Q.T).T, dtype=float)
+        s, ids, Q, P, W = self.steps, self.ids, self.Q, self._P, self._next
+        work = self._work[: Q.size]
+        X = work.reshape(Q.shape[::-1])
+        np.copyto(X, Q.T)  # scipy's SpMM takes its vectors as columns
+        np.copyto(W, (self._A @ X).T)
+        prod = work.reshape(Q.shape)
         for _ in range(2):
             if s:
-                c = _rowdot(self._P, W)
-                W -= c[:, None] * self._P
+                c = _rowdot(P, W)
+                W -= np.multiply(c[:, None], P, out=prod)
                 self.gamma[ids, s] += c
-            c = _rowdot(self.Q, W)
-            W -= c[:, None] * self.Q
+            c = _rowdot(Q, W)
+            W -= np.multiply(c[:, None], Q, out=prod)
             self.alpha[ids, s] += c
         beta = np.sqrt(_rowdot(W, W))
         self.beta[ids, s] = beta
         grew = beta > self._thr
         W /= np.where(grew, beta, 1.0)[:, None]
-        self._P, self.Q = self.Q, W
+        self._next, self._P, self.Q = P, Q, W
         self.steps = s + 1
         return grew
 
@@ -731,6 +757,19 @@ class _LanczosBatch:
         self.ids = self.ids[keep]
         self.Q = self.Q[keep]
         self._P = self._P[keep]
+        self._next = self._next[: len(self.ids)]
+
+
+# Vector entries (n times the width) of the widest lockstep batch. A batch
+# holds five blocks of its size at once, at most 5 MiB at this cap for any
+# number of probes (with n <= 2^17): a 20000-node graph runs 6 probes per
+# batch, a 2000-node one all 20 of a half. On the benchmark's 20000-node tree with 40 probes,
+# estimate_trace_f peaks at 9.2 MiB traced at this cap and at 2^16, where the
+# sketch's QR sets the peak, at 14.7 MiB at 2^18 and at 20.8 MiB uncapped.
+# The 6-probe batches take 4 times the steps of 20-probe ones, each with a
+# narrower SpMM; the estimate's time did not move (687 against 698 ms,
+# medians of 7 alternating calls on one core).
+_BATCH_ENTRIES = 2**17
 
 
 def _lanczos_lockstep(A, f, V, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
@@ -741,19 +780,35 @@ def _lanczos_lockstep(A, f, V, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
     m > lag where ``|form_m - form_{m-lag}| <= max(tol * |form_m|, floor_m)``,
     with floor_m = 100 eps ||v_c||^2 max |f(T_m)| the rounding level of the
     form (the test of :func:`_relative`, vectorized), or when its Krylov space
-    is exhausted (the form is then exact); zero columns give zero. All columns
-    advance together and each drops out when it stops. Raises
-    ConvergenceError if any column is still moving after ``m_max`` steps, with
-    the largest lagged change among those columns as the residual.
+    is exhausted (the form is then exact); zero columns give zero. The
+    columns run in batches of at most ``_BATCH_ENTRIES`` vector entries; in a
+    batch, all columns advance together and each drops out when it stops.
+    Raises ConvergenceError if a column of a batch is still moving after
+    ``m_max`` steps, with the largest lagged change among that batch's such
+    columns as the residual.
     """
     thr = _deflation_tol(A)
     A = _as_matrix(A)
-    X = np.ascontiguousarray(np.asarray(V, dtype=float).T)  # row c is v_c
+    V = np.asarray(V, dtype=float)
+    n, k = V.shape
+    width = max(1, _BATCH_ENTRIES // n)
+    forms = np.zeros(k)
+    for c in range(0, k, width):
+        forms[c : c + width] = _lockstep_batch(A, f, V[:, c : c + width], thr, lag, tol, m_max)
+    return forms
+
+
+def _lockstep_batch(A, f, V, thr, lag, tol, m_max):
+    """:func:`_lanczos_lockstep` on one batch of columns, with A a matrix."""
+    X = np.array(V.T, order="C")  # row c is v_c
     sq = _rowdot(X, X)  # ||v_c||^2, summed alike in any batch
     cols = np.flatnonzero(sq > 0.0)  # column of V of each recurrence
+    if len(cols) < len(sq):
+        X = X[cols]
+    X /= np.sqrt(sq[cols])[:, None]
     forms = np.zeros(len(sq))
     history = np.zeros((len(cols), m_max))  # form of each recurrence at each order
-    run = _LanczosBatch(A, X[cols] / np.sqrt(sq[cols, None]), thr, m_max)
+    run = _LanczosBatch(A, X, thr, m_max)
     while len(run.ids):
         grew = run.step()
         m, ids = run.steps, run.ids
@@ -796,11 +851,11 @@ def fun_action(A, f, v, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
     if norm == 0.0:
         return np.zeros_like(v)
     run = _LanczosBatch(_as_matrix(A), (v / norm)[None, :], thr, m_max)
-    basis = [run.Q[0]]
+    basis = [run.Q[0].copy()]  # the batch reuses its blocks
 
     def step(m):
         grew = bool(run.step()[0])
-        basis.append(run.Q[0])
+        basis.append(run.Q[0].copy())
         w, Z = np.linalg.eigh(run.tridiagonal()[0])
         f.check_spectrum(w)
         fw = f(w)
@@ -821,6 +876,13 @@ def fun_action(A, f, v, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
 class TraceEstimate:
     value: float
     stderr: float  # of the residual term; None with a single residual probe
+
+
+def _rademacher(rng, shape):
+    """Random signs, the values of ``rng.integers(0, 2, shape) * 2.0 - 1.0``, made in place."""
+    S = rng.integers(0, 2, size=shape) * 2.0
+    S -= 1.0
+    return S
 
 
 # Block power steps of the Hutch++ sketch Q = orth(A^SKETCH_POWER S). With 40
@@ -849,11 +911,11 @@ def estimate_trace_f(A, f, n_probes=40, seed=0):
     probes' quadratic forms divided by sqrt(n_probes/2) (None with a single
     residual probe).
 
-    Two lockstep Lanczos calls give the quadratic forms of f(A), for the
-    columns of Q and for the projected residual probes. Each recurrence is
-    independent of its batch, so splitting the forms in two half-width
-    batches changes no digit and keeps fewer (n, n_probes/2) blocks alive at
-    once.
+    Two lockstep Lanczos calls give the quadratic forms of f(A): first for
+    the columns of Q, then for the residual probes, drawn and projected
+    after, so that each call runs beside a single (n, n_probes/2) block. Each
+    recurrence is independent of its batch, so the kernel's batches change
+    no digit. Each QR runs with the product A Q alone beside its own copies.
     """
     M = _as_matrix(A)
     n = M.shape[0]
@@ -862,12 +924,15 @@ def estimate_trace_f(A, f, n_probes=40, seed=0):
     rng = np.random.default_rng(seed)
     half = n_probes // 2
 
-    Q = rng.integers(0, 2, size=(n, half)) * 2.0 - 1.0
+    Q = _rademacher(rng, (n, half))
     for _ in range(SKETCH_POWER):
-        Q, _ = np.linalg.qr(M @ Q)
-    Z = rng.integers(0, 2, size=(n, half)) * 2.0 - 1.0
-    Z -= Q @ (Q.T @ Z)
+        Y = M @ Q
+        del Q  # only A Q and the QR's copies are alive during the QR
+        Q, _ = np.linalg.qr(Y)
+        del Y
     top = _lanczos_lockstep(A, f, Q)
+    Z = _rademacher(rng, (n, half))
+    Z -= Q @ (Q.T @ Z)
     del Q
     resid = _lanczos_lockstep(A, f, Z)
     stderr = float(np.std(resid, ddof=1) / np.sqrt(half)) if half > 1 else None

@@ -1,4 +1,7 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from fconn import SparseSymGraph
 
@@ -65,3 +68,28 @@ def missing_pairs(g):
         if not g.has_edge(i, j)
     ]
 
+
+@pytest.fixture(scope="session")
+def bench_tree():
+    """The benchmark's break-tree graph for seed 1, input 0: 20000 nodes, 99999 edges."""
+    return random_connected_graph(20000, 4 * 20000, seed=[1, 0, 0])
+
+
+def traced_peak_mib(fn):
+    """``fn()`` and the peak of the memory traced during it, above what was traced before, in MiB.
+
+    tracemalloc counts numpy's array data exactly, so the peak does not
+    depend on how the allocator reuses freed memory.
+    """
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, (peak - before) / 2**20

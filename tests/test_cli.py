@@ -11,8 +11,8 @@ import pytest
 import fconn
 import fconn.cli
 import fconn.weighted
-from fconn.cli import main
-from fconn.errors import ConvergenceError
+from fconn.cli import RunSpec, main
+from fconn.errors import ConvergenceError, ValidationError
 from fconn.graph import Strategy, load_graph, save_graph
 from fconn.greedy import GreedyConfig, greedy_krylov
 from fconn.krylov import estimate_trace_f
@@ -201,6 +201,10 @@ BAD_NUMBERS = [
     ["make", "--budget", "1", "--probes", "0"],
     ["trace", "--probes", "1"],
     ["downgrade", "--budget", "1", "--probes", "-2"],
+    ["add", "--budget", "2", "--upper", "0"],
+    ["add", "--budget", "2", "--upper", "-1"],
+    ["rewire", "--budget", "2", "--upper", "0"],
+    ["tune", "--budget", "2", "--upper", "-0.5"],
 ]
 
 
@@ -216,6 +220,24 @@ def test_bad_numbers_are_rejected_before_the_input_is_read(argv, tmp_path, capsy
     # a missing input would exit 3: the numbers must be checked first
     assert main(argv + ["--input", str(tmp_path / "missing.edges")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_downgrade_takes_no_upper(edge_list, capsys):
+    # downgrade only lowers weights: a cap would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["downgrade", "--input", edge_list, "--budget", "1", "--upper", "2"])
+    assert exc.value.code == 2
+    assert "--upper" in capsys.readouterr().err
+    with pytest.raises(ValidationError, match="upper"):
+        RunSpec("downgrade", edge_list, budget=1.0, upper=2.0)
+    with pytest.raises(ValidationError, match="upper"):
+        RunSpec("break", edge_list, budget=1.0, upper=2.0)
+
+
+def test_tune_accepts_a_zero_upper(edge_list):
+    # tune's edges exist, so their lower bounds are < 0 and a zero cap
+    # still leaves every edge a range
+    assert RunSpec("tune", edge_list, budget=1.0, upper=0.0).upper == 0.0
 
 
 def test_unconverged_scoring_is_reported(edge_list, capsys):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse
+
+import fconn.graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +26,7 @@ from conftest import (
     path,
     random_connected_graph,
     star,
+    traced_peak_mib,
     triangle,
 )
 
@@ -241,6 +244,106 @@ class TestFileIO:
         g2 = load_graph(p)
         assert g2.n == g.n
         assert g2.edges == g.edges  # includes exact float equality
+
+
+def _load_outcome(path):
+    """What load_graph makes of a file: the graph's arrays, or the error it raises."""
+    try:
+        g = load_graph(path)
+    except (InputFormatError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    A = g.adjacency
+    return g.n, [x.tobytes() for x in g.edge_arrays + (A.indptr, A.indices, A.data)]
+
+
+# Texts whose lines and comments straddle the boundaries of small chunks.
+PATTERN = "%%MatrixMarket matrix coordinate pattern symmetric\n"
+CHUNKED_FILES = {
+    "edges.txt": "1 2\n2 3 0.5\n% a comment line longer than a chunk\n3 4\n\n# another\n4 1 2.5\n",
+    "crlf.txt": "1 2\r\n2 3\r\n% comment\r\n3 4 1.5\r\n\r\n4 5\r\n",
+    "no_final_newline.txt": "1 2\n# comment\n2 3\n3 4 0.25",
+    "late_bad_line.txt": "".join(f"{k} {k + 1}\n" for k in range(1, 40)) + "40 x\n41 42\n",
+    "late_wrong_fields.txt": "".join(f"{k} {k + 1}\n" for k in range(1, 30)) + "% c\n30\n",
+    "late_duplicate.txt": "".join(f"{k} {k + 1}\n" for k in range(1, 30)) + "# c\n7 6\n",
+    "late_self_loop.txt": "".join(f"{k} {k + 1}\r\n" for k in range(1, 30)) + "9 9\r\n",
+    "g.mtx": (
+        "%%MatrixMarket matrix coordinate real symmetric\n% comments before\n%\n"
+        "% the size line\n5 5 4\n2 1 0.5\n% c\n3 2 1.0\n4 3 2.0\n5 4 1.5"
+    ),
+    "late_size.mtx": PATTERN + "% c\n" * 20 + "3 3 2\n2 1\n3 1\n",
+    "bad_size.mtx": PATTERN + "% c\n" * 20 + "3 3\n2 1\n",
+    "no_size.mtx": PATTERN + "% c\n" * 20,
+    "late_bad_entry.mtx": (
+        PATTERN + "9 9 8\n" + "".join(f"{k + 1} {k}\n" for k in range(1, 8)) + "% c\n9 8 1\n"
+    ),
+    "out_of_range.mtx": PATTERN + "3 3 2\n2 1\n% c\n4 1\n",
+}
+
+
+class TestChunkedLoading:
+    """The loader reads text in chunks of whole lines; no result may depend on where they end."""
+
+    @pytest.fixture(params=sorted(CHUNKED_FILES))
+    def text_file(self, request, tmp_path):
+        p = tmp_path / request.param
+        p.write_bytes(CHUNKED_FILES[request.param].encode())
+        return p
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 13, 21, 64])
+    def test_outcome_does_not_depend_on_the_chunk_size(self, text_file, chunk, monkeypatch):
+        whole = _load_outcome(text_file)  # _CHUNK exceeds every file here
+        monkeypatch.setattr(fconn.graph, "_CHUNK", chunk)
+        assert _load_outcome(text_file) == whole
+
+    @pytest.mark.parametrize(
+        "name,kind,line",
+        [
+            ("late_bad_line.txt", InputFormatError, 40),
+            ("late_wrong_fields.txt", InputFormatError, 31),
+            ("late_duplicate.txt", ValidationError, 31),
+            ("late_self_loop.txt", ValidationError, 30),
+            ("bad_size.mtx", InputFormatError, 22),
+            ("no_size.mtx", InputFormatError, 21),
+            ("late_bad_entry.mtx", InputFormatError, 11),
+        ],
+    )
+    def test_first_bad_line_past_the_first_chunk(self, name, kind, line, tmp_path, monkeypatch):
+        p = tmp_path / name
+        p.write_bytes(CHUNKED_FILES[name].encode())
+        monkeypatch.setattr(fconn.graph, "_CHUNK", 16)
+        with pytest.raises(kind) as err:
+            load_graph(p)
+        if kind is InputFormatError:
+            assert err.value.line == line
+        else:
+            assert str(err.value).startswith(f"{p}:{line}: ")
+
+    @pytest.mark.parametrize(
+        "name,n,edges",
+        [
+            ("crlf.txt", 5, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.5), (3, 4, 1.0))),
+            ("no_final_newline.txt", 4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 0.25))),
+            ("g.mtx", 5, ((0, 1, 0.5), (1, 2, 1.0), (2, 3, 2.0), (3, 4, 1.5))),
+            ("late_size.mtx", 3, ((0, 1, 1.0), (0, 2, 1.0))),
+        ],
+    )
+    def test_lines_across_chunks(self, name, n, edges, tmp_path, monkeypatch):
+        p = tmp_path / name
+        p.write_bytes(CHUNKED_FILES[name].encode())
+        monkeypatch.setattr(fconn.graph, "_CHUNK", 4)
+        g = load_graph(p)
+        assert g.n == n and g.edges == edges
+
+    def test_bench_tree_loads_within_its_memory_bound(self, bench_tree, tmp_path):
+        # the benchmark's 1.09 MB edge list: parsing the whole text at once
+        # and sorting the 2m entries of A take 16.2 MiB traced
+        i, j, _ = bench_tree.edge_arrays
+        p = tmp_path / "tree.edges"
+        p.write_text("".join(f"{a + 1} {b + 1}\n" for a, b in zip(i.tolist(), j.tolist())))
+        g, peak = traced_peak_mib(lambda: load_graph(p))
+        assert peak <= 12.0
+        for x, y in zip(g.edge_arrays, bench_tree.edge_arrays):
+            assert x.tobytes() == y.tobytes()
 
 
 class TestEigenvectorCentrality:

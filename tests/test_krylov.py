@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+import fconn.krylov
 from fconn.errors import ConvergenceError, ValidationError
 from fconn.graph import SparseSymGraph
 from fconn.krylov import (
@@ -22,7 +23,14 @@ from fconn.krylov import (
 from fconn.matfun import Exp, Polynomial, Resolvent, Sinh
 
 import oracles
-from conftest import barabasi_albert, missing_pairs, path, random_connected_graph, triangle
+from conftest import (
+    barabasi_albert,
+    missing_pairs,
+    path,
+    random_connected_graph,
+    traced_peak_mib,
+    triangle,
+)
 
 
 class TestLowRankUpdate:
@@ -565,6 +573,17 @@ class TestLockstepKernel:
         for c in range(V.shape[1]):
             assert forms[c] == _lanczos_lockstep(g, Exp(), V[:, [c]])[0]
 
+    @pytest.mark.parametrize("width", [1, 2, 5, 8])
+    def test_batch_width_changes_no_digit(self, bench_tree, width, monkeypatch):
+        # five columns in batches narrower than, as wide as and wider than
+        # the block; n = 20000 exceeds einsum's 8192-entry buffer, so a
+        # batch that shrinks to one row takes the lone-row path
+        g = bench_tree
+        V = np.random.default_rng(33).standard_normal((g.n, 5))
+        alone = [_lanczos_lockstep(g, Exp(), V[:, [c]])[0] for c in range(5)]
+        monkeypatch.setattr(fconn.krylov, "_BATCH_ENTRIES", width * g.n)
+        assert _lanczos_lockstep(g, Exp(), V).tolist() == alone
+
     def test_exhausted_columns_are_exact(self):
         g = _mixed_components()
         V = _mixed_block(g.n)[:, [3, 4]]
@@ -677,6 +696,18 @@ class TestEstimateTrace:
         got = estimate_trace_f(g, Exp(), n_probes=probes, seed=seed)
         assert got.value == sum(top.tolist()) + sum(resid.tolist()) / (probes // 2)
         assert got.stderr == float(np.std(resid, ddof=1) / np.sqrt(probes // 2))
+
+    def test_batch_cap_changes_no_digit(self, bench_tree, monkeypatch):
+        capped = estimate_trace_f(bench_tree, Exp(), n_probes=40, seed=0)
+        monkeypatch.setattr(fconn.krylov, "_BATCH_ENTRIES", 2**40)
+        assert estimate_trace_f(bench_tree, Exp(), n_probes=40, seed=0) == capped
+
+    def test_memory_bound(self, bench_tree):
+        # n = 20000 and 40 probes: every probe of a half in one batch, and
+        # the previous sketch block alive through each QR, take 21.4 MiB
+        bench_tree.norm1  # cached by the graph, outside the estimate
+        _, peak = traced_peak_mib(lambda: estimate_trace_f(bench_tree, Exp(), n_probes=40))
+        assert peak <= 10.7
 
     def test_estimate_within_four_standard_errors(self):
         g = barabasi_albert(1000, 3, seed=0)
