@@ -13,6 +13,11 @@ are materialized only when asked for. Graphs are immutable: every
 modification returns a new object, which shares the arrays it does not
 change with the original, so instances are safe to share between threads.
 
+Every graph passes one edge check, :func:`_checked_order`: nodes in [0, n),
+no self-loop, finite positive weights, no pair twice in either orientation.
+The constructor, the loader (whose messages add the file, the line and
+1-based nodes) and ``with_edge_delta`` (on the pair it changes) all call it.
+
 :func:`load_graph` reads either file format through one reader,
 :func:`_tables`, which parses the text in chunks of whole lines, so the
 parser's working set is one chunk's token arrays beside the entries parsed
@@ -51,21 +56,6 @@ def normalize_pair(i, j):
     return (i, j) if i < j else (j, i)
 
 
-def _first_failure(checks):
-    """Raise ValidationError for the earliest row failing any check.
-
-    ``checks`` lists ``(mask, message)`` pairs in the order a row is checked;
-    ``message(k)`` formats the error for row k.
-    """
-    first = None
-    for mask, message in checks:
-        hit = np.flatnonzero(mask)
-        if hit.size and (first is None or hit[0] < first[0]):
-            first = (int(hit[0]), message)
-    if first is not None:
-        raise ValidationError(first[1](first[0]))
-
-
 def _repeats(lo, hi):
     """Pairs (lo[k], hi[k]) that already occur at an earlier k, and the (lo, hi) sort order.
 
@@ -87,25 +77,41 @@ def _repeats(lo, hi):
     return rep, order
 
 
-def _range_check(n, i, j, lo, hi):
-    """The :func:`_first_failure` check of node indices outside [0, n).
+def _checked_order(n, lo, hi, w, at=None):
+    """The (lo, hi) sort order of the edges (lo[k], hi[k], w[k]), lo <= hi, that pass the check.
 
-    ``lo``/``hi`` are the pairs' (min, max), ``i``/``j`` as the message shows
-    them. Raises at once if the graph has no node.
+    The earliest edge failing a test raises ValidationError with the first
+    test's message it fails: a node outside [0, n), a self-loop, a weight
+    that is not finite, negative or zero, or a pair already at an earlier k.
+    ``at(k)``, if given, prefixes the message of edge k and shows its nodes
+    1-based; otherwise they are 0-based. A graph without nodes raises at once.
     """
     if n < 1:
         raise ValidationError("graph must have at least one node")
-    return (lo < 0) | (hi >= n), lambda k: f"node index out of range: ({i[k]}, {j[k]}) with n={n}"
+    repeated, order = _repeats(lo, hi)
 
+    def first(mask):  # only one test's mask is alive at a time
+        return int(np.argmax(mask)) if mask.any() else len(mask)
 
-def _readonly(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    hits = [first((lo < 0) | (hi >= n)), first(lo == hi), first(~np.isfinite(w)),
+            first(w < 0), first(w == 0), first(repeated)]
+    k = min(hits)
+    if k < len(lo):
+        a, b = (lo[k], hi[k]) if at is None else (lo[k] + 1, hi[k] + 1)
+        message = [
+            f"node index out of range: ({a}, {b}) with n={n}",
+            f"self-loop at node {a}",
+            f"non-finite weight {w[k]}",
+            f"negative weight {w[k]}",
+            "zero weight (omit the edge instead)",
+            f"duplicate entry for edge ({a}, {b})",
+        ][hits.index(k)]
+        raise ValidationError(message if at is None else at(k) + message)
+    return order
 
 
 class SparseSymGraph:
-    """Immutable undirected graph with strictly positive edge weights.
+    """Immutable undirected graph with finite, strictly positive edge weights.
 
     The adjacency matrix is stored in CSR form, so matrix-vector products
     cost O(nnz). No self-loops, no duplicate edges; absence means weight 0.
@@ -115,28 +121,19 @@ class SparseSymGraph:
 
     def __init__(self, n: int, edges):
         """Graph on ``n`` nodes from (i, j, w) triples in any order and orientation."""
-        arr = np.array(list(edges), dtype=float).reshape(-1, 3)
-        self._init(n, arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2])
-
-    def _init(self, n, i, j, w):
-        """Check the edges, then store them sorted."""
         n = int(n)
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        in_range = _range_check(n, i, j, lo, hi)
-        repeated, order = _repeats(lo, hi)
-        _first_failure([
-            in_range,
-            (lo == hi, lambda k: f"self-loop at node {i[k]} is not allowed"),
-            (w <= 0, lambda k: f"edge ({i[k]}, {j[k]}) has non-positive weight {w[k]}"),
-            (repeated, lambda k: f"duplicate edge ({lo[k]}, {hi[k]})"),
-        ])
-        self._set(n, lo[order], hi[order], w[order])
+        arr = np.array(list(edges), dtype=float).reshape(-1, 3)
+        lo, hi = np.sort(arr[:, :2].astype(np.int64), axis=1).T
+        order = _checked_order(n, lo, hi, arr[:, 2])
+        self._set(n, lo[order], hi[order], arr[order, 2])
 
     def _set(self, n, i, j, w, adjacency=None):
         """Store checked edges (i < j, sorted); the adjacency is built from them if not given."""
         self.n = n
         self.adjacency = _adjacency(n, i, j, w) if adjacency is None else adjacency
-        self._i, self._j, self._w = _readonly(i, j, w)
+        for a in (i, j, w):
+            a.flags.writeable = False
+        self._i, self._j, self._w = i, j, w
         self._norm1 = None
         self._edges = None
 
@@ -210,10 +207,7 @@ class SparseSymGraph:
         """
         n = self.n
         a, b = normalize_pair(int(i), int(j))
-        if not (0 <= a and b < n):
-            raise ValidationError(f"node index out of range: ({a}, {b}) with n={n}")
-        if a == b:
-            raise ValidationError(f"self-loop at node {a} is not allowed")
+        _checked_order(n, np.array([a]), np.array([b]), np.ones(1))
         k, present = self._find(a, b)
         w_old = float(self._w[k]) if present else 0.0
         w_new = w_old + float(delta)
@@ -493,8 +487,10 @@ def load_graph(path, fmt="auto") -> SparseSymGraph:
     must be coordinate/symmetric (real, integer or pattern). Node indices
     are decimal integers; weights are read as Python's float() reads them.
     Each undirected edge must appear exactly once in either orientation;
-    duplicates (including mirrored ones), self-loops and non-positive
-    weights are rejected with the file and line of the offending entry.
+    duplicates (including mirrored ones), self-loops, weights that are not
+    finite and positive, and nodes beyond a Matrix-Market size line are
+    rejected by :func:`_checked_order` with the file and line of the
+    offending entry. A file that is not UTF-8 text raises InputFormatError.
 
     The text is parsed in chunks of whole lines (``_CHUNK`` characters), so
     the parser's working set does not grow with the file, and the entries'
@@ -512,24 +508,15 @@ def load_graph(path, fmt="auto") -> SparseSymGraph:
             raise ValueError(f"unknown format {fmt!r}")
     except OSError as exc:
         raise InputFormatError(f"cannot read file: {exc}", path=path)
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"not UTF-8 text: {exc.reason}", path=path)
     lo = np.minimum(i, j)
     hi = np.maximum(i, j, out=j)
     del i, j
-
-    def at(k):
-        return f"{path}:{lines[k]}: "
-
-    repeated, order = _repeats(lo, hi)
-    _first_failure([
-        (lo == hi, lambda k: at(k) + f"self-loop at node {lo[k] + 1}"),
-        (w < 0, lambda k: at(k) + f"negative weight {w[k]}"),
-        (w == 0, lambda k: at(k) + "zero weight (omit the edge instead)"),
-        (repeated, lambda k: at(k) + f"duplicate entry for edge ({lo[k] + 1}, {hi[k] + 1})"),
-    ])
-    del repeated, lines
     if not len(lo):
         raise ValidationError(f"{path}: no edges found")
-    _first_failure([_range_check(n, lo, hi, lo, hi)])
+    order = _checked_order(n, lo, hi, w, lambda k: f"{path}:{lines[k]}: ")
+    del lines
     # one sort, here; each sorted copy replaces its input
     lo = lo[order]
     hi = hi[order]

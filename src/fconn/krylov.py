@@ -82,15 +82,15 @@ those rows alone. That product is exact, and for a CSR matrix with sorted
 indices, as every graph's is, it equals the full product bit for bit. Each
 new block is orthonormalized on its rows in place by a pivoted Gram-Schmidt
 with two orthogonalization passes written in numpy (``_qr_rows``), so the
-module needs no ``scipy.linalg``; a vector whose residual norm is at most the
+module imports no scipy; a vector whose residual norm is at most the
 deflation threshold 1e-12 * max(1, ||A||_1) is deflated. Callers reach an
 order through ``BlockKrylov.reach``, which extends the space by at most one
 block and says whether the value at that order is still not exact.
 
-All routines accept a :class:`fconn.graph.SparseSymGraph`, a scipy sparse
-matrix or a dense ndarray as the large symmetric matrix, and every Krylov
-start is a list of node indices. A graph supplies its cached 1-norm for the
-deflation threshold.
+Every routine takes the large symmetric matrix as a
+:class:`fconn.graph.SparseSymGraph`, whose CSR adjacency has sorted indices
+and whose cached 1-norm sets the deflation threshold; every Krylov start is
+a list of node indices.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from . import matfun
 from .errors import ConvergenceError, ValidationError
@@ -121,28 +120,9 @@ DEFAULT_M_MAX = 100
 DEFAULT_TOL = 1e-6  # relative tolerance of trace_fun_update, the greedy scorer
 
 
-def _as_matrix(A):
-    """Accept a SparseSymGraph, scipy sparse matrix or ndarray."""
-    adj = getattr(A, "adjacency", None)
-    if adj is not None:
-        return adj
-    if scipy.sparse.issparse(A):
-        return A
-    return np.asarray(A, dtype=float)
-
-
-def _deflation_tol(A):
-    """Deflation threshold 1e-12 * max(1, ||A||_1).
-
-    A :class:`fconn.graph.SparseSymGraph` supplies its cached 1-norm; other
-    matrices get the exact max absolute column sum computed here.
-    """
-    norm = getattr(A, "norm1", None)
-    if norm is None:
-        M = _as_matrix(A)
-        size = M.nnz if scipy.sparse.issparse(M) else M.size
-        norm = float(np.max(np.abs(M).sum(axis=0))) if size else 0.0
-    return 1e-12 * max(1.0, norm)
+def _deflation_tol(g):
+    """Deflation threshold 1e-12 * max(1, ||A||_1), from the graph's cached 1-norm."""
+    return 1e-12 * max(1.0, g.norm1)
 
 
 class LowRankUpdate:
@@ -311,8 +291,8 @@ class BlockKrylov:
     within j steps of the start nodes) has CSR rows holding at most
     ``SUPPORT_SHARE`` of A's stored entries, A times the block is computed
     from those rows only (see :func:`_support_product`); this is exact, and
-    bit-identical to the full product for a CSR matrix with sorted indices.
-    Other matrices, and every block past that point, take the full product.
+    bit-identical to the full product, since a graph's CSR has sorted
+    indices. Every block past that point takes the full product.
 
     ``extend()`` orthogonalizes A times the newest block, filling one more
     block column of the projected matrix, and appends the next basis block.
@@ -324,30 +304,23 @@ class BlockKrylov:
     the orders: it extends at most once and reports the order reached.
     """
 
-    def __init__(self, A, nodes, mode="arnoldi", deflation_tol=None):
-        if deflation_tol is None:
-            deflation_tol = _deflation_tol(A)
-        A = _as_matrix(A)
-        if A.shape[0] != A.shape[1]:
-            raise ValidationError("matrix must be square")
+    def __init__(self, g, nodes, mode="arnoldi"):
         if mode not in ("arnoldi", "lanczos"):
             raise ValueError(f"unknown mode {mode!r}")
-        n = A.shape[0]
+        n = g.n
         nodes = np.asarray(nodes, dtype=np.intp)
         if not len(nodes) or min(nodes) < 0 or max(nodes) >= n or len(set(nodes)) < len(nodes):
             raise ValidationError("start nodes must be nonempty, distinct and in range")
-        self._A = A
+        self._A = g.adjacency
         self._keep = mode == "arnoldi"
-        self.n = n
-        self._thr = deflation_tol
+        self._thr = _deflation_tol(g)
         self._nodes = nodes
         s = len(nodes)
         Q0 = np.zeros((s, n))
         Q0[np.arange(s), nodes] = 1.0
         self._rows = [Q0]  # kept row arrays; the current block is the last one's rows from _split
         self._split = 0  # Lanczos: number of rows of the previous block in its one array
-        csr = getattr(A, "format", None) == "csr"
-        self._support = np.sort(nodes) if csr else None
+        self._support = np.sort(nodes)  # None once the product is a full SpMM
         self._offsets = [0, s]
         self._H = np.zeros((s, s))
         self._W = np.eye(s)  # rows of the basis at the start nodes, transposed
@@ -429,7 +402,7 @@ class BlockKrylov:
             self._support = None  # supports only grow
         # column_stack builds the (n, k) input column by column, several times
         # faster than a transposing copy for k = 2
-        return np.ascontiguousarray((self._A @ np.column_stack(Q)).T, dtype=float)
+        return np.ascontiguousarray((self._A @ np.column_stack(Q)).T)
 
     def projected(self, m=None):
         """Symmetric projected matrix over the first m filled block columns."""
@@ -615,10 +588,8 @@ def multiple_frechet_eval(M, F, f, lag=DEFAULT_LAG, tol=1e-8, m_max=DEFAULT_M_MA
     F = list(dict.fromkeys(tuple(p) for p in F))
     if not F:
         raise ValidationError("edge set must be nonempty")
-    thr = _deflation_tol(M)
-    M = _as_matrix(M)
     nodes = sorted({v for p in F for v in p})
-    kry = {v: BlockKrylov(M, [v], mode="arnoldi", deflation_tol=thr) for v in nodes}
+    kry = {v: BlockKrylov(M, [v], mode="arnoldi") for v in nodes}
     scales = {}  # (node, order) -> max |f| over the projected spectrum
 
     def scale(v, m):
@@ -788,7 +759,6 @@ def _lanczos_lockstep(A, f, V, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
     columns as the residual.
     """
     thr = _deflation_tol(A)
-    A = _as_matrix(A)
     V = np.asarray(V, dtype=float)
     n, k = V.shape
     width = max(1, _BATCH_ENTRIES // n)
@@ -799,7 +769,7 @@ def _lanczos_lockstep(A, f, V, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
 
 
 def _lockstep_batch(A, f, V, thr, lag, tol, m_max):
-    """:func:`_lanczos_lockstep` on one batch of columns, with A a matrix."""
+    """:func:`_lanczos_lockstep` on one batch of columns."""
     X = np.array(V.T, order="C")  # row c is v_c
     sq = _rowdot(X, X)  # ||v_c||^2, summed alike in any batch
     cols = np.flatnonzero(sq > 0.0)  # column of V of each recurrence
@@ -808,7 +778,7 @@ def _lockstep_batch(A, f, V, thr, lag, tol, m_max):
     X /= np.sqrt(sq[cols])[:, None]
     forms = np.zeros(len(sq))
     history = np.zeros((len(cols), m_max))  # form of each recurrence at each order
-    run = _LanczosBatch(A, X, thr, m_max)
+    run = _LanczosBatch(A.adjacency, X, thr, m_max)
     while len(run.ids):
         grew = run.step()
         m, ids = run.steps, run.ids
@@ -850,7 +820,7 @@ def fun_action(A, f, v, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
     norm = float(np.sqrt(v @ v))
     if norm == 0.0:
         return np.zeros_like(v)
-    run = _LanczosBatch(_as_matrix(A), (v / norm)[None, :], thr, m_max)
+    run = _LanczosBatch(A.adjacency, (v / norm)[None, :], thr, m_max)
     basis = [run.Q[0].copy()]  # the batch reuses its blocks
 
     def step(m):
@@ -917,8 +887,7 @@ def estimate_trace_f(A, f, n_probes=40, seed=0):
     recurrence is independent of its batch, so the kernel's batches change
     no digit. Each QR runs with the product A Q alone beside its own copies.
     """
-    M = _as_matrix(A)
-    n = M.shape[0]
+    M, n = A.adjacency, A.n
     if n_probes < 2 or n_probes % 2:
         raise ValidationError("n_probes must be an even number >= 2")
     rng = np.random.default_rng(seed)

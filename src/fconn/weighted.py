@@ -399,24 +399,26 @@ class _BarrierProblem:
         grad = self.sign * (self.S.T @ gphi) + mu * gb
         return val, grad, (phi, self.model.phi_floor)
 
-    def hess(self, z, mu):
+    def _curvature(self, z):
+        """x, the budget slack and the box barriers' curvature in x, 1/up^2 + 1/down^2 per edge."""
         x, up, down, slack = self.gaps(z)
+        box = np.zeros(self.prob.n_F)
+        box[self.box_up] += 1.0 / up[self.box_up] ** 2
+        box[self.box_down] += 1.0 / down[self.box_down] ** 2
+        return x, slack, box
+
+    def hess(self, z, mu):
+        x, slack, box = self._curvature(z)
         Hphi = hessian(self.prob, x, self.model)
         H = self.sign * (self.S.T @ Hphi @ self.S)
         H += mu * np.diag(1.0 / z**2)
-        c = np.zeros(self.prob.n_F)
-        c[self.box_up] += 1.0 / up[self.box_up] ** 2
-        c[self.box_down] += 1.0 / down[self.box_down] ** 2
-        H += mu * (self.S.T * c) @ self.S
+        H += mu * (self.S.T * box) @ self.S
         H += (mu / slack**2) * np.ones((len(z), len(z)))
         return H
 
     def barrier_diag(self, z, mu):
         """Diagonal of the barrier Hessian in z, one entry per side variable."""
-        x, up, down, slack = self.gaps(z)
-        box = np.zeros(self.prob.n_F)
-        box[self.box_up] += 1.0 / up[self.box_up] ** 2
-        box[self.box_down] += 1.0 / down[self.box_down] ** 2
+        _, slack, box = self._curvature(z)
         per_side = np.array([box[h] for h, _ in self.sides])
         return mu * (1.0 / z**2 + per_side + 1.0 / slack**2)
 

@@ -5,6 +5,8 @@ matrix arithmetic (never through the eigendecomposition route the package
 itself uses), so these can serve as oracles for it.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
@@ -114,6 +116,18 @@ def hessian(fp, M, F):
     return 2.0 * H
 
 
+def sym_matrix(M):
+    """A dense symmetric M as the Krylov routines read a graph, for an M that is no graph.
+
+    A + X can have negative entries, which no SparseSymGraph holds. The
+    stand-in has the graph attributes the routines use: ``n``, the sorted
+    CSR ``adjacency`` and ``norm1``, the largest absolute column sum.
+    """
+    A = scipy.sparse.csr_matrix(M)
+    norm1 = float(np.max(np.abs(A).sum(axis=0))) if A.nnz else 0.0
+    return SimpleNamespace(n=A.shape[0], adjacency=A, norm1=norm1)
+
+
 def frechet_hessian(fp, M, F, tol=1e-12):
     """The same Hessian from ``multiple_frechet_eval`` at M = A + X.
 
@@ -121,7 +135,7 @@ def frechet_hessian(fp, M, F, tol=1e-12):
     core per edge: the formula the weighted solver used before a single
     Krylov model served a whole solve.
     """
-    res = multiple_frechet_eval(scipy.sparse.csr_matrix(M), F, fp, tol=tol)
+    res = multiple_frechet_eval(sym_matrix(M), F, fp, tol=tol)
     H = np.array([[res.entry(p, h, k) + res.entry(p, k, h) for h, k in F] for p in F])
     return H + H.T
 

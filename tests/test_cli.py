@@ -150,6 +150,21 @@ def test_malformed_file_exits_3(tmp_path, capsys):
     assert "bad.edges:2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("w", ["nan", "inf"])
+def test_non_finite_weight_exits_2(w, tmp_path, capsys):
+    bad = tmp_path / "bad.edges"
+    bad.write_text(f"1 2\n2 3 {w}\n1 3\n")
+    assert main(["break", "--input", str(bad), "--budget", "1"]) == 2
+    assert f"bad.edges:2: non-finite weight {w}" in capsys.readouterr().err
+
+
+def test_non_utf8_file_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes(b"1 2\n\xff\xfe 3\n")
+    assert main(["trace", "--input", str(bad)]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_threads_option_is_rejected(edge_list):
     with pytest.raises(SystemExit) as exc:
         main(["break", "--input", edge_list, "--budget", "1", "--threads", "2"])

@@ -54,6 +54,40 @@ class TestGraphConstruction:
         with pytest.raises(ValidationError):
             SparseSymGraph(3, [(0, 1, 1.0), (1, 0, 2.0)])
 
+    @pytest.mark.parametrize(
+        "edges, line, message",
+        [
+            ([(0, 1, 1.0), (2, 2, 1.0)], 2, "self-loop at node {2}"),
+            ([(0, 1, 1.0), (2, 1, -1.5)], 2, "negative weight -1.5"),
+            ([(0, 1, 1.0), (1, 2, 0.0)], 2, "zero weight (omit the edge instead)"),
+            ([(0, 1, 1.0), (1, 2, np.nan)], 2, "non-finite weight nan"),
+            ([(0, 1, 1.0), (1, 2, -np.inf)], 2, "non-finite weight -inf"),
+            ([(1, 0, 1.0), (0, 1, 2.0)], 2, "duplicate entry for edge ({0}, {1})"),
+            # the first failing edge is reported, whichever test it fails
+            ([(0, 1, 0.0), (1, 1, 1.0)], 1, "zero weight (omit the edge instead)"),
+            ([(1, 1, 1.0), (0, 1, 0.0)], 1, "self-loop at node {1}"),
+        ],
+    )
+    def test_constructor_and_loader_share_one_check(self, edges, line, message, tmp_path):
+        # the same message; the loader's adds the file and line and counts nodes from 1
+        with pytest.raises(ValidationError) as err:
+            SparseSymGraph(3, edges)
+        assert str(err.value) == message.format(0, 1, 2)
+        p = tmp_path / "bad.edges"
+        p.write_text("".join(f"{i + 1} {j + 1} {w!r}\n" for i, j, w in edges))
+        with pytest.raises(ValidationError) as err:
+            load_graph(p)
+        assert str(err.value) == f"{p}:{line}: " + message.format(1, 2, 3)
+
+    def test_node_range_checked(self, tmp_path):
+        with pytest.raises(ValidationError, match=r"^node index out of range: \(1, 3\) with n=3$"):
+            SparseSymGraph(3, [(0, 1, 1.0), (3, 1, 1.0)])
+        p = tmp_path / "g.mtx"
+        p.write_text(PATTERN + "3 3 2\n2 1\n4 2\n")
+        with pytest.raises(ValidationError) as err:
+            load_graph(p)
+        assert str(err.value) == f"{p}:4: node index out of range: (2, 4) with n=3"
+
     def test_with_edge_delta(self):
         g = triangle()
         g2 = g.with_edge_delta(0, 1, -1.0)
@@ -194,6 +228,23 @@ class TestFileIO:
         with pytest.raises(ValidationError, match="negative"):
             load_graph(p)
 
+    @pytest.mark.parametrize("w", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_weight_rejected(self, w, tmp_path):
+        p = tmp_path / "bad.edges"
+        p.write_text(f"1 2\n2 3 {w}\n")
+        with pytest.raises(ValidationError) as err:
+            load_graph(p)
+        assert str(err.value).startswith(f"{p}:2: non-finite weight")
+
+    @pytest.mark.parametrize("chunk", [4, 2**16])
+    def test_non_utf8_file_rejected(self, chunk, tmp_path, monkeypatch):
+        p = tmp_path / "bad.edges"
+        p.write_bytes(b"1 2\n2 3\n3 4\n\xff\xfe 3\n")
+        monkeypatch.setattr(fconn.graph, "_CHUNK", chunk)
+        with pytest.raises(InputFormatError, match="not UTF-8") as err:
+            load_graph(p)
+        assert err.value.path == str(p)
+
     def test_mirrored_duplicate_rejected(self, tmp_path):
         p = tmp_path / "dup.edges"
         p.write_text("1 2\n2 1\n")
@@ -266,6 +317,7 @@ CHUNKED_FILES = {
     "late_wrong_fields.txt": "".join(f"{k} {k + 1}\n" for k in range(1, 30)) + "% c\n30\n",
     "late_duplicate.txt": "".join(f"{k} {k + 1}\n" for k in range(1, 30)) + "# c\n7 6\n",
     "late_self_loop.txt": "".join(f"{k} {k + 1}\r\n" for k in range(1, 30)) + "9 9\r\n",
+    "late_nan_weight.txt": "".join(f"{k} {k + 1} 0.5\n" for k in range(1, 30)) + "# c\n9 3 nan\n",
     "g.mtx": (
         "%%MatrixMarket matrix coordinate real symmetric\n% comments before\n%\n"
         "% the size line\n5 5 4\n2 1 0.5\n% c\n3 2 1.0\n4 3 2.0\n5 4 1.5"
@@ -302,6 +354,7 @@ class TestChunkedLoading:
             ("late_wrong_fields.txt", InputFormatError, 31),
             ("late_duplicate.txt", ValidationError, 31),
             ("late_self_loop.txt", ValidationError, 30),
+            ("late_nan_weight.txt", ValidationError, 31),
             ("bad_size.mtx", InputFormatError, 22),
             ("no_size.mtx", InputFormatError, 21),
             ("late_bad_entry.mtx", InputFormatError, 11),

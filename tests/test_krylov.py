@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
 import fconn.krylov
 from fconn.errors import ConvergenceError, ValidationError
@@ -145,7 +144,7 @@ class TestBlockKrylov:
         ]
         for g, nodes, orders, orth_tol in cases:
             A = g.adjacency
-            kry = BlockKrylov(A, nodes, mode="arnoldi")
+            kry = BlockKrylov(g, nodes, mode="arnoldi")
             for _ in range(orders):
                 kry.extend()
             m = kry.filled
@@ -163,7 +162,7 @@ class TestBlockKrylov:
 
     def test_prefix_extension(self):
         g = random_connected_graph(30, 40, seed=1)
-        kry = BlockKrylov(g.adjacency, [0, 5], mode="arnoldi")
+        kry = BlockKrylov(g, [0, 5], mode="arnoldi")
         kry.extend()
         kry.extend()
         b2 = kry.basis(2).copy()
@@ -174,7 +173,7 @@ class TestBlockKrylov:
 
     def test_exhaustion_on_small_space(self):
         for mode in ("arnoldi", "lanczos"):
-            kry = BlockKrylov(path(4).adjacency, [0, 1], mode=mode)
+            kry = BlockKrylov(path(4), [0, 1], mode=mode)
             grew, m = True, 0
             while grew and m < 10:
                 m += 1
@@ -191,7 +190,7 @@ class TestBlockKrylov:
     def test_invalid_start_nodes_rejected(self):
         for nodes in ([], [0, 2, 0], [3], [1, -1]):  # empty, duplicate, out of range
             with pytest.raises(ValidationError):
-                BlockKrylov(np.eye(3), nodes)
+                BlockKrylov(SparseSymGraph(3, []), nodes)
 
     def test_lanczos_matches_arnoldi(self):
         # the three-term recurrence keeps two blocks; up to order 10 it agrees
@@ -212,7 +211,7 @@ class TestBlockKrylov:
         g = random_connected_graph(40, 60, seed=2)
         nodes = [31, 4, 17]
         U = np.eye(40)[:, nodes]
-        kry = BlockKrylov(g.adjacency, nodes, mode="arnoldi")
+        kry = BlockKrylov(g, nodes, mode="arnoldi")
         for m in range(1, 7):
             kry.extend()
             assert np.array_equal(kry.start_projection(m), kry.basis(m).T @ U)
@@ -358,8 +357,7 @@ class TestFrechetEval:
         assert np.allclose(res.implied_matrix((3, 8)), want, atol=1e-13)
 
     def test_zero_matrix_exp(self):
-        A = scipy.sparse.csr_matrix((8, 8))
-        res = _frechet(A, 2, 5, Exp())
+        res = _frechet(SparseSymGraph(8, []), 2, 5, Exp())
         want = np.zeros((8, 8))
         want[2, 5] = 1.0
         assert res.converged
@@ -609,8 +607,7 @@ class TestLockstepKernel:
 
 class TestEstimateTrace:
     def test_zero_matrix_exact(self):
-        A = scipy.sparse.csr_matrix((9, 9))
-        est = estimate_trace_f(A, Exp(), n_probes=20, seed=3).value
+        est = estimate_trace_f(SparseSymGraph(9, []), Exp(), n_probes=20, seed=3).value
         assert est == pytest.approx(9.0, abs=1e-9)
 
     def test_traceless_polynomial_exact_regime(self):
