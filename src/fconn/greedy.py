@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 from .graph import (
     Ordering,
     SparseSymGraph,
@@ -133,6 +133,9 @@ def _greedy(graph, cfg, strategy, score, on_accept=None):
     calls ``on_accept(pair, delta)`` and applies it to the working graph.
     The centrality ranking behind the DG_1/DG_2/AD_1/AD_2 strategies, and
     the candidate order it induces, are computed once on the initial graph.
+    A NaN score never wins; a step whose scores are all NaN or all infinite
+    the wrong way (+inf in BREAK, -inf in MAKE) has no best candidate and
+    raises ConvergenceError.
     """
     if cfg.mode is Mode.BREAK and graph.num_edges < cfg.budget:
         raise ValidationError(
@@ -158,12 +161,18 @@ def _greedy(graph, cfg, strategy, score, on_accept=None):
             exhausted = True
             break
         evaluations += len(space)
-        best_idx = None
+        best_idx, non_finite = None, 0
         best = np.inf if cfg.mode is Mode.BREAK else -np.inf
         for idx, pair in enumerate(space):
             val = score(work, pair, _candidate_delta(work, pair, cfg.mode))
+            non_finite += not np.isfinite(val)
             if (cfg.mode is Mode.BREAK and val < best) or (cfg.mode is Mode.MAKE and val > best):
                 best, best_idx = val, idx
+        if best_idx is None:
+            raise ConvergenceError(
+                f"greedy step {step + 1} of {cfg.budget} has no best candidate: "
+                f"{non_finite} of {len(space)} scores are not finite"
+            )
         pair = space[best_idx]
         d = _candidate_delta(work, pair, cfg.mode)
         if on_accept is not None:

@@ -43,10 +43,11 @@ advance together, with one CSR SpMM over the active vectors per step,
 vector-wise recurrence updates and a stacked ``eigh`` of the (b, m, m)
 tridiagonal matrices. The kernel stores its vectors as the rows of (b, n)
 arrays, so the inner products and updates of each recurrence run over
-contiguous memory; scipy's SpMM takes its vectors as columns, so a step
-copies the rows into one reused block and the product back into rows, and
-allocates no other block. A form is ||v||^2 e_1^T f(T_m) e_1 and needs no
-basis, so only the two newest basis vectors of each recurrence are kept.
+contiguous memory; the graph's product (``SparseSymGraph.matmul``, scipy's
+compiled CSR kernel) takes its vectors as columns, so a step copies the rows
+into one reused block and the product back into rows, and allocates no other
+block. A form is ||v||^2 e_1^T f(T_m) e_1 and needs no basis, so only the
+two newest basis vectors of each recurrence are kept.
 Each recurrence stops on its own form, by a vectorized copy of the relative
 lagged test with the rounding floor 100 eps ||v||^2 max |f(T_m)|, and leaves
 the batch when it stops. A batch holds at most ``_BATCH_ENTRIES`` vector
@@ -233,8 +234,9 @@ def _qr_rows(W, thr):
 # A @ Q is computed from the CSR rows of the support of Q (the nodes a block
 # can be nonzero on) while those rows hold at most this share of A's stored
 # entries. On a 20000-node tree with 200000 stored entries and a 2-row block,
-# the support product took 25-30 ns per entry it reads and scipy's full SpMM
-# 3.6-5.7 ns per stored entry (2-core shared host), so they cost the same at
+# the support product took 25-30 ns per entry it reads and the full CSR
+# product (scipy's compiled csr_matvecs, through the graph's matmul) 3.6-5.7
+# ns per stored entry (2-core shared host), so they cost the same at
 # a share of about 1/7 to 1/5. On that tree the supports of blocks 0-3 of
 # the greedy's candidates hold 0.02%, 0.2-0.3%, 2.2-3.1% and 20-27% of the
 # entries; on a 2000-node Barabasi-Albert graph, blocks 0 and 1 hold 0.9-1.4%
@@ -242,26 +244,26 @@ def _qr_rows(W, thr):
 SUPPORT_SHARE = 1 / 8
 
 
-def _support_product(A, Q, support):
-    """(A Q^T)^T for a symmetric CSR matrix A and rows Q that vanish off ``support``.
+def _support_product(g, Q, support):
+    """(A Q^T)^T for the adjacency A of graph ``g`` and rows Q that vanish off ``support``.
 
     ``support`` is a sorted array of node indices. Only the CSR rows of the
     support are read: output entry i sums A[j, i] Q[c, j] over the support
-    nodes j in increasing order, the order in which a CSR product with sorted
-    indices sums row i, and skips only terms whose Q factor is an exact zero.
-    So, for a CSR matrix with sorted indices, the result equals the full
-    product ``(A @ Q.T).T`` bit for bit. Returns the (k, n) product and the
-    sorted nodes it can be nonzero on, the support and its neighbours.
+    nodes j in increasing order, the order in which the CSR kernel of
+    ``g.matmul`` sums row i over the graph's sorted indices, and skips only
+    terms whose Q factor is an exact zero. So the result equals the full
+    product ``g.matmul(Q.T).T`` bit for bit. Returns the (k, n) product and
+    the sorted nodes it can be nonzero on, the support and its neighbours.
     """
-    indptr = A.indptr
-    n = A.shape[0]
+    indptr, indices, data = g.csr_arrays
+    n = g.n
     starts = indptr[support]
     counts = indptr[support + 1] - starts
     ends = np.cumsum(counts)
     pos = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
-    cols = A.indices[pos]
+    cols = indices[pos]
     src = np.repeat(support, counts)
-    vals = A.data[pos]
+    vals = data[pos]
     Y = np.empty((Q.shape[0], n))
     for c, q in enumerate(Q):
         # bincount adds the terms of each output entry in the order given, from 0.0
@@ -292,7 +294,8 @@ class BlockKrylov:
     ``SUPPORT_SHARE`` of A's stored entries, A times the block is computed
     from those rows only (see :func:`_support_product`); this is exact, and
     bit-identical to the full product, since a graph's CSR has sorted
-    indices. Every block past that point takes the full product.
+    indices. Every block past that point takes the full product, the
+    graph's ``matmul``.
 
     ``extend()`` orthogonalizes A times the newest block, filling one more
     block column of the projected matrix, and appends the next basis block.
@@ -311,7 +314,7 @@ class BlockKrylov:
         nodes = np.asarray(nodes, dtype=np.intp)
         if not len(nodes) or min(nodes) < 0 or max(nodes) >= n or len(set(nodes)) < len(nodes):
             raise ValidationError("start nodes must be nonempty, distinct and in range")
-        self._A = g.adjacency
+        self._g = g
         self._keep = mode == "arnoldi"
         self._thr = _deflation_tol(g)
         self._nodes = nodes
@@ -395,14 +398,14 @@ class BlockKrylov:
         """A times the rows Q, as a C-contiguous (k, n) array of rows."""
         S = self._support
         if S is not None:
-            indptr = self._A.indptr
-            if np.sum(indptr[S + 1] - indptr[S]) <= SUPPORT_SHARE * self._A.nnz:
-                Y, self._support = _support_product(self._A, Q, S)
+            indptr, _, data = self._g.csr_arrays
+            if np.sum(indptr[S + 1] - indptr[S]) <= SUPPORT_SHARE * len(data):
+                Y, self._support = _support_product(self._g, Q, S)
                 return Y
             self._support = None  # supports only grow
         # column_stack builds the (n, k) input column by column, several times
         # faster than a transposing copy for k = 2
-        return np.ascontiguousarray((self._A @ np.column_stack(Q)).T)
+        return np.ascontiguousarray(self._g.matmul(np.column_stack(Q)).T)
 
     def projected(self, m=None):
         """Symmetric projected matrix over the first m filled block columns."""
@@ -649,12 +652,13 @@ class _LanczosBatch:
     """Independent single-vector Lanczos recurrences advanced in lockstep.
 
     Row c of the (b, n) start block runs its own recurrence; one step applies
-    A to the newest vector of every active recurrence in a single SpMM. Each
-    recurrence takes the steps of :class:`BlockKrylov` in Lanczos mode on a
-    one-column start: two orthogonalization passes against the previous two
-    basis vectors, and exhaustion once the new vector's norm is at most the
-    deflation threshold. (One pass is cheaper, but it loses enough
-    orthogonality on hub-heavy graphs that some probes stop converging.)
+    A to the newest vector of every active recurrence in a single product,
+    ``g.matmul``. Each recurrence takes the steps of :class:`BlockKrylov` in
+    Lanczos mode on a one-column start: two orthogonalization passes against
+    the previous two basis vectors, and exhaustion once the new vector's norm
+    is at most the deflation threshold. (One pass is cheaper, but it loses
+    enough orthogonality on hub-heavy graphs that some probes stop
+    converging.)
     Vectors are stored as rows, so that the per-vector inner products and
     updates run over contiguous memory. Only the previous two basis vectors
     are kept. No recurrence's arithmetic depends on the others in its batch,
@@ -667,9 +671,9 @@ class _LanczosBatch:
     orthogonalization subtracts.
     """
 
-    def __init__(self, A, starts, thr, m_max):
+    def __init__(self, g, starts, thr, m_max):
         b = starts.shape[0]
-        self._A = A
+        self._g = g
         self._thr = thr
         self.ids = np.arange(b)  # start-block row of each active recurrence
         self.Q = starts  # newest basis vector q_s of each active recurrence
@@ -693,8 +697,8 @@ class _LanczosBatch:
         s, ids, Q, P, W = self.steps, self.ids, self.Q, self._P, self._next
         work = self._work[: Q.size]
         X = work.reshape(Q.shape[::-1])
-        np.copyto(X, Q.T)  # scipy's SpMM takes its vectors as columns
-        np.copyto(W, (self._A @ X).T)
+        np.copyto(X, Q.T)  # the CSR kernel takes its vectors as columns
+        np.copyto(W, self._g.matmul(X).T)
         prod = work.reshape(Q.shape)
         for _ in range(2):
             if s:
@@ -778,7 +782,7 @@ def _lockstep_batch(A, f, V, thr, lag, tol, m_max):
     X /= np.sqrt(sq[cols])[:, None]
     forms = np.zeros(len(sq))
     history = np.zeros((len(cols), m_max))  # form of each recurrence at each order
-    run = _LanczosBatch(A.adjacency, X, thr, m_max)
+    run = _LanczosBatch(A, X, thr, m_max)
     while len(run.ids):
         grew = run.step()
         m, ids = run.steps, run.ids
@@ -820,7 +824,7 @@ def fun_action(A, f, v, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
     norm = float(np.sqrt(v @ v))
     if norm == 0.0:
         return np.zeros_like(v)
-    run = _LanczosBatch(A.adjacency, (v / norm)[None, :], thr, m_max)
+    run = _LanczosBatch(A, (v / norm)[None, :], thr, m_max)
     basis = [run.Q[0].copy()]  # the batch reuses its blocks
 
     def step(m):
@@ -887,7 +891,7 @@ def estimate_trace_f(A, f, n_probes=40, seed=0):
     recurrence is independent of its batch, so the kernel's batches change
     no digit. Each QR runs with the product A Q alone beside its own copies.
     """
-    M, n = A.adjacency, A.n
+    n = A.n
     if n_probes < 2 or n_probes % 2:
         raise ValidationError("n_probes must be an even number >= 2")
     rng = np.random.default_rng(seed)
@@ -895,7 +899,7 @@ def estimate_trace_f(A, f, n_probes=40, seed=0):
 
     Q = _rademacher(rng, (n, half))
     for _ in range(SKETCH_POWER):
-        Y = M @ Q
+        Y = A.matmul(Q)
         del Q  # only A Q and the QR's copies are alive during the QR
         Q, _ = np.linalg.qr(Y)
         del Y

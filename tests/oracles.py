@@ -121,11 +121,18 @@ def sym_matrix(M):
 
     A + X can have negative entries, which no SparseSymGraph holds. The
     stand-in has the graph attributes the routines use: ``n``, the sorted
-    CSR ``adjacency`` and ``norm1``, the largest absolute column sum.
+    CSR ``adjacency``, its ``csr_arrays``, the product ``matmul`` and
+    ``norm1``, the largest absolute column sum.
     """
     A = scipy.sparse.csr_matrix(M)
     norm1 = float(np.max(np.abs(A).sum(axis=0))) if A.nnz else 0.0
-    return SimpleNamespace(n=A.shape[0], adjacency=A, norm1=norm1)
+    return SimpleNamespace(
+        n=A.shape[0],
+        adjacency=A,
+        csr_arrays=(A.indptr, A.indices, A.data),
+        matmul=lambda X: A @ X,
+        norm1=norm1,
+    )
 
 
 def frechet_hessian(fp, M, F, tol=1e-12):

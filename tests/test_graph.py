@@ -1,3 +1,7 @@
+import importlib.machinery
+import importlib.metadata
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -159,6 +163,110 @@ class TestGraphConstruction:
             w[0] = 2.0
 
 
+def scipy_csr(n, i, j, w):
+    """scipy's CSR arrays (indptr, indices, data) of the sorted edges (i < j): those of U + U.T.
+
+    U is the upper triangle, in CSR order already. scipy's COO build of both
+    triangles, with its indices sorted, gives the same arrays, which is
+    checked here too.
+    """
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(i, minlength=n), out=indptr[1:])
+    upper = scipy.sparse.csr_matrix((w, j, indptr), shape=(n, n))
+    A = upper + upper.T
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    coo = scipy.sparse.csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n))
+    coo.sort_indices()
+    want = A.indptr, A.indices, A.data
+    assert_same_arrays((coo.indptr, coo.indices, coo.data), want)
+    return want
+
+
+def assert_same_arrays(got, want):
+    for x, y in zip(got, want, strict=True):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _isolated_nodes():
+    """A weighted graph on 81 nodes whose odd nodes touch no edge, the last two included."""
+    g = random_connected_graph(40, 60, seed=37, weighted=True)
+    return SparseSymGraph(81, [(2 * a, 2 * b, x) for a, b, x in g.edges])
+
+
+CSR_CASES = {
+    "bench-tree": None,  # conftest's bench_tree fixture
+    "ba-2000": lambda: barabasi_albert(2000, 3, seed=1),
+    "weighted": lambda: random_connected_graph(300, 900, seed=35, weighted=True),
+    "isolated-nodes": _isolated_nodes,
+}
+
+
+@pytest.fixture(params=list(CSR_CASES))
+def csr_case(request):
+    make = CSR_CASES[request.param]
+    return request.getfixturevalue("bench_tree") if make is None else make()
+
+
+def assert_product_is_scipys(g, seed=0, A=None):
+    """``g.matmul`` equals ``A @ X`` bit for bit, A the graph's ``adjacency`` unless given.
+
+    X is a vector, or a block of one of several widths.
+    """
+    A = g.adjacency if A is None else A
+    rng = np.random.default_rng(seed)
+    for k in (None, 1, 2, 6, 20, 40):
+        X = rng.standard_normal(g.n if k is None else (g.n, k))
+        got, want = g.matmul(X), A @ X
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestCsrKernel:
+    """The graph's own CSR arrays and its product through scipy's compiled kernel."""
+
+    def test_arrays_equal_scipys_sum(self, csr_case):
+        g = csr_case
+        assert_same_arrays(g.csr_arrays, scipy_csr(g.n, *g.edge_arrays))
+        assert g.csr_arrays[0].dtype == np.int32
+        assert not any(a.flags.writeable for a in g.csr_arrays)
+        A = g.adjacency  # a scipy matrix over the same memory
+        for mine, theirs in zip(g.csr_arrays, (A.indptr, A.indices, A.data)):
+            assert np.shares_memory(mine, theirs)
+
+    def test_product_equals_scipys(self, csr_case):
+        assert_product_is_scipys(csr_case)
+
+    def test_after_inserting_and_removing_an_edge(self):
+        g = barabasi_albert(2000, 3, seed=1)
+        a, b = 5, 1999
+        assert not g.has_edge(a, b)
+        for h in (g.with_edge_delta(a, b, 0.5), g.with_edge_delta(*g.edge_pairs[17], -1.0)):
+            assert h.num_edges != g.num_edges
+            assert_same_arrays(h.csr_arrays, scipy_csr(h.n, *h.edge_arrays))
+            assert_product_is_scipys(h, seed=1)
+
+    def test_int64_index_arrays(self):
+        # a graph past int32's range has int64 indices; these are built directly
+        g = random_connected_graph(300, 900, seed=35, weighted=True)
+        wide = tuple(a.astype(np.int64) if a.dtype.kind == "i" else a for a in g.csr_arrays)
+        h = object.__new__(SparseSymGraph)
+        h._set(g.n, *g.edge_arrays, wide)
+        assert [a.dtype for a in h.csr_arrays] == [np.int64, np.int64, np.float64]
+        assert_product_is_scipys(h, seed=2, A=g.adjacency)
+
+    @pytest.mark.parametrize("shape", [(29,), (31,), (29, 3), (30, 2, 2), ()])
+    def test_product_rejects_the_wrong_shape(self, shape):
+        # the compiled kernel reads x by index without a bounds check
+        with pytest.raises(ValueError):
+            random_connected_graph(30, 10, seed=2).matmul(np.ones(shape))
+
+    def test_missing_kernel_names_the_scipy_version(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda *a, **k: None)
+        with pytest.raises(ImportError, match=f"scipy {importlib.metadata.version('scipy')}"):
+            fconn.graph._csr_kernels()
+
+
 class TestFileIO:
     def test_load_edge_list_triangle(self, tmp_path):
         p = tmp_path / "tri.edges"
@@ -181,14 +289,8 @@ class TestFileIO:
         got = load_graph(p)
         order = np.lexsort((np.maximum(a, b), np.minimum(a, b)))
         want = (np.minimum(a, b)[order], np.maximum(a, b)[order], w[perm][order])
-        for x, y in zip(got.edge_arrays, want):
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-        rows, cols = np.concatenate(want[:2]), np.concatenate(want[1::-1])
-        ref = scipy.sparse.csr_matrix((np.concatenate([want[2]] * 2), (rows, cols)), shape=(300, 300))
-        ref.sort_indices()
-        for name in ("indptr", "indices", "data"):
-            x, y = getattr(got.adjacency, name), getattr(ref, name)
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert_same_arrays(got.edge_arrays, want)
+        assert_same_arrays(got.csr_arrays, scipy_csr(300, *want))
 
     def test_mixed_two_and_three_field_lines(self, tmp_path):
         p = tmp_path / "mixed.edges"

@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from fconn.errors import ValidationError
+from fconn.errors import ConvergenceError, ValidationError
 from fconn.graph import SparseSymGraph, Strategy
 from fconn.greedy import (
     GreedyConfig,
+    _greedy,
     MiobiState,
     Mode,
     ModificationPlan,
@@ -304,3 +305,43 @@ class TestEigenvBaseline:
             eigenv_baseline(path(3), 0, Mode.BREAK)
         with pytest.raises(ValidationError):
             eigenv_baseline(path(3), 3, Mode.BREAK)
+
+
+class TestNonFiniteScores:
+    """A step whose scores are all NaN has no best candidate: ConvergenceError, not a crash."""
+
+    @pytest.mark.parametrize("strategy", [Strategy.DG_FULL, Strategy.AD_3])
+    def test_all_nan_scores_raise(self, strategy):
+        g = random_connected_graph(20, 15, seed=6)
+        cfg = GreedyConfig(budget=3, strategy=strategy)
+        space = 34 if strategy is Strategy.DG_FULL else None
+        with pytest.raises(ConvergenceError, match=r"step 1 of 3 .* scores are not finite") as exc:
+            _greedy(g, cfg, strategy, lambda work, pair, d: np.nan)
+        if space is not None:
+            assert f"{space} of {space} scores" in str(exc.value)
+
+    def test_step_and_count_are_named(self):
+        g = random_connected_graph(20, 15, seed=6)
+        cfg = GreedyConfig(budget=3, strategy=Strategy.DG_FULL)
+
+        def score(work, pair, d):  # finite in step 1, NaN after, one +inf at step 2
+            if work.num_edges == g.num_edges:
+                return float(pair[0])
+            return np.inf if pair == work.edge_pairs[0] else np.nan
+
+        with pytest.raises(ConvergenceError, match="step 2 of 3 .*: 33 of 33 scores are not finite"):
+            _greedy(g, cfg, Strategy.DG_FULL, score)
+
+    @pytest.mark.parametrize("mode", [Mode.BREAK, Mode.MAKE])
+    def test_a_finite_score_beats_nan(self, mode):
+        g = random_connected_graph(20, 15, seed=6)
+        strategy = Strategy.DG_FULL if mode is Mode.BREAK else Strategy.AD_3
+        space = None
+
+        def score(work, pair, d):
+            nonlocal space
+            space = space or pair
+            return 1.0 if pair == space else np.nan
+
+        plan = _greedy(g, GreedyConfig(budget=1, strategy=strategy), strategy, score)
+        assert plan.pairs == [space] and plan.step_deltas == [1.0]

@@ -129,7 +129,7 @@ class TestSupportProduct:
             S = np.sort(perm[:size])
             Q = np.zeros((k, g.n))
             Q[:, S] = rng.standard_normal((k, size))
-            Y, reach = _support_product(A, Q, S)
+            Y, reach = _support_product(g, Q, S)
             assert np.array_equal(Y, (A @ Q.T).T)
             nbrs = A.indices[np.concatenate([np.arange(A.indptr[v], A.indptr[v + 1]) for v in S])]
             assert np.array_equal(reach, np.union1d(S, nbrs))
