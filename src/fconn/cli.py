@@ -11,12 +11,12 @@ compare               run several unweighted methods on one input side by side
 Every optimizing run writes a CSV with one row per chosen edge and a JSON
 summary (printed to stdout, optionally written next to the CSV). The
 denominator of the relative trace variation, a Hutch++ estimate of Tr(f(A))
-reported with its standard error, runs on one worker thread beside the
-optimizer; the reported wall time still covers the optimizer only. If the
-estimate fails, its error decides the exit code, even when the optimizer
-failed too, and no artifact is written. Exit codes: 0 success, 2 validation or
-usage, 3 input parsing, 4 convergence, 5 function domain, 7 exhausted search
-space.
+reported with its standard error and the rank of its sketch, runs on one
+worker thread beside the optimizer; the reported wall time still covers the
+optimizer only. If the estimate fails, its error decides the exit code, even
+when the optimizer failed too, and no artifact is written. Exit codes: 0
+success, 2 validation or usage, 3 input parsing, 4 convergence, 5 function
+domain, 7 exhausted search space.
 
 Every default lives in :class:`RunSpec`: the parser leaves an option that is
 not given as None, and the spec fills it in and checks it. ``_METHODS`` lists
@@ -175,12 +175,14 @@ class TraceVariationReport:
     numerator: float = None
     denominator: float = None
     denominator_stderr: float = None
+    denominator_sketch_rank: int = None
     wall_time: float = None
     iterations: dict = field(default_factory=dict)
     edges: list = field(default_factory=list)  # (i, j, delta), 0-based
     cumulative: list = None
     trace_estimate: float = None
     trace_stderr: float = None
+    trace_sketch_rank: int = None
     warnings: list = field(default_factory=list)
 
     def summary(self, spec: RunSpec) -> dict:
@@ -207,8 +209,10 @@ class TraceVariationReport:
             "numerator": self.numerator,
             "denominator": self.denominator,
             "denominator_stderr": self.denominator_stderr,
+            "denominator_sketch_rank": self.denominator_sketch_rank,
             "trace_estimate": self.trace_estimate,
             "trace_stderr": self.trace_stderr,
+            "trace_sketch_rank": self.trace_sketch_rank,
             "wall_time_s": self.wall_time,
             "iterations": self.iterations,
             "edges": [[i + 1, j + 1, d] for i, j, d in self.edges],
@@ -224,6 +228,13 @@ class TraceVariationReport:
 # 2e-12, 7.1e-4 at order 30 with a 6e-8 error, and 0.036 at order 40 with
 # Delta doubled, so 1e-8 warns before the error shows.
 DRIFT_WARNING = 1e-8
+
+# Largest MIOBI eigenvector drift ||U^T U - I||_F (see fconn.greedy.MiobiState)
+# a run may report without a warning. Past 1 the retained eigenvectors are no
+# longer near orthonormal: on a 2000-node Barabasi-Albert graph, break budgets
+# 1 to 4 end at drifts 0.47, 0.76, 0.98 and 66.2, and budget 20 overflows to
+# NaN scores at step 13.
+MIOBI_DRIFT_WARNING = 1.0
 
 
 def _aggregate_delta(graph, plan, f, spec):
@@ -272,6 +283,12 @@ def _run_unweighted(spec: RunSpec, graph, f) -> TraceVariationReport:
     if drift is not None and drift > DRIFT_WARNING:
         report.warnings.append(
             f"Lanczos basis lost orthogonality in scoring (drift {drift:.1e} > {DRIFT_WARNING:.0e})"
+        )
+    ortho = plan.diagnostics.get("orthonormality_drift")
+    if ortho is not None and ortho > MIOBI_DRIFT_WARNING:
+        report.warnings.append(
+            f"MIOBI eigenvector updates diverged (orthonormality drift {ortho:.3g} "
+            f"> {MIOBI_DRIFT_WARNING:g})"
         )
     report.edges = list(plan.edges)
     report.iterations = {"steps": len(plan.edges), **plan.diagnostics}
@@ -328,6 +345,7 @@ def _beside_denominator(graph, f, spec, optimize):
 def _set_denominator(report, estimate):
     report.denominator = estimate.value
     report.denominator_stderr = estimate.stderr
+    report.denominator_sketch_rank = estimate.sketch_rank
     report.delta_t = abs(report.numerator) / abs(estimate.value)
 
 
@@ -340,6 +358,7 @@ def run(spec: RunSpec):
         report = TraceVariationReport()
         estimate = estimate_trace_f(graph, f, n_probes=spec.probes, seed=spec.seed)
         report.trace_estimate, report.trace_stderr = estimate.value, estimate.stderr
+        report.trace_sketch_rank = estimate.sketch_rank
         _write_artifacts(spec, report)
         return report
 

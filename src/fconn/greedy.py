@@ -232,7 +232,11 @@ class MiobiState:
     """Retained dominant eigenpairs, updated to first order after each pick.
 
     Eigenvectors are deliberately not re-orthonormalized between steps; the
-    accumulated drift ||U^T U - I||_F is reported, not corrected.
+    accumulated drift ||U^T U - I||_F is reported, not corrected. Once the
+    first-order updates diverge, the scores and the update overflow to inf
+    and NaN; both run with numpy's overflow and invalid-value warnings off,
+    since the greedy reports a step whose scores are all non-finite as its
+    error and the drift says how far the eigenpairs have gone.
     """
 
     eigenvalues: np.ndarray
@@ -256,6 +260,7 @@ class MiobiState:
         order = np.argsort(-np.abs(w))[:h]
         return cls(np.asarray(w[order], dtype=float), np.asarray(V[:, order], dtype=float))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def score(self, s, t, delta, f):
         """First-order trace variation sum f(lambda + u^T X u) - f(lambda)."""
         a = self.eigenvectors[s, :]
@@ -263,6 +268,7 @@ class MiobiState:
         shifted = self.eigenvalues + 2.0 * delta * a * b
         return float(np.sum(f(shifted)) - np.sum(f(self.eigenvalues)))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def apply_update(self, s, t, delta, degenerate_gap=1e-10):
         """First-order update of the retained eigenpairs after accepting an edge.
 

@@ -54,9 +54,15 @@ the batch when it stops. A batch holds at most ``_BATCH_ENTRIES`` vector
 entries per block and five blocks at once, so the kernel's working set is
 at most 5 MiB for any number of probes p while n <= 2^17, where a batch
 still holds one vector. ``estimate_trace_f``
-holds one n x p/2 block beside the kernel, and three during the sketch's QRs
-and the residual probes' projection: a tracemalloc peak of 9.2 MiB at
-n = 20000 and p = 40.
+holds one n x p/2 block beside the kernel and at most two at any time: its
+sketch is orthonormalized by SVQB, a Gram-matrix eigen-decomposition that
+makes only its result beside its input, and its residual probes are drawn
+and projected in place by row chunks. Its tracemalloc peak is 8.3 MiB at
+n = 20000 and p = 40, where the sketch beside a kernel batch sets it.
+SVQB gives other digits for the sketch than a Householder QR, but the same
+span up to rounding, and the estimate depends on the sketch only through its
+span: on the benchmark's break-tree and make-ba inputs it moved by at most
+1.3e-12 relative from a Householder-QR sketch.
 ``fun_action``, the package's one f(A) v (``select_candidates`` ranks edges
 by f'(A) e_v), runs the same recurrence on a single vector, keeps its basis
 V_m and returns ||v|| V_m f(T_m) e_1. Both take the start vector to be the
@@ -738,9 +744,11 @@ class _LanczosBatch:
 # Vector entries (n times the width) of the widest lockstep batch. A batch
 # holds five blocks of its size at once, at most 5 MiB at this cap for any
 # number of probes (with n <= 2^17): a 20000-node graph runs 6 probes per
-# batch, a 2000-node one all 20 of a half. On the benchmark's 20000-node tree with 40 probes,
-# estimate_trace_f peaks at 9.2 MiB traced at this cap and at 2^16, where the
-# sketch's QR sets the peak, at 14.7 MiB at 2^18 and at 20.8 MiB uncapped.
+# batch, a 2000-node one all 20 of a half. On the benchmark's 20000-node tree
+# with 40 probes, estimate_trace_f peaks at 8.3 MiB traced at this cap, where
+# a batch beside the sketch Q sets the peak, at 6.7 MiB at 2^16 (the sketch's
+# power steps alone peak at 6.1 MiB), at 14.7 MiB at 2^18 and at 20.8 MiB
+# uncapped.
 # The 6-probe batches take 4 times the steps of 20-probe ones, each with a
 # narrower SpMM; the estimate's time did not move (687 against 698 ms,
 # medians of 7 alternating calls on one core).
@@ -850,13 +858,54 @@ def fun_action(A, f, v, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
 class TraceEstimate:
     value: float
     stderr: float  # of the residual term; None with a single residual probe
+    sketch_rank: int  # columns of the sketch Q kept by its orthonormalization
+
+
+# Rows of an n-row block that the estimate draws or projects at a time, so
+# that those steps hold no second block of the full size.
+_CHUNK_ROWS = 2**12
 
 
 def _rademacher(rng, shape):
-    """Random signs, the values of ``rng.integers(0, 2, shape) * 2.0 - 1.0``, made in place."""
-    S = rng.integers(0, 2, size=shape) * 2.0
-    S -= 1.0
+    """Random signs, the values of ``rng.integers(0, 2, shape) * 2.0 - 1.0``, drawn by row chunks.
+
+    The generator fills an array in C order, so drawing the rows chunk by
+    chunk consumes its stream as one draw would: the signs, and every later
+    draw, are the same digits.
+    """
+    S = np.empty(shape)
+    for r in range(0, shape[0], _CHUNK_ROWS):
+        chunk = S[r : r + _CHUNK_ROWS]
+        chunk[...] = rng.integers(0, 2, size=chunk.shape)
+        chunk *= 2.0
+        chunk -= 1.0
     return S
+
+
+# Eigenvalues of the Gram matrix Y^T Y at or below this share of its largest
+# are rounding, and their directions are dropped. On rank-2 adjacencies
+# (stars and complete bipartite graphs, n = 300 to 2 * 10^5) the eigenvalues
+# of the sketch's null directions were at most 6.3 eps times the largest; the
+# floor drops the directions whose singular value is below 4.7e-7 times Y's
+# largest.
+_GRAM_FLOOR = 1e3 * np.finfo(float).eps
+
+
+def _svqb(Y):
+    """An orthonormal basis of the span of Y's columns, Y V Lambda^{-1/2}, from eigh(Y^T Y).
+
+    The eigen-decomposition form of Cholesky QR (Stathopoulos & Wu, SISC
+    2002): the eigenpairs of the Gram matrix above ``_GRAM_FLOOR`` times its
+    largest eigenvalue are kept, so a rank-deficient Y gives fewer columns,
+    and a zero Y none. One pass leaves an orthogonality error of about eps
+    times the square of Y's kept condition number; a second pass on its
+    result brings it to rounding (CholeskyQR2: Fukaya, Nakatsukasa,
+    Yanagisawa & Yamamoto, ScalA 2014). The result is a new (n, r) block, so
+    Y and the result are the only blocks alive.
+    """
+    w, V = np.linalg.eigh(Y.T @ Y)
+    keep = w > _GRAM_FLOOR * w.max(initial=0.0)
+    return Y @ (V[:, keep] / np.sqrt(w[keep]))
 
 
 # Block power steps of the Hutch++ sketch Q = orth(A^SKETCH_POWER S). With 40
@@ -868,13 +917,40 @@ def _rademacher(rng, shape):
 SKETCH_POWER = 8
 
 
+def _sketch(A, rng, half):
+    """The Hutch++ sketch Q = orth(A^SKETCH_POWER S) of a Rademacher block S with ``half`` columns.
+
+    Each power step takes the product A Q, then orthonormalizes it by two
+    :func:`_svqb` passes. Q has at most ``half`` columns, fewer where A Q is
+    rank-deficient; once it has none (A Q = 0), the steps end.
+    """
+    Q = _rademacher(rng, (A.n, half))
+    for _ in range(SKETCH_POWER):
+        if not Q.shape[1]:
+            break
+        Q = A.matmul(Q)  # the old Q is freed once its product is made
+        Q = _svqb(Q)
+        Q = _svqb(Q)
+    return Q
+
+
+def _residual_probes(rng, Q, half):
+    """``half`` Rademacher probes projected off Q's span, Z - Q (Q^T Z), made in place by row chunks."""
+    Z = _rademacher(rng, (Q.shape[0], half))
+    C = Q.T @ Z
+    for r in range(0, Z.shape[0], _CHUNK_ROWS):
+        Z[r : r + _CHUNK_ROWS] -= Q[r : r + _CHUNK_ROWS] @ C
+    return Z
+
+
 def estimate_trace_f(A, f, n_probes=40, seed=0):
     """Hutch++ estimate of Tr(f(A)) and its standard error.
 
     Half of the probes sketch the dominant eigenspace of A: a Rademacher
     block S goes through ``SKETCH_POWER`` steps of block power iteration,
-    Q <- orth(A Q) by a QR after each SpMM (Musco & Musco, NeurIPS 2015). The
-    other half estimate the residual trace of (I - QQ^T) f(A) (I - QQ^T).
+    Q <- orth(A Q) by SVQB after each SpMM (Musco & Musco, NeurIPS 2015; see
+    :func:`_sketch`). The other half estimate the residual trace of
+    (I - QQ^T) f(A) (I - QQ^T).
     Hutch++ is unbiased for any Q drawn independently of the residual probes
     (Meyer, Musco, Musco & Woodruff, SOSA 2021); the sketch sets only the
     variance. A power sketch finds the eigenvalues of A of largest modulus,
@@ -883,30 +959,28 @@ def estimate_trace_f(A, f, n_probes=40, seed=0):
     when n <= n_probes/2. The standard error is that of the residual term,
     the only random one: the sample standard deviation of the residual
     probes' quadratic forms divided by sqrt(n_probes/2) (None with a single
-    residual probe).
+    residual probe). ``sketch_rank`` is the number of Q's columns, below
+    n_probes/2 where A^SKETCH_POWER S has lower rank, as when A's rank or
+    n is below n_probes/2.
 
     Two lockstep Lanczos calls give the quadratic forms of f(A): first for
     the columns of Q, then for the residual probes, drawn and projected
     after, so that each call runs beside a single (n, n_probes/2) block. Each
     recurrence is independent of its batch, so the kernel's batches change
-    no digit. Each QR runs with the product A Q alone beside its own copies.
+    no digit. At most two such blocks are alive at once: Q and A Q in a
+    power step, the result of each orthonormalization pass beside its input,
+    and Q beside the residual probes, which are drawn and projected in place
+    by row chunks.
     """
-    n = A.n
     if n_probes < 2 or n_probes % 2:
         raise ValidationError("n_probes must be an even number >= 2")
     rng = np.random.default_rng(seed)
     half = n_probes // 2
 
-    Q = _rademacher(rng, (n, half))
-    for _ in range(SKETCH_POWER):
-        Y = A.matmul(Q)
-        del Q  # only A Q and the QR's copies are alive during the QR
-        Q, _ = np.linalg.qr(Y)
-        del Y
+    Q = _sketch(A, rng, half)
     top = _lanczos_lockstep(A, f, Q)
-    Z = _rademacher(rng, (n, half))
-    Z -= Q @ (Q.T @ Z)
+    Z = _residual_probes(rng, Q, half)
     del Q
     resid = _lanczos_lockstep(A, f, Z)
     stderr = float(np.std(resid, ddof=1) / np.sqrt(half)) if half > 1 else None
-    return TraceEstimate(sum(top.tolist()) + sum(resid.tolist()) / half, stderr)
+    return TraceEstimate(sum(top.tolist()) + sum(resid.tolist()) / half, stderr, len(top))

@@ -236,7 +236,9 @@ def hutchpp_per_probe(A, f, n_probes=40, seed=0, tol=1e-8, m_max=80):
 
     Same random draws, the same power sketch Q = orth(A^SKETCH_POWER S) and
     the same sketch/residual split as ``fconn.krylov.estimate_trace_f``;
-    every quadratic form is a separate :func:`lanczos_form` call.
+    every quadratic form is a separate :func:`lanczos_form` call. Q is
+    orthonormalized by LAPACK's Householder QR, not the estimate's SVQB, so
+    agreement also checks that the estimate depends on the sketch's span only.
     """
     A = getattr(A, "adjacency", A)
     n = A.shape[0]

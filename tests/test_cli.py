@@ -20,7 +20,7 @@ from fconn.krylov import estimate_trace_f
 from fconn.matfun import Exp
 
 import oracles
-from conftest import barabasi_albert, random_connected_graph
+from conftest import barabasi_albert, random_connected_graph, star
 
 
 @pytest.fixture
@@ -69,6 +69,26 @@ def test_trace_run(edge_list, tmp_path):
     assert summary["denominator"] is None and summary["denominator_stderr"] is None
     assert [summary["parameters"][k] for k in ("tol", "lag", "m_max")] == [None] * 3
     assert rows == []
+
+
+def test_star_sketch_rank_is_reported_below_half_the_probes(tmp_path):
+    # a star's adjacency has rank 2, so its sketch keeps 2 of 4 directions
+    path = str(tmp_path / "star.edges")
+    save_graph(star(30), path)
+    base = str(tmp_path / "break")
+    argv = ["break", "--input", path, "--budget", "1", "--q", "5", "--probes", "8"]
+    assert main(argv + ["--output", base]) == 0
+    summary, _ = _artifacts(base)
+    assert summary["denominator_sketch_rank"] == 2 and summary["trace_sketch_rank"] is None
+
+
+def test_bench_tree_sketch_rank_is_half_the_probes(bench_tree, tmp_path):
+    path = str(tmp_path / "tree.edges")
+    save_graph(bench_tree, path)
+    base = str(tmp_path / "trace")
+    assert main(["trace", "--input", path, "--probes", "40", "--output", base]) == 0
+    summary, _ = _artifacts(base)
+    assert summary["trace_sketch_rank"] == 20 and summary["denominator_sketch_rank"] is None
 
 
 _GRAPHS = {
@@ -346,6 +366,45 @@ def test_miobi_without_a_finite_score_exits_4(mode, edge_list, tmp_path, monkeyp
     assert main(argv + ["--probes", "8", "--output", base]) == 4
     assert "greedy step 1 of 2 has no best candidate" in capsys.readouterr().err
     assert not os.path.exists(base + ".json") and not os.path.exists(base + ".csv")
+
+
+@pytest.fixture(scope="module")
+def hub_edge_list(tmp_path_factory):
+    """The benchmark's make-ba graph for seed 1, input 0: 2000 nodes, 9975 edges."""
+    path = tmp_path_factory.mktemp("hub") / "ba.edges"
+    save_graph(barabasi_albert(2000, 5, seed=[1, 1, 0]), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("budget,warned", [(1, False), (4, True)])
+def test_miobi_divergence_is_a_summary_warning(budget, warned, hub_edge_list, tmp_path):
+    # the drift ends at 0.47 after one removal and at 66.2 after four
+    base = str(tmp_path / "miobi")
+    argv = ["break", "--input", hub_edge_list, "--budget", str(budget), "--method", "miobi"]
+    assert main(argv + ["--output", base]) == 0
+    summary, _ = _artifacts(base)
+    drift = summary["iterations"]["orthonormality_drift"]
+    assert (drift > fconn.cli.MIOBI_DRIFT_WARNING) == warned
+    assert any("MIOBI eigenvector updates diverged" in w for w in summary["warnings"]) == warned
+
+
+def test_diverged_miobi_exits_4_without_numpy_warnings(hub_edge_list, tmp_path):
+    # past step 12 every first-order score overflows to inf or NaN; a fresh
+    # process shows what a user sees on stderr
+    src = os.path.dirname(os.path.dirname(fconn.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["break", "--input", hub_edge_list, "--budget", "20", "--method", "miobi"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fconn.cli", *argv, "--output", str(tmp_path / "miobi")],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.splitlines() == [
+        "error: greedy step 13 of 20 has no best candidate: 9963 of 9963 scores are not finite"
+    ]
 
 
 @pytest.mark.parametrize("mode", ["break", "make"])
