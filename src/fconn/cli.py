@@ -301,7 +301,7 @@ def _run_weighted(spec: RunSpec, graph, f) -> TraceVariationReport:
     report = TraceVariationReport()
     t0 = time.perf_counter()
     mode = WeightedMode(spec.subcommand)
-    F = select_candidates(graph, mode, f, n_P=spec.n_p, n_F=spec.n_f)
+    F, report.warnings = select_candidates(graph, mode, f, n_P=spec.n_p, n_F=spec.n_f)
     prob = WeightedProblem.build(graph, F, mode, spec.budget, f, upper=spec.upper)
     x, solve = interior_point_solve(prob, inner=spec.method)
     report.wall_time = time.perf_counter() - t0

@@ -1,4 +1,4 @@
-"""Sparse symmetric graphs: storage, file I/O, centrality, pair ranking.
+"""Sparse symmetric graphs: storage, file I/O, pair ranking.
 
 Nodes are 0-based integers internally; the file formats use 1-based indices
 (edge lists and Matrix-Market coordinate files both follow that convention).
@@ -39,6 +39,8 @@ as soon as the checks that report them have passed.
 :func:`ranked_pairs` ranks a graph's edges or missing pairs by node
 centrality, with one ordering key (``_pair_keys``) and one edge-membership
 test (``_not_edges``), which AD_3 in :func:`select_search_space` shares.
+:func:`eigenvector_centrality` comes from :mod:`fconn.krylov` (Lanczos, to
+order 100 at most: paths of more than about 200 nodes raise).
 """
 
 from __future__ import annotations
@@ -49,9 +51,13 @@ import importlib.util
 import os
 import sys
 
+# Ahead of numpy, so that numpy's import reuses the memory freed by compiling
+# krylov in a job without cached bytecode; after it, the heap grew 0.3 MB.
+from .krylov import eigenvector_centrality  # isort: skip
+
 import numpy as np
 
-from .errors import ConvergenceError, InputFormatError, ValidationError
+from .errors import InputFormatError, ValidationError
 
 __all__ = [
     "SparseSymGraph",
@@ -660,45 +666,6 @@ def save_graph(g: SparseSymGraph, path) -> None:
     i, j, w = (x.tolist() for x in g.edge_arrays)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(f"{a + 1} {b + 1} {x:.17g}\n" for a, b, x in zip(i, j, w)))
-
-
-# ---------------------------------------------------------------------
-# Eigenvector centrality
-# ---------------------------------------------------------------------
-
-
-def eigenvector_centrality(g: SparseSymGraph, tol=1e-8, max_iter=None) -> np.ndarray:
-    """Perron eigenvector of the adjacency matrix, unit 2-norm, entrywise >= 0.
-
-    Shifted power iteration on I + A/rho (rho = max(1, ||A||_1), the largest
-    weighted degree, an upper bound on the spectral radius), which converges
-    for connected graphs even when the spectrum is symmetric (bipartite
-    graphs have a -lambda_max eigenvalue that defeats the unshifted
-    iteration). The residual test ``||A x - lambda x|| <= tol * lambda`` is
-    evaluated on the original matrix.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = g.n
-    if max_iter is None:
-        # 10n scales with problem size; the floor covers small graphs whose
-        # iteration count is set by the spectral gap, not by n
-        max_iter = max(10 * n, 500)
-    rho = max(1.0, g.norm1)
-    x = np.full(n, 1.0 / np.sqrt(n))
-    resid = np.inf
-    for _ in range(max_iter):
-        ax = g.matmul(x)
-        lam = float(x @ ax)
-        resid = float(np.linalg.norm(ax - lam * x))
-        if resid <= tol * abs(lam) + 1e-300:
-            x = np.maximum(x, 0.0)
-            return x / np.linalg.norm(x)
-        y = x + ax / rho
-        x = y / np.linalg.norm(y)
-    raise ConvergenceError(
-        "power iteration did not converge", residual=resid, iterations=max_iter
-    )
 
 
 class Ordering(enum.Enum):

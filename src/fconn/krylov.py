@@ -9,6 +9,7 @@ them:
                                with one shared basis per node (a single
                                derivative is a one-pair call)
 * ``fun_action``            -- f(A) v for a single vector
+* ``eigenvector_centrality``-- the Perron vector of A, for :mod:`fconn.graph`
 * ``estimate_trace_f``      -- Hutch++ stochastic estimate of Tr(f(A))
 
 The weighted solver (:mod:`fconn.weighted`) builds its own model of phi, grad
@@ -63,12 +64,15 @@ SVQB gives other digits for the sketch than a Householder QR, but the same
 span up to rounding, and the estimate depends on the sketch only through its
 span: on the benchmark's break-tree and make-ba inputs it moved by at most
 1.3e-12 relative from a Householder-QR sketch.
-``fun_action``, the package's one f(A) v (``select_candidates`` ranks edges
-by f'(A) e_v), runs the same recurrence on a single vector, keeps its basis
-V_m and returns ||v|| V_m f(T_m) e_1. Both take the start vector to be the
-first basis vector exactly, never recomputed from inner products with the
-basis, which lose their meaning once the basis loses orthogonality (Musco,
-Musco & Sidford, SODA 2018).
+Every break, make and weighted job runs the estimate for its denominator.
+Weighted jobs run the recurrence in ``fun_action`` too, which keeps its basis
+V_m and returns ||v|| V_m f(T_m) e_1. ``eigenvector_centrality``, which ranks
+the candidate pools, runs it until the largest Ritz pair converges and then
+again to sum the Ritz vector: a kept basis of up to ``DEFAULT_M_MAX`` vectors
+raised a break job's peak by about 1 MB, and the rerun repeats its digits.
+All take the start vector to be the first basis vector exactly, never
+recomputed from inner products with the basis, which lose their meaning once
+the basis loses orthogonality (Musco, Musco & Sidford, SODA 2018).
 
 Every block Krylov space starts from graph nodes, since the space of an
 update X = U B U^T with indicator columns U depends only on A and the nodes
@@ -96,8 +100,8 @@ block and says whether the value at that order is still not exact.
 
 Every routine takes the large symmetric matrix as a
 :class:`fconn.graph.SparseSymGraph`, whose CSR adjacency has sorted indices
-and whose cached 1-norm sets the deflation threshold; every Krylov start is
-a list of node indices.
+and whose cached 1-norm sets the deflation threshold; every block Krylov
+start is a list of node indices.
 """
 
 from __future__ import annotations
@@ -118,6 +122,7 @@ __all__ = [
     "MultiFrechetResult",
     "multiple_frechet_eval",
     "fun_action",
+    "eigenvector_centrality",
     "TraceEstimate",
     "estimate_trace_f",
 ]
@@ -637,7 +642,7 @@ def multiple_frechet_eval(M, F, f, lag=DEFAULT_LAG, tol=1e-8, m_max=DEFAULT_M_MA
 
 
 # ---------------------------------------------------------------------
-# f(A) v and stochastic trace estimation
+# f(A) v, the Perron vector and stochastic trace estimation
 # ---------------------------------------------------------------------
 
 
@@ -677,10 +682,10 @@ class _LanczosBatch:
     orthogonalization subtracts.
     """
 
-    def __init__(self, g, starts, thr, m_max):
+    def __init__(self, g, starts, m_max):
         b = starts.shape[0]
         self._g = g
-        self._thr = thr
+        self._thr = _deflation_tol(g)
         self.ids = np.arange(b)  # start-block row of each active recurrence
         self.Q = starts  # newest basis vector q_s of each active recurrence
         self._P = np.zeros_like(starts)  # q_{s-1}
@@ -770,17 +775,16 @@ def _lanczos_lockstep(A, f, V, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
     ``m_max`` steps, with the largest lagged change among that batch's such
     columns as the residual.
     """
-    thr = _deflation_tol(A)
     V = np.asarray(V, dtype=float)
     n, k = V.shape
     width = max(1, _BATCH_ENTRIES // n)
     forms = np.zeros(k)
     for c in range(0, k, width):
-        forms[c : c + width] = _lockstep_batch(A, f, V[:, c : c + width], thr, lag, tol, m_max)
+        forms[c : c + width] = _lockstep_batch(A, f, V[:, c : c + width], lag, tol, m_max)
     return forms
 
 
-def _lockstep_batch(A, f, V, thr, lag, tol, m_max):
+def _lockstep_batch(A, f, V, lag, tol, m_max):
     """:func:`_lanczos_lockstep` on one batch of columns."""
     X = np.array(V.T, order="C")  # row c is v_c
     sq = _rowdot(X, X)  # ||v_c||^2, summed alike in any batch
@@ -790,7 +794,7 @@ def _lockstep_batch(A, f, V, thr, lag, tol, m_max):
     X /= np.sqrt(sq[cols])[:, None]
     forms = np.zeros(len(sq))
     history = np.zeros((len(cols), m_max))  # form of each recurrence at each order
-    run = _LanczosBatch(A, X, thr, m_max)
+    run = _LanczosBatch(A, X, m_max)
     while len(run.ids):
         grew = run.step()
         m, ids = run.steps, run.ids
@@ -827,12 +831,11 @@ def fun_action(A, f, v, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
     exact result. Returns V_m y_m; a zero v gives zero. Raises
     ConvergenceError after ``m_max`` steps.
     """
-    thr = _deflation_tol(A)
     v = np.asarray(v, dtype=float).ravel()
     norm = float(np.sqrt(v @ v))
     if norm == 0.0:
         return np.zeros_like(v)
-    run = _LanczosBatch(A, (v / norm)[None, :], thr, m_max)
+    run = _LanczosBatch(A, (v / norm)[None, :], m_max)
     basis = [run.Q[0].copy()]  # the batch reuses its blocks
 
     def step(m):
@@ -852,6 +855,36 @@ def fun_action(A, f, v, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
     if not converged:
         raise ConvergenceError("Lanczos action of f did not converge", iterations=m_max)
     return np.column_stack(basis[:m]) @ y
+
+
+def eigenvector_centrality(g, tol=1e-8) -> np.ndarray:
+    """Perron eigenvector of the adjacency matrix, unit 2-norm, entrywise >= 0.
+
+    Runs the recurrence of :class:`_LanczosBatch` from ones / sqrt(n) until
+    the Ritz estimate beta_m |z_m| of the largest Ritz value theta is at most
+    ``tol * theta``, a bound on the residual ||A x - theta x|| of the Ritz
+    vector x, or until the space is exhausted and x is exact. A second run of
+    the same recurrence sums x = sum_j z_j q_j; the result is |x| / ||x||.
+    Raises ConvergenceError at order ``DEFAULT_M_MAX``, where a path of more
+    than about 200 nodes is neither exhausted nor resolved.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    run = _LanczosBatch(g, np.full((1, g.n), 1.0 / np.sqrt(g.n)), DEFAULT_M_MAX)
+    for m in range(DEFAULT_M_MAX):
+        grew = run.step()[0]
+        w, Z = np.linalg.eigh(run.tridiagonal()[0])
+        z, estimate = Z[:, -1], run.beta[0, m] * abs(Z[-1, -1])
+        if not grew or estimate <= tol * w[-1]:
+            break
+    else:
+        raise ConvergenceError("Lanczos Perron vector did not converge", estimate / w[-1], m + 1)
+    run = _LanczosBatch(g, np.full((1, g.n), 1.0 / np.sqrt(g.n)), m + 1)
+    x = z[0] * run.Q[0]
+    for zj in z[1:]:
+        run.step()
+        x += zj * run.Q[0]
+    return np.abs(x) / np.linalg.norm(x)
 
 
 @dataclass(frozen=True)

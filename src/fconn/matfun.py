@@ -172,6 +172,8 @@ class Polynomial(ScalarFunction):
             raise ValueError("polynomial coefficients must be a nonempty 1-D sequence")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError(f"polynomial coefficients must be finite, got {coeffs}")
+        if not coeffs.any():
+            raise ValueError("f is identically zero, so Tr f(A) = 0")
         self.coeffs = coeffs
 
     @property
@@ -188,8 +190,10 @@ class Polynomial(ScalarFunction):
 
     def derivative(self):
         dc = np.polynomial.polynomial.polyder(self.coeffs)
-        if dc.size == 0:
-            dc = np.zeros(1)
+        if not dc.any():  # f' of a constant is the zero polynomial, which __init__ rejects
+            zero = object.__new__(Polynomial)
+            zero.coeffs = np.zeros(1)
+            return zero
         return Polynomial(dc)
 
     def divided_difference(self, x, y):

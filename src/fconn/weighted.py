@@ -22,7 +22,6 @@ half of each), and a gradient cut at x = 0 keeps n_F of the n_P candidates.
 from __future__ import annotations
 
 import enum
-import warnings
 from collections import deque
 from dataclasses import dataclass
 
@@ -583,7 +582,8 @@ def select_candidates(graph, mode: WeightedMode, f, n_P, n_F):
     two pools under the minmax ordering. Every pool comes from one
     eigenvector centrality through :func:`fconn.graph.ranked_pairs`. The
     final cut keeps each pool's candidates with the largest entries
-    2 f'(A)_ij, i.e. the largest gradient components at x = 0.
+    2 f'(A)_ij, i.e. the largest gradient components at x = 0. Returns F
+    and a message for each pool that holds fewer candidates than asked for.
     """
     if mode is WeightedMode.REWIRE:
         pools = [(False, n_P // 2, n_F // 2), (True, n_P - n_P // 2, n_F - n_F // 2)]
@@ -593,12 +593,13 @@ def select_candidates(graph, mode: WeightedMode, f, n_P, n_F):
     ordering = Ordering.PRODUCT if existing_only else Ordering.MINMAX
     scores = eigenvector_centrality(graph)
     ranked = [ranked_pairs(graph, scores, ordering, size, missing) for missing, size, _ in pools]
+    short = []
     for (missing, size, _), cands in zip(pools, ranked):
         if missing and not cands:
             raise ExhaustedSearchSpaceError("graph is complete: no edges to add")
         if len(cands) < size:
             kind = "missing pairs" if missing else "existing edges"
-            warnings.warn(f"only {len(cands)} {kind} available (pool of {size})")
+            short.append(f"only {len(cands)} {kind} available (pool of {size})")
     fprime = f.derivative()
     cols = {}  # f'(A) e_v, one Lanczos column per node the pools touch
     for v in sorted({v for cands in ranked for p in cands for v in p}):
@@ -609,4 +610,4 @@ def select_candidates(graph, mode: WeightedMode, f, n_P, n_F):
     for (_, _, take), cands in zip(pools, ranked):
         vals = {(i, j): 0.5 * (cols[j][i] + cols[i][j]) for i, j in cands}
         F += sorted(cands, key=lambda p: (-vals[p], p))[:take]
-    return F
+    return F, short

@@ -60,6 +60,16 @@ def cycle(n):
     )
 
 
+def complete_bipartite(a, b):
+    return SparseSymGraph(a + b, [(i, a + j, 1.0) for i in range(a) for j in range(b)])
+
+
+def k6_and_star20():
+    """K6 on nodes 0-5 beside the star K_{1,20} centred at node 6."""
+    k6 = [(i, j, 1.0) for i in range(6) for j in range(i + 1, 6)]
+    return SparseSymGraph(27, k6 + [(6, 6 + k, 1.0) for k in range(1, 21)])
+
+
 def missing_pairs(g):
     return [
         (i, j)

@@ -20,7 +20,7 @@ from fconn.krylov import estimate_trace_f
 from fconn.matfun import Exp
 
 import oracles
-from conftest import barabasi_albert, random_connected_graph, star
+from conftest import barabasi_albert, k6_and_star20, path, random_connected_graph, star
 
 
 @pytest.fixture
@@ -221,6 +221,7 @@ BAD_NUMBERS = [
     ["break", "--budget", "1", "--function", "resolvent:alpha=nan"],
     ["break", "--budget", "1", "--function", "poly:"],
     ["break", "--budget", "1", "--function", "poly:1,inf"],
+    ["break", "--budget", "1", "--function", "poly:0"],
     ["break", "--budget", "1", "--seed", "-1"],
     ["trace", "--seed", "-3"],
     ["add", "--budget", "1", "--n-p", "0"],
@@ -448,6 +449,32 @@ def test_unconverged_weighted_model_is_reported(edge_list, capsys, monkeypatch):
     assert summary["iterations"]["krylov_order"] == 1
     assert summary["iterations"]["unconverged"] > 0
     assert any("unconverged" in w for w in summary["warnings"])
+
+
+def test_short_candidate_pool_is_a_summary_warning(tmp_path, capsys):
+    # a one-edge graph holds 1 of the 100 existing edges downgrade ranks
+    one = tmp_path / "one.edges"
+    one.write_text("1 2\n")
+    assert main(["downgrade", "--input", str(one), "--budget", "1", "--probes", "8"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["warnings"] == ["only 1 existing edges available (pool of 100)"]
+
+
+@pytest.mark.parametrize(
+    "graph,argv",
+    [
+        (path(50), ["break", "--budget", "1"]),
+        (k6_and_star20(), ["downgrade", "--budget", "1", "--n-p", "30"]),
+    ],
+    ids=["break-path50", "downgrade-K6+K1,20"],
+)
+def test_default_jobs_resolve_slow_and_split_spectra(graph, argv, tmp_path, capsys):
+    # the path's spectral gap is small, and the union's two components have
+    # close top eigenvalues; the default jobs rank by centrality on both
+    p = tmp_path / "g.edges"
+    save_graph(graph, p)
+    assert main(argv + ["--input", str(p)]) == 0
+    assert json.loads(capsys.readouterr().out)["warnings"] == []
 
 
 def test_compare_run(edge_list, tmp_path, capsys):

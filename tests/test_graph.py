@@ -25,7 +25,9 @@ from fconn.graph import (
 
 from conftest import (
     barabasi_albert,
+    complete_bipartite,
     cycle,
+    k6_and_star20,
     missing_pairs,
     path,
     random_connected_graph,
@@ -540,9 +542,65 @@ class TestEigenvectorCentrality:
         angle = np.arccos(min(1.0, abs(float(x @ v))))
         assert angle < 1e-6
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            path(50),
+            path(200),
+            cycle(9),
+            cycle(10),
+            star(50),
+            complete_bipartite(3, 3),
+            k6_and_star20(),
+        ],
+        ids=["path50", "path200", "cycle9", "cycle10", "star50", "K33", "K6+K1,20"],
+    )
+    def test_matches_dense_eigh(self, g):
+        # paths have a spectral gap of about 1 - cos(pi/(n+1)), and their
+        # Krylov space exhausts the symmetric subspace; bipartite spectra are
+        # symmetric; K6 + K_{1,20} has two components whose top eigenvalues,
+        # 5 and sqrt(20), are close.
+        x = eigenvector_centrality(g)
+        A = g.adjacency.toarray()
+        w, V = np.linalg.eigh(A)
+        assert np.max(np.abs(x - np.abs(V[:, -1]))) <= 1e-12
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-14
+        assert float(x @ A @ x) == pytest.approx(w[-1], rel=1e-14)
+
+    def test_disconnected_graph_takes_the_larger_component(self):
+        # a Krylov space from the star's centre would find sqrt(20), not K6's 5
+        g = k6_and_star20()
+        x = eigenvector_centrality(g)
+        assert float(x @ g.matmul(x)) == pytest.approx(5.0, rel=1e-14)
+
+    def test_edgeless_graph_is_uniform(self):
+        # every vector is an eigenvector of A = 0; the start vector is returned
+        x = eigenvector_centrality(SparseSymGraph(5, []))
+        assert np.allclose(x, 1.0 / np.sqrt(5.0), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: barabasi_albert(1500, 3, seed=1),
+            lambda: random_connected_graph(1500, 3000, seed=2, weighted=True),
+        ],
+        ids=["ba1500", "weighted1500"],
+    )
+    def test_true_residual_at_scale(self, make, tol):
+        # at n >= 1000 the recurrence has lost orthogonality by the stop;
+        # the Ritz estimate must still bound the true residual
+        g = make()
+        x = eigenvector_centrality(g, tol=tol)
+        ax = g.matmul(x)
+        lam = float(x @ ax)
+        assert np.linalg.norm(ax - lam * x) <= tol * lam
+        assert np.all(x >= 0) and abs(np.linalg.norm(x) - 1.0) <= 1e-12
+
     def test_nonconvergence_raises(self):
-        with pytest.raises(ConvergenceError):
-            eigenvector_centrality(path(3), tol=1e-12, max_iter=2)
+        # a 1000-node path is neither exhausted nor resolved at the order cap
+        with pytest.raises(ConvergenceError, match="iterations=100"):
+            eigenvector_centrality(path(1000))
 
     def test_invalid_tol(self):
         with pytest.raises(ValueError):

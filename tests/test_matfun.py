@@ -33,6 +33,10 @@ class TestScalarCatalog:
         p = Polynomial([1.0, 0.0, 3.0])
         assert np.allclose(p(x), 1.0 + 3.0 * x**2)
         assert np.allclose(p.derivative()(x), 6.0 * x)
+        # f = 0 is rejected, but a constant's derivative is the zero function
+        with pytest.raises(ValueError, match="identically zero"):
+            Polynomial([0.0, 0.0])
+        assert np.array_equal(Polynomial([2.0]).derivative()(x), np.zeros_like(x))
 
     def test_derivative_objects_match_finite_differences(self):
         h = 1e-6
