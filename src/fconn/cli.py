@@ -12,11 +12,13 @@ Every optimizing run writes a CSV with one row per chosen edge and a JSON
 summary (printed to stdout, optionally written next to the CSV). The
 denominator of the relative trace variation, a Hutch++ estimate of Tr(f(A))
 reported with its standard error and the rank of its sketch, runs on one
-worker thread beside the optimizer; the reported wall time still covers the
-optimizer only. If the estimate fails, its error decides the exit code, even
-when the optimizer failed too, and no artifact is written. Exit codes: 0
-success, 2 validation or usage, 3 input parsing, 4 convergence, 5 function
-domain, 7 exhausted search space.
+plain ``threading.Thread`` beside the optimizer, joined before the run
+returns or raises (an executor's ``concurrent.futures`` would load
+``logging`` and ``traceback`` into every job); the reported wall time still
+covers the optimizer only. If the estimate fails, its error decides the exit
+code, even when the optimizer failed too, and no artifact is written. Exit
+codes: 0 success, 2 validation or usage, 3 input parsing, 4 convergence,
+5 function domain, 7 exhausted search space.
 
 Every default lives in :class:`RunSpec`: the parser leaves an option that is
 not given as None, and the spec fills it in and checks it. ``_METHODS`` lists
@@ -31,8 +33,8 @@ import csv
 import dataclasses
 import json
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,8 +138,8 @@ class RunSpec:
             raise ValidationError(f"tol must be finite and >= 0, got {self.tol}")
         if self.n_p < 1 or self.n_f < 1:
             raise ValidationError(f"n_p and n_f must be >= 1, got {self.n_p} and {self.n_f}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ValidationError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.budget is not None and not 0.0 < self.budget < np.inf:
             raise ValidationError(f"budget must be positive and finite, got {self.budget}")
         if self.upper is not None:
@@ -328,18 +330,28 @@ def _run_weighted(spec: RunSpec, graph, f) -> TraceVariationReport:
 def _beside_denominator(graph, f, spec, optimize):
     """Return ``optimize()`` and the Hutch++ estimate of Tr f(A), run at once.
 
-    The estimate runs on one worker thread while ``optimize`` runs in this
-    one (their large SpMM and ufunc calls release the GIL). The worker is
-    joined before this returns or raises; an error of the estimate is raised
-    in preference to one of ``optimize``.
+    The estimate runs on one plain worker thread while ``optimize`` runs in
+    this one (their large SpMM and ufunc calls release the GIL). The worker
+    is joined before this returns or raises; an error of the estimate is
+    raised in preference to one of ``optimize``.
     """
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        future = pool.submit(estimate_trace_f, graph, f, n_probes=spec.probes, seed=spec.seed)
+    out = {}
+
+    def estimate():
         try:
-            result = optimize()
-        finally:
-            estimate = future.result()
-    return result, estimate
+            out["estimate"] = estimate_trace_f(graph, f, n_probes=spec.probes, seed=spec.seed)
+        except BaseException as exc:  # re-raised in the calling thread
+            out["error"] = exc
+
+    worker = threading.Thread(target=estimate)
+    worker.start()
+    try:
+        result = optimize()
+    finally:
+        worker.join()
+        if "error" in out:
+            raise out["error"]
+    return result, out["estimate"]
 
 
 def _set_denominator(report, estimate):

@@ -64,6 +64,16 @@ SVQB gives other digits for the sketch than a Householder QR, but the same
 span up to rounding, and the estimate depends on the sketch only through its
 span: on the benchmark's break-tree and make-ba inputs it moved by at most
 1.3e-12 relative from a Householder-QR sketch.
+The probes are random signs from a counter-based SplitMix64 stream (Steele,
+Lea & Flood, OOPSLA 2014) written in numpy (``_rademacher``): the i-th word
+of the stream keyed by the seed is the generator's i-th output, computed
+from i alone on uint64 arrays, and gives 64 signs, one per bit. The
+sketch reads stream 0 and the residual probes stream 1, the words from 2^63
+on. A sign depends only on the seed, the stream and its position, so a seed
+gives the same digits at any batch or chunk size (not those of releases that
+drew the signs with numpy's default generator). A job imports no
+``numpy.random``, which with ``secrets``, ``hashlib`` and OpenSSL's
+``_hashlib`` added 5.3 MB and 10-15 ms to every job.
 Every break, make and weighted job runs the estimate for its denominator.
 Weighted jobs run the recurrence in ``fun_action`` too, which keeps its basis
 V_m and returns ||v|| V_m f(T_m) e_1. ``eigenvector_centrality``, which ranks
@@ -106,6 +116,7 @@ start is a list of node indices.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -898,20 +909,49 @@ class TraceEstimate:
 # that those steps hold no second block of the full size.
 _CHUNK_ROWS = 2**12
 
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): its output i >= 1 from
+# state k is mix(k + i * _GAMMA mod 2^64).
+_GAMMA = 0x9E3779B97F4A7C15
 
-def _rademacher(rng, shape):
-    """Random signs, the values of ``rng.integers(0, 2, shape) * 2.0 - 1.0``, drawn by row chunks.
 
-    The generator fills an array in C order, so drawing the rows chunk by
-    chunk consumes its stream as one draw would: the signs, and every later
-    draw, are the same digits.
+def _splitmix64(key, start, stop):
+    """Words ``start`` to ``stop - 1`` of the SplitMix64 stream from state ``key``; word w is output w + 1.
+
+    Each word is computed from its counter alone, on a uint64 array, whose
+    arithmetic wraps mod 2^64 without numpy's scalar overflow warning.
     """
+    z = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += np.uint64(key)
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
+def _rademacher(seed, shape, stream=0):
+    """Random signs of ``shape`` from sign stream 0 or 1 of ``seed``, drawn by row chunks.
+
+    Entry k of the array in C order is +1 where bit k mod 64 of word k // 64
+    of the SplitMix64 stream from state seed + stream * 2^63 (mod 2^64) is
+    set, and -1 where it is clear. Since 2^63 times the generator's odd
+    increment is 2^63 mod 2^64, stream 1 is the words of stream 0 from
+    2^63 on, so the two streams never meet. A sign depends only on the
+    seed, the stream and k, so any shape with the same C-order entries and
+    any chunking draw the same signs.
+    """
+    key = (seed + stream * 2**63) % 2**64
     S = np.empty(shape)
-    for r in range(0, shape[0], _CHUNK_ROWS):
-        chunk = S[r : r + _CHUNK_ROWS]
-        chunk[...] = rng.integers(0, 2, size=chunk.shape)
-        chunk *= 2.0
-        chunk -= 1.0
+    flat = S.reshape(-1)
+    step = max(1, _CHUNK_ROWS * S[:1].size)  # entries in _CHUNK_ROWS rows
+    for a in range(0, S.size, step):
+        b = min(a + step, S.size)
+        words = _splitmix64(key, a // 64, -(-b // 64)).astype("<u8", copy=False)
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+        np.multiply(bits[a % 64 : a % 64 + b - a], 2.0, out=flat[a:b])
+        flat[a:b] -= 1.0
     return S
 
 
@@ -950,14 +990,18 @@ def _svqb(Y):
 SKETCH_POWER = 8
 
 
-def _sketch(A, rng, half):
-    """The Hutch++ sketch Q = orth(A^SKETCH_POWER S) of a Rademacher block S with ``half`` columns.
+def _sketch(A, seed, half):
+    """The Hutch++ sketch Q = orth(A^SKETCH_POWER S) of a sign block S with ``half`` columns.
 
-    Each power step takes the product A Q, then orthonormalizes it by two
+    S holds the signs of ``seed``'s stream 0 (see :func:`_rademacher`). Each
+    power step takes the product A Q, then orthonormalizes it by two
     :func:`_svqb` passes. Q has at most ``half`` columns, fewer where A Q is
-    rank-deficient; once it has none (A Q = 0), the steps end.
+    rank-deficient; once it has none (A Q = 0), the steps end. With
+    ``half >= n``, Q is the n x n identity, and no sign is drawn.
     """
-    Q = _rademacher(rng, (A.n, half))
+    if half >= A.n:
+        return np.eye(A.n)
+    Q = _rademacher(seed, (A.n, half))
     for _ in range(SKETCH_POWER):
         if not Q.shape[1]:
             break
@@ -967,9 +1011,12 @@ def _sketch(A, rng, half):
     return Q
 
 
-def _residual_probes(rng, Q, half):
-    """``half`` Rademacher probes projected off Q's span, Z - Q (Q^T Z), made in place by row chunks."""
-    Z = _rademacher(rng, (Q.shape[0], half))
+def _residual_probes(seed, Q, half):
+    """``half`` sign probes projected off Q's span, Z - Q (Q^T Z), made in place by row chunks.
+
+    Z holds the signs of ``seed``'s stream 1 (see :func:`_rademacher`).
+    """
+    Z = _rademacher(seed, (Q.shape[0], half), stream=1)
     C = Q.T @ Z
     for r in range(0, Z.shape[0], _CHUNK_ROWS):
         Z[r : r + _CHUNK_ROWS] -= Q[r : r + _CHUNK_ROWS] @ C
@@ -988,13 +1035,20 @@ def estimate_trace_f(A, f, n_probes=40, seed=0):
     (Meyer, Musco, Musco & Woodruff, SOSA 2021); the sketch sets only the
     variance. A power sketch finds the eigenvalues of A of largest modulus,
     among them the largest ones, which dominate Tr(f(A)) for an increasing f
-    such as exp. The estimate is exact whenever Q spans the whole space, e.g.
-    when n <= n_probes/2. The standard error is that of the residual term,
+    such as exp. The estimate is exact whenever Q spans the whole space: when
+    n <= n_probes/2, Q is the identity, since power steps would drop the null
+    space of a singular A. The standard error is that of the residual term,
     the only random one: the sample standard deviation of the residual
     probes' quadratic forms divided by sqrt(n_probes/2) (None with a single
-    residual probe). ``sketch_rank`` is the number of Q's columns, below
-    n_probes/2 where A^SKETCH_POWER S has lower rank, as when A's rank or
-    n is below n_probes/2.
+    residual probe). ``sketch_rank`` is the number of Q's columns: n when
+    n <= n_probes/2, and otherwise below n_probes/2 where A^SKETCH_POWER S
+    has lower rank, as when A's rank is below n_probes/2.
+
+    The probes are signs from streams 0 (the sketch block S) and 1 (the
+    residual probes) of the SplitMix64 generator keyed by ``seed``, an
+    integer in [0, 2^64) (see :func:`_rademacher`). A sign depends on its
+    position alone, so a seed gives the same digits at any batch or chunk
+    size, but not those of releases that drew numpy's default generator.
 
     Two lockstep Lanczos calls give the quadratic forms of f(A): first for
     the columns of Q, then for the residual probes, drawn and projected
@@ -1007,12 +1061,14 @@ def estimate_trace_f(A, f, n_probes=40, seed=0):
     """
     if n_probes < 2 or n_probes % 2:
         raise ValidationError("n_probes must be an even number >= 2")
-    rng = np.random.default_rng(seed)
+    seed = operator.index(seed)
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be in [0, 2^64), got {seed}")
     half = n_probes // 2
 
-    Q = _sketch(A, rng, half)
+    Q = _sketch(A, seed, half)
     top = _lanczos_lockstep(A, f, Q)
-    Z = _residual_probes(rng, Q, half)
+    Z = _residual_probes(seed, Q, half)
     del Q
     resid = _lanczos_lockstep(A, f, Z)
     stderr = float(np.std(resid, ddof=1) / np.sqrt(half)) if half > 1 else None

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from fconn.krylov import SKETCH_POWER, multiple_frechet_eval
+from fconn.krylov import SKETCH_POWER, _rademacher, multiple_frechet_eval
 from fconn.matfun import Cosh, Exp, Polynomial, Resolvent, Sinh
 
 
@@ -234,25 +234,25 @@ def lanczos_form(A, f, v, lag=2, tol=1e-8, m_max=80):
 def hutchpp_per_probe(A, f, n_probes=40, seed=0, tol=1e-8, m_max=80):
     """Hutch++ estimate of Tr(f(A)) with one Lanczos run per probe vector.
 
-    Same random draws, the same power sketch Q = orth(A^SKETCH_POWER S) and
-    the same sketch/residual split as ``fconn.krylov.estimate_trace_f``;
+    Same sign draws (the package's SplitMix64 streams 0 and 1 of ``seed``),
+    the same power sketch Q = orth(A^SKETCH_POWER S) and the same
+    sketch/residual split as ``fconn.krylov.estimate_trace_f``;
     every quadratic form is a separate :func:`lanczos_form` call. Q is
     orthonormalized by LAPACK's Householder QR, not the estimate's SVQB, so
     agreement also checks that the estimate depends on the sketch's span only.
     """
     A = getattr(A, "adjacency", A)
     n = A.shape[0]
-    rng = np.random.default_rng(seed)
     half = n_probes // 2
 
     def form(x):
         return lanczos_form(A, f, x, tol=tol, m_max=m_max)
 
-    Q = rng.integers(0, 2, size=(n, half)) * 2.0 - 1.0
+    Q = _rademacher(seed, (n, half))
     for _ in range(SKETCH_POWER):
         Q, _ = np.linalg.qr(A @ Q)
     sketch = sum(form(Q[:, c]) for c in range(Q.shape[1]))
-    Z = rng.integers(0, 2, size=(n, half)) * 2.0 - 1.0
+    Z = _rademacher(seed, (n, half), stream=1)
     G = Z - Q @ (Q.T @ Z)
     resid = sum(form(G[:, c]) for c in range(half)) / half
     return sketch + resid

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -131,6 +132,9 @@ def test_overlapped_run_matches_direct_calls(mode, graph, tmp_path, monkeypatch)
 
 
 def _failing_estimate(*args, **kwargs):
+    # slower than an optimizer that fails at once, so that its error wins
+    # only if the worker is joined before the error is chosen
+    time.sleep(0.2)
     raise ConvergenceError("Lanczos action of f did not converge")
 
 
@@ -242,6 +246,8 @@ BAD_NUMBERS = [
     ["add", "--budget", "2", "--upper", "-1"],
     ["rewire", "--budget", "2", "--upper", "0"],
     ["tune", "--budget", "2", "--upper", "-0.5"],
+    ["trace", "--seed", "100000000000000000000000000"],
+    ["break", "--budget", "1", "--seed", str(2**64)],
 ]
 
 
@@ -269,6 +275,14 @@ def test_downgrade_takes_no_upper(edge_list, capsys):
         RunSpec("downgrade", edge_list, budget=1.0, upper=2.0)
     with pytest.raises(ValidationError, match="upper"):
         RunSpec("break", edge_list, budget=1.0, upper=2.0)
+
+
+def test_seed_must_fit_64_bits(edge_list):
+    # the Hutch++ signs are keyed by a 64-bit state, which would alias larger seeds
+    assert RunSpec("trace", edge_list, seed=2**64 - 1).seed == 2**64 - 1
+    for seed in (-1, 2**64, 10**26):
+        with pytest.raises(ValidationError, match="seed"):
+            RunSpec("trace", edge_list, seed=seed)
 
 
 def test_tune_accepts_a_zero_upper(edge_list):
@@ -561,16 +575,18 @@ def test_break_and_make_do_not_import_scipy_linalg(edge_list, tmp_path):
     assert loaded == {"import fconn": [], "break": [], "make": []}
 
 
-_SCIPY_GUARD = """
+# Which of the modules named after the input and output arguments each job
+# stage has loaded, MIOBI last.
+_JOBS_GUARD = """
 import json, sys
 
 import fconn
 import fconn.cli
 
-package = ("scipy", "scipy.sparse")
-loaded = {"import fconn": [m for m in package if m in sys.modules]}
+watched = sys.argv[3:]
+loaded = {"import fconn": [m for m in watched if m in sys.modules]}
 fconn.load_graph(sys.argv[1])
-loaded["load_graph"] = [m for m in package if m in sys.modules]
+loaded["load_graph"] = [m for m in watched if m in sys.modules]
 common = ["--input", sys.argv[1], "--probes", "8"]
 jobs = {
     "break": ["break", "--budget", "2", "--q", "5"],
@@ -581,7 +597,7 @@ jobs = {
 }
 for name, argv in jobs.items():
     assert fconn.cli.main(argv + common + ["--output", sys.argv[2] + name]) == 0, name
-    loaded[name] = [m for m in package if m in sys.modules]
+    loaded[name] = [m for m in watched if m in sys.modules]
 print(json.dumps(loaded))
 """
 
@@ -590,6 +606,19 @@ def test_jobs_do_not_import_the_scipy_package(edge_list, tmp_path):
     # scipy's package start-up is most of a job's: importing scipy.sparse took
     # 0.3 s and 22 MB. The graph calls scipy's compiled CSR kernel without it,
     # and only MIOBI's eigsh, through the lazy adjacency, imports it.
-    loaded = _fresh_process(_SCIPY_GUARD, edge_list, str(tmp_path / "out-"))
+    loaded = _fresh_process(_JOBS_GUARD, edge_list, str(tmp_path / "out-"), "scipy", "scipy.sparse")
     untouched = ["import fconn", "load_graph", "break", "make", "trace", "downgrade"]
     assert loaded == dict.fromkeys(untouched, []) | {"miobi": ["scipy", "scipy.sparse"]}
+
+
+def test_jobs_load_no_random_generator_or_executor(edge_list, tmp_path):
+    # numpy.random, which loads secrets, hashlib and OpenSSL's _hashlib, added
+    # 5.3 MB and 10-15 ms to a job, and concurrent.futures, which loads
+    # logging, another 0.7 MB and 6 ms: the Hutch++ signs come from the
+    # package's own stream and the estimate runs on a plain thread. MIOBI's
+    # lazy scipy.sparse.linalg may load them.
+    watched = ["numpy.random", "secrets", "hashlib", "_hashlib", "concurrent.futures", "logging"]
+    loaded = _fresh_process(_JOBS_GUARD, edge_list, str(tmp_path / "out-"), *watched)
+    del loaded["miobi"]
+    untouched = ["import fconn", "load_graph", "break", "make", "trace", "downgrade"]
+    assert loaded == dict.fromkeys(untouched, [])

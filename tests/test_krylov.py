@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +14,7 @@ from fconn.krylov import (
     _lagged,
     _qr_rows,
     _lanczos_lockstep,
+    _rademacher,
     _residual_probes,
     _sketch,
     _support_product,
@@ -613,9 +616,21 @@ class TestEstimateTrace:
 
     def test_zero_matrix_sketch_loses_every_direction(self):
         # A Q = 0 has an all-zero Gram matrix: the sketch ends with no
-        # columns, and the residual probes alone give n f(0) exactly
-        est = estimate_trace_f(SparseSymGraph(9, []), Exp(), n_probes=20, seed=3)
-        assert est.sketch_rank == 0 and est.value == 9.0
+        # columns, and the residual probes alone give n f(0) exactly. (With
+        # n <= n_probes/2 the sketch is the identity and draws no signs.)
+        est = estimate_trace_f(SparseSymGraph(30, []), Exp(), n_probes=20, seed=3)
+        assert est.sketch_rank == 0 and est.value == 30.0
+
+    @pytest.mark.parametrize("probes", [24, 40])
+    def test_sketch_of_at_least_n_columns_is_the_identity(self, probes):
+        # power steps drop a singular A's null space: this graph's two null
+        # eigenvalues left a rank-10 sketch of its 12 nodes, and the residual
+        # probes' estimate of the rest missed by up to 0.8 as the seed varied
+        g = random_connected_graph(12, 6, seed=40)
+        est = estimate_trace_f(g, Exp(), n_probes=probes, seed=1)
+        want = oracles.trace_function(Exp(), g.adjacency.toarray())
+        assert est.sketch_rank == 12 and est.stderr == 0.0
+        assert abs(est.value - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("hubs", [1, 2, 5], ids=["star", "K2m", "K5m"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -625,7 +640,7 @@ class TestEstimateTrace:
         # leaf entries round alike, so its orthogonality error sums coherently:
         # up to 1.8e-14 on these cases
         g = SparseSymGraph(300, [(i, j, 1.0) for i in range(hubs) for j in range(hubs, 300)])
-        Q = _sketch(g, np.random.default_rng(seed), 20)
+        Q = _sketch(g, seed, 20)
         assert Q.shape == (300, 2)
         assert np.max(np.abs(Q.T @ Q - np.eye(2))) <= 5e-14
         got = estimate_trace_f(g, Exp(), n_probes=40, seed=seed)
@@ -634,16 +649,9 @@ class TestEstimateTrace:
         assert abs(got.value - want) <= 1e-7 * want
 
     def test_full_rank_sketch_is_orthonormal(self, bench_tree):
-        Q = _sketch(bench_tree, np.random.default_rng(0), 20)
+        Q = _sketch(bench_tree, 0, 20)
         assert Q.shape == (20000, 20)
         assert np.max(np.abs(Q.T @ Q - np.eye(20))) <= 1e-14
-
-    def test_probes_drawn_by_row_chunks_match_one_draw(self):
-        shape = (3 * fconn.krylov._CHUNK_ROWS + 5, 7)
-        one, chunked = np.random.default_rng(11), np.random.default_rng(11)
-        want = one.integers(0, 2, size=shape) * 2.0 - 1.0
-        assert np.array_equal(fconn.krylov._rademacher(chunked, shape), want)
-        assert chunked.random() == one.random()
 
     def test_traceless_polynomial_exact_regime(self):
         g = random_connected_graph(12, 15, seed=21)
@@ -662,6 +670,16 @@ class TestEstimateTrace:
             estimate_trace_f(g, Exp(), n_probes=7)
         with pytest.raises(ValidationError):
             estimate_trace_f(g, Exp(), n_probes=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 10**26])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # the signs are keyed by a 64-bit state, which would alias such seeds
+        with pytest.raises(ValidationError, match="seed"):
+            estimate_trace_f(triangle(), Exp(), n_probes=4, seed=seed)
+
+    def test_largest_seed_accepted(self):
+        g = random_connected_graph(30, 40, seed=23)
+        assert estimate_trace_f(g, Exp(), n_probes=12, seed=2**64 - 1).stderr > 0.0
 
     def test_seed_determinism(self):
         g = random_connected_graph(30, 40, seed=23)
@@ -704,10 +722,9 @@ class TestEstimateTrace:
     @staticmethod
     def _one_batch(A, f, n_probes, seed):
         """Q and residual forms from one kernel call on [Q, Z], as before the split."""
-        rng = np.random.default_rng(seed)
         half = n_probes // 2
-        Q = _sketch(A, rng, half)
-        Z = _residual_probes(rng, Q, half)
+        Q = _sketch(A, seed, half)
+        Z = _residual_probes(seed, Q, half)
         forms = _lanczos_lockstep(A, f, np.hstack([Q, Z]))
         return forms[: Q.shape[1]], forms[Q.shape[1] :]
 
@@ -750,3 +767,71 @@ class TestEstimateTrace:
     def test_single_residual_probe_has_no_standard_error(self):
         g = random_connected_graph(30, 40, seed=23)
         assert estimate_trace_f(g, Exp(), n_probes=2, seed=1).stderr is None
+
+
+def _splitmix64_words(state, count):
+    """The first ``count`` outputs of SplitMix64 from ``state``, on Python ints mod 2^64."""
+    words = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        words.append(z ^ (z >> 31))
+    return words
+
+
+def _reference_signs(seed, shape, stream):
+    """Signs of entries 0, 1, ... in C order: bit k % 64 of word k // 64, set -> +1."""
+    size = int(np.prod(shape))
+    words = _splitmix64_words((seed + stream * 2**63) % 2**64, -(-size // 64))
+    bits = [(w >> b) & 1 for w in words for b in range(64)][:size]
+    return (2.0 * np.array(bits, dtype=float) - 1.0).reshape(shape)
+
+
+class TestSignStream:
+    def test_first_word_of_seed_zero(self):
+        # the published first output of SplitMix64 from state 0
+        assert _splitmix64_words(0, 1) == [0xE220A8397B1DCDAF]
+        signs = _rademacher(0, (64,))
+        assert [int(b) for b in (signs > 0)] == [(0xE220A8397B1DCDAF >> k) & 1 for k in range(64)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 501, 2**63 - 1, 2**64 - 1])
+    @pytest.mark.parametrize("shape", [(1,), (63,), (3, 7), (130, 5), (64, 2)])
+    @pytest.mark.parametrize("stream", [0, 1])
+    def test_matches_a_pure_python_splitmix64(self, seed, shape, stream):
+        want = _reference_signs(seed, shape, stream)
+        assert np.array_equal(_rademacher(seed, shape, stream), want)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7, 64, 2**12])
+    def test_any_row_chunking_draws_the_same_signs(self, rows, monkeypatch):
+        shape = (3 * 2**12 + 5, 7)
+        monkeypatch.setattr(fconn.krylov, "_CHUNK_ROWS", shape[0])
+        one_draw = _rademacher(11, shape, 1)
+        monkeypatch.setattr(fconn.krylov, "_CHUNK_ROWS", rows)
+        assert np.array_equal(_rademacher(11, shape, 1), one_draw)
+
+    def test_signs_depend_only_on_the_c_order_position(self):
+        flat = _rademacher(5, (2000 * 20,))
+        assert np.array_equal(_rademacher(5, (2000, 20)), flat.reshape(2000, 20))
+        assert np.array_equal(_rademacher(5, (20, 2000)), flat.reshape(20, 2000))
+        assert np.array_equal(_rademacher(5, (1000, 20)), flat[:20000].reshape(1000, 20))
+
+    def test_signs_are_balanced(self):
+        signs = _rademacher(0, (2**20,))
+        assert set(np.unique(signs).tolist()) == {-1.0, 1.0}
+        assert abs(signs.mean()) <= 5.0 / np.sqrt(signs.size)
+
+    def test_sketch_and_residual_streams_differ(self):
+        sketch, resid = _rademacher(3, (2000, 20)), _rademacher(3, (2000, 20), 1)
+        # independent signs agree about half the time: 20000 +- 100 of 40000
+        assert abs(np.sum(sketch == resid) - 20000) <= 500
+        assert not np.array_equal(_rademacher(3, (2000, 20)), _rademacher(4, (2000, 20)))
+
+    def test_no_overflow_warning_at_the_top_of_the_counter(self):
+        # the key and every counter wrap mod 2^64 in uint64 arrays, which
+        # never warn; numpy warns on a uint64 scalar that overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            signs = _rademacher(2**64 - 1, (4096, 3), 1)
+        assert np.array_equal(signs, _reference_signs(2**64 - 1, (4096, 3), 1))
