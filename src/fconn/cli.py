@@ -15,10 +15,12 @@ reported with its standard error and the rank of its sketch, runs on one
 plain ``threading.Thread`` beside the optimizer, joined before the run
 returns or raises (an executor's ``concurrent.futures`` would load
 ``logging`` and ``traceback`` into every job); the reported wall time still
-covers the optimizer only. If the estimate fails, its error decides the exit
-code, even when the optimizer failed too, and no artifact is written. Exit
-codes: 0 success, 2 validation or usage, 3 input parsing, 4 convergence,
-5 function domain, 7 exhausted search space.
+covers the optimizer only. If the estimate fails, its error decides the
+exit code, even when the optimizer failed too, and no artifact is written.
+compare, whose rows set the methods' times side by side, estimates the
+denominator first and then times each method alone. Exit codes: 0 success,
+2 validation or usage, 3 input parsing, 4 convergence, 5 function domain,
+7 exhausted search space.
 
 Every default lives in :class:`RunSpec`: the parser leaves an option that is
 not given as None, and the spec fills it in and checks it. ``_METHODS`` lists
@@ -303,7 +305,9 @@ def _run_weighted(spec: RunSpec, graph, f) -> TraceVariationReport:
     report = TraceVariationReport()
     t0 = time.perf_counter()
     mode = WeightedMode(spec.subcommand)
-    F, report.warnings = select_candidates(graph, mode, f, n_P=spec.n_p, n_F=spec.n_f)
+    F, report.warnings = select_candidates(
+        graph, mode, f, n_P=spec.n_p, n_F=spec.n_f, budget=spec.budget
+    )
     prob = WeightedProblem.build(graph, F, mode, spec.budget, f, upper=spec.upper)
     x, solve = interior_point_solve(prob, inner=spec.method)
     report.wall_time = time.perf_counter() - t0
@@ -409,7 +413,10 @@ def compare(specs):
     """Run several specs sharing one input/budget/function; tabulate results.
 
     Returns a list of row dicts with the relative trace variation, timing,
-    iteration counts and the pairwise counts of commonly chosen edges.
+    iteration counts and the pairwise counts of commonly chosen edges. The
+    shared denominator is estimated before the methods run, one after the
+    other, so that no method's ``wall_time_s`` runs beside another
+    computation.
     """
     if not specs:
         raise ValidationError("compare needs at least one spec")
@@ -418,11 +425,10 @@ def compare(specs):
         raise ValidationError("compare requires specs sharing input, budget and function")
     f = function_from_spec(specs[0].function)
     graph = load_graph(specs[0].input, specs[0].fmt)
-    runs, estimate = _beside_denominator(
-        graph, f, specs[0], lambda: [_run_unweighted(spec, graph, f) for spec in specs]
-    )
+    estimate = estimate_trace_f(graph, f, n_probes=specs[0].probes, seed=specs[0].seed)
     rows = []
-    for spec, report in zip(specs, runs):
+    for spec in specs:
+        report = _run_unweighted(spec, graph, f)
         _set_denominator(report, estimate)
         rows.append(
             {

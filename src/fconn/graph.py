@@ -231,24 +231,36 @@ class SparseSymGraph:
             )
         return self._adjacency
 
-    def matmul(self, X):
+    def matmul(self, X, out=None):
         """A @ X for a vector or an (n, k) block X, equal to ``adjacency @ X`` bit for bit.
 
         It calls the kernel that ``csr_matrix @ X`` calls for X: ``csr_matvec``
         for a vector or a single column, ``csr_matvecs`` for a wider block,
-        on a C-contiguous float64 X, into a zeroed result.
+        on a C-contiguous float64 X, into a zeroed result. The kernels add
+        into their result, so ``out``, a C-contiguous float64 array of X's
+        shape that does not overlap X, is zeroed before it takes the product;
+        without it a new array is returned.
         """
         X = np.ascontiguousarray(X, dtype=np.float64)
         n = self.n
         if X.ndim not in (1, 2) or X.shape[0] != n:
             raise ValueError(f"cannot multiply an order-{n} adjacency by an array of shape {X.shape}")
+        if out is None:
+            out = np.zeros(X.shape)
+        elif (
+            out.shape != X.shape
+            or out.dtype != np.float64
+            or not out.flags.c_contiguous
+            or np.may_share_memory(out, X)
+        ):
+            raise ValueError("out must be a C-contiguous float64 array of X's shape apart from X")
+        else:
+            out.fill(0.0)
         if X.ndim == 1 or X.shape[1] == 1:
-            y = np.zeros(n)
-            _csr_matvec(n, n, *self._csr, X.ravel(), y)
-            return y.reshape(X.shape)
-        Y = np.zeros(X.shape)
-        _csr_matvecs(n, n, X.shape[1], *self._csr, X.ravel(), Y.ravel())
-        return Y
+            _csr_matvec(n, n, *self._csr, X.ravel(), out.ravel())
+        else:
+            _csr_matvecs(n, n, X.shape[1], *self._csr, X.ravel(), out.ravel())
+        return out
 
     @property
     def edges(self):

@@ -46,21 +46,21 @@ tridiagonal matrices. The kernel stores its vectors as the rows of (b, n)
 arrays, so the inner products and updates of each recurrence run over
 contiguous memory; the graph's product (``SparseSymGraph.matmul``, scipy's
 compiled CSR kernel) takes its vectors as columns, so a step copies the rows
-into one reused block and the product back into rows, and allocates no other
-block. A form is ||v||^2 e_1^T f(T_m) e_1 and needs no basis, so only the
-two newest basis vectors of each recurrence are kept.
+as columns into the block where the next vector is built, has the product
+written into a fourth block, and copies it back into rows. A form is
+||v||^2 e_1^T f(T_m) e_1 and needs no basis, so only the two newest basis
+vectors of each recurrence are kept.
 Each recurrence stops on its own form, by a vectorized copy of the relative
 lagged test with the rounding floor 100 eps ||v||^2 max |f(T_m)|, and leaves
-the batch when it stops. A batch holds at most ``_BATCH_ENTRIES`` vector
-entries per block and five blocks at once, so the kernel's working set is
-at most 5 MiB for any number of probes p while n <= 2^17, where a batch
-still holds one vector. ``estimate_trace_f``
-holds one n x p/2 block beside the kernel and at most two at any time: its
-sketch is orthonormalized by SVQB, a Gram-matrix eigen-decomposition that
-makes only its result beside its input, and its residual probes are drawn
-and projected in place by row chunks. Its tracemalloc peak is 8.3 MiB at
-n = 20000 and p = 40, where the sketch beside a kernel batch sets it.
-SVQB gives other digits for the sketch than a Householder QR, but the same
+the batch when it stops, its rows compacted in place.
+
+Memory: the kernel runs in four (b, n) row blocks of a workspace it is
+given, and allocates no block in a step. ``estimate_trace_f`` allocates a
+vector block and a kernel block once and runs every phase in them. Its
+tracemalloc peak is 6.7 MiB at n = 20000 and p = 40, the two blocks and a
+row chunk's product; with the kernel's blocks allocated per batch beside
+the sketch it was 8.3 MiB, and the worker thread's malloc arena kept them.
+The sketch's SVQB gives other digits than a Householder QR, but the same
 span up to rounding, and the estimate depends on the sketch only through its
 span: on the benchmark's break-tree and make-ba inputs it moved by at most
 1.3e-12 relative from a Householder-QR sketch.
@@ -670,6 +670,10 @@ def _rowdot(X, Y):
     return np.einsum("ij,ij->i", X, Y)
 
 
+# Row blocks of a lockstep batch (see _LanczosBatch).
+_BATCH_BLOCKS = 4
+
+
 class _LanczosBatch:
     """Independent single-vector Lanczos recurrences advanced in lockstep.
 
@@ -686,28 +690,39 @@ class _LanczosBatch:
     are kept. No recurrence's arithmetic depends on the others in its batch,
     so a start vector gives the same digits alone or in any batch.
 
-    The batch takes the start block as its own and allocates no block in a
-    step but the SpMM's result: three row blocks hold q_{s-1}, q_s and the
-    next vector in turn, and one more holds the SpMM's input, A's rows being
-    read once per step for every vector, and then the products that the
-    orthogonalization subtracts.
+    The batch runs in ``_BATCH_BLOCKS`` = 4 (b, n) row blocks, the first
+    4 b n entries of the flat float64 array ``work`` (allocated when not
+    given), and allocates no block in a step. Three hold q_{s-1}, q_s and
+    the next vector in turn; the next vector's block first holds the SpMM's
+    input, A's rows being read once per step for every vector. The fourth
+    holds the SpMM's output and then the products that the
+    orthogonalization subtracts. The active recurrences are the first rows
+    of each block; :meth:`drop` compacts the rows in place.
     """
 
-    def __init__(self, g, starts, m_max):
-        b = starts.shape[0]
+    def __init__(self, g, starts, m_max, work=None):
+        b, n = starts.shape
+        if work is None:
+            work = np.empty(_BATCH_BLOCKS * b * n)
         self._g = g
         self._thr = _deflation_tol(g)
         self.ids = np.arange(b)  # start-block row of each active recurrence
-        self.Q = starts  # newest basis vector q_s of each active recurrence
-        self._P = np.zeros_like(starts)  # q_{s-1}
-        self._next = np.empty_like(starts)  # where q_{s+1} is built
-        self._work = np.empty(starts.size)  # SpMM input, then update products
+        blocks = work[: _BATCH_BLOCKS * b * n].reshape(_BATCH_BLOCKS, b, n)
+        # q_s, q_{s-1} and where q_{s+1} is built, rotated by each step
+        self._vecs = [blocks[0], blocks[1], blocks[2]]
+        self._out = blocks[3].reshape(-1)
+        np.copyto(blocks[0], starts)
         self.steps = 0
         # tridiagonal entries: alpha[c, s] = T[s, s], beta[c, s] = T[s+1, s]
         # (the residual norm) and gamma[c, s] = T[s-1, s] (an inner product)
         self.alpha = np.zeros((b, m_max))
         self.beta = np.zeros((b, m_max))
         self.gamma = np.zeros((b, m_max))
+
+    @property
+    def Q(self):
+        """Newest basis vector q_s of each active recurrence, as rows of a view."""
+        return self._vecs[0][: len(self.ids)]
 
     def step(self):
         """Advance every active recurrence by one basis vector.
@@ -716,12 +731,13 @@ class _LanczosBatch:
         and their current tridiagonal matrix is exact. The vectors q_s of the
         previous step are overwritten.
         """
-        s, ids, Q, P, W = self.steps, self.ids, self.Q, self._P, self._next
-        work = self._work[: Q.size]
-        X = work.reshape(Q.shape[::-1])
-        np.copyto(X, Q.T)  # the CSR kernel takes its vectors as columns
-        np.copyto(W, self._g.matmul(X).T)
-        prod = work.reshape(Q.shape)
+        s, ids = self.steps, self.ids
+        Q, P, W = (B[: len(ids)] for B in self._vecs)
+        k, n = Q.shape
+        X = W.reshape(n, k)  # the CSR kernel takes its vectors as columns
+        np.copyto(X, Q.T)
+        np.copyto(W, self._g.matmul(X, out=self._out[: k * n].reshape(n, k)).T)
+        prod = self._out[: k * n].reshape(k, n)
         for _ in range(2):
             if s:
                 c = _rowdot(P, W)
@@ -734,7 +750,8 @@ class _LanczosBatch:
         self.beta[ids, s] = beta
         grew = beta > self._thr
         W /= np.where(grew, beta, 1.0)[:, None]
-        self._next, self._P, self.Q = P, Q, W
+        q, p, w = self._vecs
+        self._vecs = [w, q, p]
         self.steps = s + 1
         return grew
 
@@ -750,28 +767,15 @@ class _LanczosBatch:
         return T
 
     def drop(self, keep):
-        """Retire the active recurrences where ``keep`` is False."""
+        """Retire the active recurrences where ``keep`` is False, moving the others' rows up."""
+        for dst, src in enumerate(np.flatnonzero(keep)):
+            if dst != src:
+                for B in self._vecs[:2]:  # q_s and q_{s-1}; the third is rebuilt
+                    B[dst] = B[src]
         self.ids = self.ids[keep]
-        self.Q = self.Q[keep]
-        self._P = self._P[keep]
-        self._next = self._next[: len(self.ids)]
 
 
-# Vector entries (n times the width) of the widest lockstep batch. A batch
-# holds five blocks of its size at once, at most 5 MiB at this cap for any
-# number of probes (with n <= 2^17): a 20000-node graph runs 6 probes per
-# batch, a 2000-node one all 20 of a half. On the benchmark's 20000-node tree
-# with 40 probes, estimate_trace_f peaks at 8.3 MiB traced at this cap, where
-# a batch beside the sketch Q sets the peak, at 6.7 MiB at 2^16 (the sketch's
-# power steps alone peak at 6.1 MiB), at 14.7 MiB at 2^18 and at 20.8 MiB
-# uncapped.
-# The 6-probe batches take 4 times the steps of 20-probe ones, each with a
-# narrower SpMM; the estimate's time did not move (687 against 698 ms,
-# medians of 7 alternating calls on one core).
-_BATCH_ENTRIES = 2**17
-
-
-def _lanczos_lockstep(A, f, V, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
+def _lanczos_lockstep(A, f, V, lag=DEFAULT_LAG, tol=1e-8, m_max=80, work=None):
     """The quadratic forms v_c^T f(A) v_c of the columns of V.
 
     Column c runs the Lanczos method from v_c / ||v_c||, and its form at
@@ -780,39 +784,44 @@ def _lanczos_lockstep(A, f, V, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
     with floor_m = 100 eps ||v_c||^2 max |f(T_m)| the rounding level of the
     form (the test of :func:`_relative`, vectorized), or when its Krylov space
     is exhausted (the form is then exact); zero columns give zero. The
-    columns run in batches of at most ``_BATCH_ENTRIES`` vector entries; in a
-    batch, all columns advance together and each drops out when it stops.
-    Raises ConvergenceError if a column of a batch is still moving after
-    ``m_max`` steps, with the largest lagged change among that batch's such
-    columns as the residual.
+    columns run in batches in the flat float64 array ``work``, as wide as the
+    ``_BATCH_BLOCKS`` (b, n) row blocks of :class:`_LanczosBatch` that it
+    holds, and at most as wide as V (without ``work``, one batch of every
+    column runs in a new array); in a batch, all columns advance together
+    and each drops out when it stops. Raises ConvergenceError if a column of a batch is still
+    moving after ``m_max`` steps, with the largest lagged change among that
+    batch's such columns as the residual.
     """
     V = np.asarray(V, dtype=float)
     n, k = V.shape
-    width = max(1, _BATCH_ENTRIES // n)
+    if work is None:
+        work = np.empty(_BATCH_BLOCKS * n * k)
+    elif work.size < _BATCH_BLOCKS * n:
+        raise ValueError(f"a workspace of {work.size} entries holds no batch of order {n}")
+    width = max(1, min(k, work.size // (_BATCH_BLOCKS * n)))
     forms = np.zeros(k)
     for c in range(0, k, width):
-        forms[c : c + width] = _lockstep_batch(A, f, V[:, c : c + width], lag, tol, m_max)
+        forms[c : c + width] = _lockstep_batch(A, f, V[:, c : c + width], lag, tol, m_max, work)
     return forms
 
 
-def _lockstep_batch(A, f, V, lag, tol, m_max):
+def _lockstep_batch(A, f, V, lag, tol, m_max, work):
     """:func:`_lanczos_lockstep` on one batch of columns."""
-    X = np.array(V.T, order="C")  # row c is v_c
-    sq = _rowdot(X, X)  # ||v_c||^2, summed alike in any batch
-    cols = np.flatnonzero(sq > 0.0)  # column of V of each recurrence
-    if len(cols) < len(sq):
-        X = X[cols]
-    X /= np.sqrt(sq[cols])[:, None]
+    run = _LanczosBatch(A, V.T, m_max, work)  # row c of run.Q is v_c
+    sq = _rowdot(run.Q, run.Q)  # ||v_c||^2, summed alike in any batch
+    if not sq.all():
+        run.drop(sq > 0.0)
+    X = run.Q
+    X /= np.sqrt(sq[run.ids])[:, None]
     forms = np.zeros(len(sq))
-    history = np.zeros((len(cols), m_max))  # form of each recurrence at each order
-    run = _LanczosBatch(A, X, m_max)
+    history = np.zeros((len(sq), m_max))  # form of each recurrence at each order
     while len(run.ids):
         grew = run.step()
         m, ids = run.steps, run.ids
         w, Z = np.linalg.eigh(run.tridiagonal())
         f.check_spectrum(w)
         fw = f(w)
-        scale = sq[cols[ids]]
+        scale = sq[ids]
         form = scale * np.einsum("bj,bj->b", fw, Z[:, 0, :] ** 2)
         history[ids, m - 1] = form
         done = ~grew
@@ -820,7 +829,7 @@ def _lockstep_batch(A, f, V, lag, tol, m_max):
             change = np.abs(form - history[ids, m - 1 - lag])
             floor = _ROUNDING * scale * np.max(np.abs(fw), axis=1)
             done |= change <= np.maximum(tol * np.abs(form), floor)
-        forms[cols[ids[done]]] = form[done]
+        forms[ids[done]] = form[done]
         if m == m_max and not done.all():
             resid = float(np.max(change[~done])) if m > lag else None
             raise ConvergenceError(
@@ -931,19 +940,18 @@ def _splitmix64(key, start, stop):
     return z
 
 
-def _rademacher(seed, shape, stream=0):
-    """Random signs of ``shape`` from sign stream 0 or 1 of ``seed``, drawn by row chunks.
+def _rademacher(seed, S, stream=0):
+    """Fill S, a C-contiguous float64 array, with signs of stream 0 or 1 of ``seed``.
 
-    Entry k of the array in C order is +1 where bit k mod 64 of word k // 64
-    of the SplitMix64 stream from state seed + stream * 2^63 (mod 2^64) is
-    set, and -1 where it is clear. Since 2^63 times the generator's odd
-    increment is 2^63 mod 2^64, stream 1 is the words of stream 0 from
-    2^63 on, so the two streams never meet. A sign depends only on the
-    seed, the stream and k, so any shape with the same C-order entries and
-    any chunking draw the same signs.
+    The signs are drawn by row chunks. Entry k of S in C order is +1 where
+    bit k mod 64 of word k // 64 of the SplitMix64 stream from state
+    seed + stream * 2^63 (mod 2^64) is set, and -1 where it is clear. Since
+    2^63 times the generator's odd increment is 2^63 mod 2^64, stream 1 is
+    the words of stream 0 from 2^63 on, so the two streams never meet. A
+    sign depends only on the seed, the stream and k, so any shape with the
+    same C-order entries and any chunking draw the same signs. Returns S.
     """
     key = (seed + stream * 2**63) % 2**64
-    S = np.empty(shape)
     flat = S.reshape(-1)
     step = max(1, _CHUNK_ROWS * S[:1].size)  # entries in _CHUNK_ROWS rows
     for a in range(0, S.size, step):
@@ -964,7 +972,7 @@ def _rademacher(seed, shape, stream=0):
 _GRAM_FLOOR = 1e3 * np.finfo(float).eps
 
 
-def _svqb(Y):
+def _svqb(Y, out):
     """An orthonormal basis of the span of Y's columns, Y V Lambda^{-1/2}, from eigh(Y^T Y).
 
     The eigen-decomposition form of Cholesky QR (Stathopoulos & Wu, SISC
@@ -973,12 +981,21 @@ def _svqb(Y):
     and a zero Y none. One pass leaves an orthogonality error of about eps
     times the square of Y's kept condition number; a second pass on its
     result brings it to rounding (CholeskyQR2: Fukaya, Nakatsukasa,
-    Yanagisawa & Yamamoto, ScalA 2014). The result is a new (n, r) block, so
-    Y and the result are the only blocks alive.
+    Yanagisawa & Yamamoto, ScalA 2014). Y is a C-contiguous (n, r) array.
+    The (n, r') result is written by ``_CHUNK_ROWS`` row chunks into the
+    first n r' entries of the flat array ``out``, which may be Y's own
+    memory: row i of the result starts at or before row i of Y, so a chunk
+    overwrites only rows of Y already read. No block of Y's size is made.
     """
+    n = Y.shape[0]
     w, V = np.linalg.eigh(Y.T @ Y)
     keep = w > _GRAM_FLOOR * w.max(initial=0.0)
-    return Y @ (V[:, keep] / np.sqrt(w[keep]))
+    T = V[:, keep] / np.sqrt(w[keep])
+    r = T.shape[1]
+    for a in range(0, n, _CHUNK_ROWS):
+        b = min(a + _CHUNK_ROWS, n)
+        out[a * r : b * r] = (Y[a:b] @ T).reshape(-1)
+    return out[: n * r].reshape(n, r)
 
 
 # Block power steps of the Hutch++ sketch Q = orth(A^SKETCH_POWER S). With 40
@@ -990,37 +1007,65 @@ def _svqb(Y):
 SKETCH_POWER = 8
 
 
-def _sketch(A, seed, half):
+def _sketch(A, seed, half, blocks):
     """The Hutch++ sketch Q = orth(A^SKETCH_POWER S) of a sign block S with ``half`` columns.
 
-    S holds the signs of ``seed``'s stream 0 (see :func:`_rademacher`). Each
-    power step takes the product A Q, then orthonormalizes it by two
-    :func:`_svqb` passes. Q has at most ``half`` columns, fewer where A Q is
-    rank-deficient; once it has none (A Q = 0), the steps end. With
-    ``half >= n``, Q is the n x n identity, and no sign is drawn.
+    ``blocks`` is a pair of flat float64 arrays of at least n * half entries
+    each, and the sketch runs in them alone. S holds the signs of ``seed``'s
+    stream 0 (see :func:`_rademacher`), drawn into the first. Each power
+    step writes the product A Q into the second and orthonormalizes it by
+    two :func:`_svqb` passes, the first in place and the second back into
+    the first block, where Q stays. Q has at most ``half`` columns, fewer
+    where A Q is rank-deficient; once it has none (A Q = 0), the steps end.
+    With ``half >= n``, Q is the n x n identity, and no sign is drawn.
+    Returns Q, a C-contiguous view of the first block.
     """
-    if half >= A.n:
-        return np.eye(A.n)
-    Q = _rademacher(seed, (A.n, half))
+    first, second = blocks
+    n = A.n
+    if half >= n:
+        Q = first[: n * n].reshape(n, n)
+        Q.fill(0.0)
+        first[: n * n : n + 1] = 1.0
+        return Q
+    Q = _rademacher(seed, first[: n * half].reshape(n, half))
     for _ in range(SKETCH_POWER):
         if not Q.shape[1]:
             break
-        Q = A.matmul(Q)  # the old Q is freed once its product is made
-        Q = _svqb(Q)
-        Q = _svqb(Q)
+        Y = A.matmul(Q, out=second[: Q.size].reshape(Q.shape))
+        Q = _svqb(_svqb(Y, second), first)
     return Q
 
 
-def _residual_probes(seed, Q, half):
-    """``half`` sign probes projected off Q's span, Z - Q (Q^T Z), made in place by row chunks.
+def _residual_probes(seed, Q, half, blocks):
+    """``half`` sign probes projected off Q's span, Z - Q (Q^T Z), written over Q.
 
-    Z holds the signs of ``seed``'s stream 1 (see :func:`_rademacher`).
+    Q is the sketch, a view of the first of the flat arrays ``blocks``. Z
+    holds the signs of ``seed``'s stream 1 (see :func:`_rademacher`), drawn
+    into the second. The projected probes replace Q in the first block, by
+    ``_CHUNK_ROWS`` row chunks from the last: row i of the result starts at
+    or after row i of Q, so a chunk overwrites only rows of Q already read.
+    Returns them as an (n, half) view of the first block.
     """
-    Z = _rademacher(seed, (Q.shape[0], half), stream=1)
+    first, second = blocks
+    n = Q.shape[0]
+    Z = _rademacher(seed, second[: n * half].reshape(n, half), stream=1)
     C = Q.T @ Z
-    for r in range(0, Z.shape[0], _CHUNK_ROWS):
-        Z[r : r + _CHUNK_ROWS] -= Q[r : r + _CHUNK_ROWS] @ C
-    return Z
+    P = first[: n * half].reshape(n, half)
+    for a in reversed(range(0, n, _CHUNK_ROWS)):
+        rows = slice(a, a + _CHUNK_ROWS)
+        np.subtract(Z[rows], Q[rows] @ C, out=P[rows])
+    return P
+
+
+# Entries of a half of the probes, n * n_probes/2, up to which the estimate's
+# kernel block holds one lockstep batch of the whole half. A make-ba graph
+# (n = 2000, 20 probes a half: 40000 entries) runs each half in one batch in
+# a 160000-entry kernel block; in 5-column batches its job's peak resident
+# set was 0.6 MB lower, but the job took 0.46 s against 0.41 s (medians of
+# 20 alternating runs, 2-core host), its more and shorter lockstep steps
+# running beside the greedy. The break-tree graph (n = 20000: 400000
+# entries) runs 5-column batches in a kernel block the size of a half.
+_ONE_BATCH_HALF = 2**17
 
 
 def estimate_trace_f(A, f, n_probes=40, seed=0):
@@ -1050,14 +1095,19 @@ def estimate_trace_f(A, f, n_probes=40, seed=0):
     position alone, so a seed gives the same digits at any batch or chunk
     size, but not those of releases that drew numpy's default generator.
 
-    Two lockstep Lanczos calls give the quadratic forms of f(A): first for
-    the columns of Q, then for the residual probes, drawn and projected
-    after, so that each call runs beside a single (n, n_probes/2) block. Each
-    recurrence is independent of its batch, so the kernel's batches change
-    no digit. At most two such blocks are alive at once: Q and A Q in a
-    power step, the result of each orthonormalization pass beside its input,
-    and Q beside the residual probes, which are drawn and projected in place
-    by row chunks.
+    Every phase runs in two blocks allocated once, at the start: the vector
+    block of n * n_probes/2 entries and the kernel block of W >= n *
+    n_probes/2 entries. The sketch's power steps alternate between them and
+    leave Q in the vector block (:func:`_sketch`). The lockstep Lanczos
+    kernel takes the quadratic forms of f(A) for the columns of Q in the
+    kernel block, in batches of b = min(n_probes/2, W // 4n) columns (see
+    :class:`_LanczosBatch`). The residual probes are drawn into the kernel
+    block and projected off Q by row chunks into the vector block, over Q
+    (:func:`_residual_probes`), and their forms run in the kernel block
+    too. W is n * n_probes/2 (b = 5 for 40 probes), or 4 n n_probes/2, one
+    batch of a whole half, while a half holds at most ``_ONE_BATCH_HALF``
+    entries, and never below 4 n, one batch of one column. Each recurrence
+    is independent of its batch, so the batch width changes no digit.
     """
     if n_probes < 2 or n_probes % 2:
         raise ValidationError("n_probes must be an even number >= 2")
@@ -1065,11 +1115,14 @@ def estimate_trace_f(A, f, n_probes=40, seed=0):
     if not 0 <= seed < 2**64:
         raise ValidationError(f"seed must be in [0, 2^64), got {seed}")
     half = n_probes // 2
+    n = A.n
+    kernel = n * half * (_BATCH_BLOCKS if n * half <= _ONE_BATCH_HALF else 1)
+    work = np.empty(n * half + max(kernel, _BATCH_BLOCKS * n))
+    blocks = work[: n * half], work[n * half :]
 
-    Q = _sketch(A, seed, half)
-    top = _lanczos_lockstep(A, f, Q)
-    Z = _residual_probes(seed, Q, half)
-    del Q
-    resid = _lanczos_lockstep(A, f, Z)
+    Q = _sketch(A, seed, half, blocks)
+    top = _lanczos_lockstep(A, f, Q, work=blocks[1])
+    Z = _residual_probes(seed, Q, half, blocks)
+    resid = _lanczos_lockstep(A, f, Z, work=blocks[1])
     stderr = float(np.std(resid, ddof=1) / np.sqrt(half)) if half > 1 else None
     return TraceEstimate(sum(top.tolist()) + sum(resid.tolist()) / half, stderr, len(top))

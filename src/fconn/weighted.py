@@ -573,7 +573,31 @@ def _armijo(bp, c, w, d, val, grad, mu):
 # ---------------------------------------------------------------------
 
 
-def select_candidates(graph, mode: WeightedMode, f, n_P, n_F):
+def _pole_warning(graph, x, mode, f, budget):
+    """A message when a resolvent's pole may lie inside the feasible set, else none.
+
+    By Weyl's inequality lambda_1(A + X) <= lambda_1(A) + ||X||_2, and
+    ||X||_2 <= sum |x_e| <= budget, since each row of the symmetric X holds
+    at most the entries x_e of the edges at its node. So for a resolvent
+    with parameter alpha, every feasible A + X keeps alpha lambda_1 < 1 when
+    alpha (lambda_1(A) + budget) < 1; otherwise the pole may lie inside the
+    box and the objective may be unbounded. lambda_1(A) is the Rayleigh
+    quotient x^T A x of the unit Perron vector x. DOWNGRADE only lowers
+    nonnegative weights, which cannot raise lambda_1, and never warns.
+    """
+    if not isinstance(f, matfun.Resolvent) or mode is WeightedMode.DOWNGRADE:
+        return []
+    lam = float(x @ graph.matmul(x))
+    bound = f.alpha * (lam + budget)
+    if bound < 1.0:
+        return []
+    return [
+        f"resolvent pole may lie inside the feasible set: alpha*(lambda_1(A) + budget) = "
+        f"{bound:.4g} >= 1, so the objective may be unbounded"
+    ]
+
+
+def select_candidates(graph, mode: WeightedMode, f, n_P, n_F, budget):
     """Pick the n_F most gradient-sensitive edges among n_P centrality candidates.
 
     The mode fixes the pools: DOWNGRADE and TUNE rank existing edges by
@@ -583,7 +607,9 @@ def select_candidates(graph, mode: WeightedMode, f, n_P, n_F):
     eigenvector centrality through :func:`fconn.graph.ranked_pairs`. The
     final cut keeps each pool's candidates with the largest entries
     2 f'(A)_ij, i.e. the largest gradient components at x = 0. Returns F
-    and a message for each pool that holds fewer candidates than asked for.
+    and the run's messages: the warning of :func:`_pole_warning` for the
+    ``budget``, if it applies, and one for each pool that holds fewer
+    candidates than asked for.
     """
     if mode is WeightedMode.REWIRE:
         pools = [(False, n_P // 2, n_F // 2), (True, n_P - n_P // 2, n_F - n_F // 2)]
@@ -593,13 +619,13 @@ def select_candidates(graph, mode: WeightedMode, f, n_P, n_F):
     ordering = Ordering.PRODUCT if existing_only else Ordering.MINMAX
     scores = eigenvector_centrality(graph)
     ranked = [ranked_pairs(graph, scores, ordering, size, missing) for missing, size, _ in pools]
-    short = []
+    messages = _pole_warning(graph, scores, mode, f, budget)
     for (missing, size, _), cands in zip(pools, ranked):
         if missing and not cands:
             raise ExhaustedSearchSpaceError("graph is complete: no edges to add")
         if len(cands) < size:
             kind = "missing pairs" if missing else "existing edges"
-            short.append(f"only {len(cands)} {kind} available (pool of {size})")
+            messages.append(f"only {len(cands)} {kind} available (pool of {size})")
     fprime = f.derivative()
     cols = {}  # f'(A) e_v, one Lanczos column per node the pools touch
     for v in sorted({v for cands in ranked for p in cands for v in p}):
@@ -610,4 +636,4 @@ def select_candidates(graph, mode: WeightedMode, f, n_P, n_F):
     for (_, _, take), cands in zip(pools, ranked):
         vals = {(i, j): 0.5 * (cols[j][i] + cols[i][j]) for i, j in cands}
         F += sorted(cands, key=lambda p: (-vals[p], p))[:take]
-    return F, short
+    return F, messages

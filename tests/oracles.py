@@ -248,11 +248,11 @@ def hutchpp_per_probe(A, f, n_probes=40, seed=0, tol=1e-8, m_max=80):
     def form(x):
         return lanczos_form(A, f, x, tol=tol, m_max=m_max)
 
-    Q = _rademacher(seed, (n, half))
+    Q = _rademacher(seed, np.empty((n, half)))
     for _ in range(SKETCH_POWER):
         Q, _ = np.linalg.qr(A @ Q)
     sketch = sum(form(Q[:, c]) for c in range(Q.shape[1]))
-    Z = _rademacher(seed, (n, half), stream=1)
+    Z = _rademacher(seed, np.empty((n, half)), stream=1)
     G = Z - Q @ (Q.T @ Z)
     resid = sum(form(G[:, c]) for c in range(half)) / half
     return sketch + resid

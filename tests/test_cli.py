@@ -491,6 +491,28 @@ def test_default_jobs_resolve_slow_and_split_spectra(graph, argv, tmp_path, caps
     assert json.loads(capsys.readouterr().out)["warnings"] == []
 
 
+@pytest.mark.parametrize("subcommand", ["add", "tune", "rewire", "downgrade"])
+@pytest.mark.parametrize(
+    "edges,seed,warns", [(45, 40, True), (10, 41, False)], ids=["trips", "clear"]
+)
+def test_resolvent_pole_warning(subcommand, edges, seed, warns, tmp_path, capsys):
+    # lambda_1 is 5.66 with 45 extra edges and 3.36 with 10, so alpha (lambda_1
+    # + budget) is 1.066 and 0.698; a downgrade cannot raise lambda_1
+    p = tmp_path / "g.edges"
+    save_graph(random_connected_graph(30, edges, seed=seed), p)
+    argv = [subcommand, "--input", str(p), "--budget", "1", "--function", "resolvent:alpha=0.16"]
+    assert main(argv + ["--method", "hessian", "--n-p", "8", "--n-f", "3", "--probes", "8"]) == 0
+    warnings = json.loads(capsys.readouterr().out)["warnings"]
+    pole = [w for w in warnings if "pole" in w]
+    if warns and subcommand != "downgrade":
+        assert pole == [
+            "resolvent pole may lie inside the feasible set: "
+            "alpha*(lambda_1(A) + budget) = 1.066 >= 1, so the objective may be unbounded"
+        ]
+    else:
+        assert pole == []
+
+
 def test_compare_run(edge_list, tmp_path, capsys):
     base = str(tmp_path / "cmp")
     argv = ["compare", "--input", edge_list, "--budget", "2", "--mode", "break", "--q", "5"]
@@ -503,6 +525,35 @@ def test_compare_run(edge_list, tmp_path, capsys):
         assert all(0 <= row[f"common_{m}"] <= 2 for m in others)
     with open(base + ".csv", newline="", encoding="utf-8") as fh:
         assert [r["method"] for r in csv.DictReader(fh)] == ["krylov", "miobi", "eigenv"]
+
+
+def test_compare_times_every_method_alone(edge_list, monkeypatch, capsys):
+    # the denominator's interval overlaps none of the methods' timed calls
+    spans = {}
+
+    def timed(name, fn):
+        def call(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spans[name] = (t0, time.perf_counter())
+
+        return call
+
+    def estimate(*args, **kwargs):
+        time.sleep(0.1)  # long enough to overlap a method started beside it
+        return estimate_trace_f(*args, **kwargs)
+
+    monkeypatch.setattr(fconn.cli, "estimate_trace_f", timed("estimate", estimate))
+    for name in ("greedy_krylov", "miobi", "eigenv_baseline"):
+        monkeypatch.setattr(fconn.cli, name, timed(name, getattr(fconn.cli, name)))
+    argv = ["compare", "--input", edge_list, "--budget", "1", "--mode", "break", "--q", "5"]
+    assert main(argv + ["--probes", "8", "--eigenpairs", "6"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 3 and len(spans) == 4
+    start, end = spans.pop("estimate")
+    for name, (t0, t1) in spans.items():
+        assert t1 <= start or t0 >= end, name
 
 
 def test_compare_krylov_row_matches_the_break_run(edge_list, capsys):

@@ -212,15 +212,19 @@ def csr_case(request):
 def assert_product_is_scipys(g, seed=0, A=None):
     """``g.matmul`` equals ``A @ X`` bit for bit, A the graph's ``adjacency`` unless given.
 
-    X is a vector, or a block of one of several widths.
+    X is a vector, or a block of one of several widths. The product is taken
+    into a new array and into an ``out`` buffer that held other values.
     """
     A = g.adjacency if A is None else A
     rng = np.random.default_rng(seed)
     for k in (None, 1, 2, 6, 20, 40):
         X = rng.standard_normal(g.n if k is None else (g.n, k))
-        got, want = g.matmul(X), A @ X
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        want = A @ X
+        out = rng.standard_normal(X.shape)
+        for got in (g.matmul(X), g.matmul(X, out=out)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert g.matmul(X, out=out) is out
 
 
 class TestCsrKernel:
@@ -255,6 +259,17 @@ class TestCsrKernel:
         h._set(g.n, *g.edge_arrays, wide)
         assert [a.dtype for a in h.csr_arrays] == [np.int64, np.int64, np.float64]
         assert_product_is_scipys(h, seed=2, A=g.adjacency)
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.zeros((30, 2)), np.zeros((30, 3), dtype=np.float32), np.zeros((3, 30)).T, None],
+        ids=["shape", "dtype", "order", "overlap"],
+    )
+    def test_product_rejects_a_bad_out(self, out):
+        g = random_connected_graph(30, 10, seed=2)
+        X = np.ones((30, 3))
+        with pytest.raises(ValueError, match="out"):
+            g.matmul(X, out=X if out is None else out)
 
     @pytest.mark.parametrize("shape", [(29,), (31,), (29, 3), (30, 2, 2), ()])
     def test_product_rejects_the_wrong_shape(self, shape):

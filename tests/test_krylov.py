@@ -8,6 +8,7 @@ import fconn.krylov
 from fconn.errors import ConvergenceError, ValidationError
 from fconn.graph import SparseSymGraph
 from fconn.krylov import (
+    _BATCH_BLOCKS,
     SUPPORT_SHARE,
     BlockKrylov,
     LowRankUpdate,
@@ -576,15 +577,31 @@ class TestLockstepKernel:
             assert forms[c] == _lanczos_lockstep(g, Exp(), V[:, [c]])[0]
 
     @pytest.mark.parametrize("width", [1, 2, 5, 8])
-    def test_batch_width_changes_no_digit(self, bench_tree, width, monkeypatch):
+    def test_batch_width_changes_no_digit(self, bench_tree, width):
         # five columns in batches narrower than, as wide as and wider than
-        # the block; n = 20000 exceeds einsum's 8192-entry buffer, so a
-        # batch that shrinks to one row takes the lone-row path
+        # the block, set by the workspace's size; n = 20000 exceeds einsum's
+        # 8192-entry buffer, so a batch that shrinks to one row takes the
+        # lone-row path
         g = bench_tree
         V = np.random.default_rng(33).standard_normal((g.n, 5))
         alone = [_lanczos_lockstep(g, Exp(), V[:, [c]])[0] for c in range(5)]
-        monkeypatch.setattr(fconn.krylov, "_BATCH_ENTRIES", width * g.n)
-        assert _lanczos_lockstep(g, Exp(), V).tolist() == alone
+        work = np.empty(_BATCH_BLOCKS * width * g.n + g.n - 1)  # no room for one more column
+        assert _lanczos_lockstep(g, Exp(), V, work=work).tolist() == alone
+
+    def test_workspace_without_room_for_a_column_raises(self):
+        g = random_connected_graph(30, 40, seed=23)
+        with pytest.raises(ValueError, match="no batch"):
+            _lanczos_lockstep(g, Exp(), np.ones((30, 2)), work=np.empty(_BATCH_BLOCKS * 30 - 1))
+
+    def test_stale_workspace_changes_no_digit(self):
+        # a workspace of NaNs: no step reads an entry it has not written, as
+        # the zero column and the columns that stop early leave the batch and
+        # the survivors' rows move up in the same blocks
+        g = _mixed_components()
+        V = _mixed_block(g.n)
+        work = np.full(_BATCH_BLOCKS * V.shape[1] * g.n, np.nan)
+        alone = [_lanczos_lockstep(g, Exp(), V[:, [c]])[0] for c in range(V.shape[1])]
+        assert _lanczos_lockstep(g, Exp(), V, work=work).tolist() == alone
 
     def test_exhausted_columns_are_exact(self):
         g = _mixed_components()
@@ -607,6 +624,16 @@ class TestLockstepKernel:
         with pytest.raises(ConvergenceError) as err:
             _lanczos_lockstep(g, Exp(), V, m_max=4)
         assert err.value.iterations == 4 and err.value.residual > 0.0
+
+
+def _signs(seed, shape, stream=0):
+    """The signs ``_rademacher`` draws into a new array of ``shape``."""
+    return _rademacher(seed, np.empty(shape), stream)
+
+
+def _blocks(g, half):
+    """The estimate's vector and kernel blocks, n * half entries each."""
+    return np.empty(g.n * half), np.empty(g.n * half)
 
 
 class TestEstimateTrace:
@@ -640,7 +667,7 @@ class TestEstimateTrace:
         # leaf entries round alike, so its orthogonality error sums coherently:
         # up to 1.8e-14 on these cases
         g = SparseSymGraph(300, [(i, j, 1.0) for i in range(hubs) for j in range(hubs, 300)])
-        Q = _sketch(g, seed, 20)
+        Q = _sketch(g, seed, 20, _blocks(g, 20))
         assert Q.shape == (300, 2)
         assert np.max(np.abs(Q.T @ Q - np.eye(2))) <= 5e-14
         got = estimate_trace_f(g, Exp(), n_probes=40, seed=seed)
@@ -649,7 +676,7 @@ class TestEstimateTrace:
         assert abs(got.value - want) <= 1e-7 * want
 
     def test_full_rank_sketch_is_orthonormal(self, bench_tree):
-        Q = _sketch(bench_tree, 0, 20)
+        Q = _sketch(bench_tree, 0, 20, _blocks(bench_tree, 20))
         assert Q.shape == (20000, 20)
         assert np.max(np.abs(Q.T @ Q - np.eye(20))) <= 1e-14
 
@@ -723,8 +750,9 @@ class TestEstimateTrace:
     def _one_batch(A, f, n_probes, seed):
         """Q and residual forms from one kernel call on [Q, Z], as before the split."""
         half = n_probes // 2
-        Q = _sketch(A, seed, half)
-        Z = _residual_probes(seed, Q, half)
+        blocks = _blocks(A, half)
+        Q = _sketch(A, seed, half, blocks).copy()  # the probes are written over it
+        Z = _residual_probes(seed, Q, half, blocks)
         forms = _lanczos_lockstep(A, f, np.hstack([Q, Z]))
         return forms[: Q.shape[1]], forms[Q.shape[1] :]
 
@@ -743,19 +771,26 @@ class TestEstimateTrace:
         assert got.value == sum(top.tolist()) + sum(resid.tolist()) / (probes // 2)
         assert got.stderr == float(np.std(resid, ddof=1) / np.sqrt(probes // 2))
 
-    def test_batch_cap_changes_no_digit(self, bench_tree, monkeypatch):
-        capped = estimate_trace_f(bench_tree, Exp(), n_probes=40, seed=0)
-        monkeypatch.setattr(fconn.krylov, "_BATCH_ENTRIES", 2**40)
-        assert estimate_trace_f(bench_tree, Exp(), n_probes=40, seed=0) == capped
+    def test_workspace_width_changes_no_digit(self, bench_tree):
+        # at n = 20000 the estimate's n x 20 kernel block holds 5-column
+        # batches; batches of 1 and of all 20 columns give the same forms
+        g = bench_tree
+        V = _signs(0, (g.n, 20))
+        forms = [
+            _lanczos_lockstep(g, Exp(), V, work=np.empty(_BATCH_BLOCKS * width * g.n)).tolist()
+            for width in (1, 5, 20)
+        ]
+        assert forms[0] == forms[1] == forms[2]
 
     def test_memory_bound(self, bench_tree):
-        # n = 20000 and 40 probes: the sketch Q (3.1 MiB) beside a lockstep
-        # batch sets the peak, 8.3 MiB, with 0.7 MiB of margin. The sketch's
-        # power steps peak at 6.1 MiB, two n x 20 blocks; a third alive in
-        # them took the estimate to 9.2 MiB.
+        # n = 20000 and 40 probes: the vector and kernel blocks (two n x 20
+        # blocks, 6.1 MiB), allocated at the start, hold every phase; a row
+        # chunk's product (0.6 MiB) in the sketch's orthonormalization or the
+        # probes' projection sets the peak, 6.7 MiB. Lockstep batches in
+        # blocks of their own beside the sketch took the estimate to 8.3 MiB.
         bench_tree.norm1  # cached by the graph, outside the estimate
         _, peak = traced_peak_mib(lambda: estimate_trace_f(bench_tree, Exp(), n_probes=40))
-        assert peak <= 9.0
+        assert peak <= 7.0
 
     def test_estimate_within_four_standard_errors(self):
         g = barabasi_albert(1000, 3, seed=0)
@@ -793,7 +828,7 @@ class TestSignStream:
     def test_first_word_of_seed_zero(self):
         # the published first output of SplitMix64 from state 0
         assert _splitmix64_words(0, 1) == [0xE220A8397B1DCDAF]
-        signs = _rademacher(0, (64,))
+        signs = _signs(0, (64,))
         assert [int(b) for b in (signs > 0)] == [(0xE220A8397B1DCDAF >> k) & 1 for k in range(64)]
 
     @pytest.mark.parametrize("seed", [0, 1, 501, 2**63 - 1, 2**64 - 1])
@@ -801,37 +836,37 @@ class TestSignStream:
     @pytest.mark.parametrize("stream", [0, 1])
     def test_matches_a_pure_python_splitmix64(self, seed, shape, stream):
         want = _reference_signs(seed, shape, stream)
-        assert np.array_equal(_rademacher(seed, shape, stream), want)
+        assert np.array_equal(_signs(seed, shape, stream), want)
 
     @pytest.mark.parametrize("rows", [1, 3, 7, 64, 2**12])
     def test_any_row_chunking_draws_the_same_signs(self, rows, monkeypatch):
         shape = (3 * 2**12 + 5, 7)
         monkeypatch.setattr(fconn.krylov, "_CHUNK_ROWS", shape[0])
-        one_draw = _rademacher(11, shape, 1)
+        one_draw = _signs(11, shape, 1)
         monkeypatch.setattr(fconn.krylov, "_CHUNK_ROWS", rows)
-        assert np.array_equal(_rademacher(11, shape, 1), one_draw)
+        assert np.array_equal(_signs(11, shape, 1), one_draw)
 
     def test_signs_depend_only_on_the_c_order_position(self):
-        flat = _rademacher(5, (2000 * 20,))
-        assert np.array_equal(_rademacher(5, (2000, 20)), flat.reshape(2000, 20))
-        assert np.array_equal(_rademacher(5, (20, 2000)), flat.reshape(20, 2000))
-        assert np.array_equal(_rademacher(5, (1000, 20)), flat[:20000].reshape(1000, 20))
+        flat = _signs(5, (2000 * 20,))
+        assert np.array_equal(_signs(5, (2000, 20)), flat.reshape(2000, 20))
+        assert np.array_equal(_signs(5, (20, 2000)), flat.reshape(20, 2000))
+        assert np.array_equal(_signs(5, (1000, 20)), flat[:20000].reshape(1000, 20))
 
     def test_signs_are_balanced(self):
-        signs = _rademacher(0, (2**20,))
+        signs = _signs(0, (2**20,))
         assert set(np.unique(signs).tolist()) == {-1.0, 1.0}
         assert abs(signs.mean()) <= 5.0 / np.sqrt(signs.size)
 
     def test_sketch_and_residual_streams_differ(self):
-        sketch, resid = _rademacher(3, (2000, 20)), _rademacher(3, (2000, 20), 1)
+        sketch, resid = _signs(3, (2000, 20)), _signs(3, (2000, 20), 1)
         # independent signs agree about half the time: 20000 +- 100 of 40000
         assert abs(np.sum(sketch == resid) - 20000) <= 500
-        assert not np.array_equal(_rademacher(3, (2000, 20)), _rademacher(4, (2000, 20)))
+        assert not np.array_equal(_signs(3, (2000, 20)), _signs(4, (2000, 20)))
 
     def test_no_overflow_warning_at_the_top_of_the_counter(self):
         # the key and every counter wrap mod 2^64 in uint64 arrays, which
         # never warn; numpy warns on a uint64 scalar that overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            signs = _rademacher(2**64 - 1, (4096, 3), 1)
+            signs = _signs(2**64 - 1, (4096, 3), 1)
         assert np.array_equal(signs, _reference_signs(2**64 - 1, (4096, 3), 1))

@@ -213,7 +213,7 @@ def _checked_solve(prob, inner):
 
 def test_newton_converges_on_downgrade():
     g = random_connected_graph(60, 240, seed=[3, 4, 0], weighted=True)
-    F, _ = select_candidates(g, WeightedMode.DOWNGRADE, Exp(), n_P=18, n_F=6)
+    F, _ = select_candidates(g, WeightedMode.DOWNGRADE, Exp(), n_P=18, n_F=6, budget=5.0)
     prob = WeightedProblem.build(g, F, WeightedMode.DOWNGRADE, 5.0, Exp())
     x, report = _checked_solve(prob, "hessian")
     assert report.converged and report.inner_iterations < 150
@@ -224,7 +224,7 @@ def test_newton_converges_on_downgrade():
 @pytest.mark.parametrize("mode", [WeightedMode.ADD, WeightedMode.REWIRE])
 def test_newton_and_lbfgs_agree(mode):
     g = random_connected_graph(60, 240, seed=[1, 4, 0], weighted=True)
-    F, _ = select_candidates(g, mode, Exp(), n_P=8, n_F=3)
+    F, _ = select_candidates(g, mode, Exp(), n_P=8, n_F=3, budget=2.0)
     prob = WeightedProblem.build(g, F, mode, 2.0, Exp())
     _, newton = _checked_solve(prob, "hessian")
     _, lbfgs = _checked_solve(prob, "lbfgs")
@@ -238,7 +238,7 @@ def test_newton_stops_at_the_rounding_level_of_phi():
     # the projected A + X and A: about 2e-9 here, where phi is about -6e3.
     # The projected spectra lack the smallest eigenvalues of the dense ones.
     g = random_connected_graph(60, 240, seed=[1, 4, 0], weighted=True)
-    F, _ = select_candidates(g, WeightedMode.DOWNGRADE, Exp(), n_P=8, n_F=3)
+    F, _ = select_candidates(g, WeightedMode.DOWNGRADE, Exp(), n_P=8, n_F=3, budget=2.0)
     prob = WeightedProblem.build(g, F, WeightedMode.DOWNGRADE, 2.0, Exp())
     x, report = _checked_solve(prob, "hessian")
     assert report.converged and report.inner_iterations < 150
@@ -275,4 +275,4 @@ def test_select_candidates_ranks_each_pool_by_dense_derivative(mode):
         existing = ranked_pairs(g, scores, ordering, n_P // 2, False)
         missing = ranked_pairs(g, scores, ordering, n_P - n_P // 2, True)
         want = best(existing, n_F // 2) + best(missing, n_F - n_F // 2)
-    assert select_candidates(g, mode, Exp(), n_P=n_P, n_F=n_F) == (want, [])
+    assert select_candidates(g, mode, Exp(), n_P=n_P, n_F=n_F, budget=1.0) == (want, [])
