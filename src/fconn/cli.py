@@ -55,6 +55,8 @@ from .krylov import (
     DEFAULT_LAG,
     DEFAULT_M_MAX,
     DEFAULT_TOL,
+    _check_controls,
+    _check_seed,
     estimate_trace_f,
     trace_fun_update,
 )
@@ -132,16 +134,10 @@ class RunSpec:
             self.tol = DEFAULT_TOL if self.tol is None else self.tol
             self.lag = DEFAULT_LAG if self.lag is None else self.lag
             self.m_max = DEFAULT_M_MAX if self.m_max is None else self.m_max
-        if self.lag is not None and self.lag < 1:
-            raise ValidationError(f"lag must be >= 1, got {self.lag}")
-        if self.m_max is not None and self.m_max < 1:
-            raise ValidationError(f"m_max must be >= 1, got {self.m_max}")
-        if self.tol is not None and not 0.0 <= self.tol < np.inf:
-            raise ValidationError(f"tol must be finite and >= 0, got {self.tol}")
+        _check_controls(self.lag, self.tol, self.m_max)
         if self.n_p < 1 or self.n_f < 1:
             raise ValidationError(f"n_p and n_f must be >= 1, got {self.n_p} and {self.n_f}")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed must be in [0, 2^64), got {self.seed}")
+        _check_seed(self.seed)
         if self.budget is not None and not 0.0 < self.budget < np.inf:
             raise ValidationError(f"budget must be positive and finite, got {self.budget}")
         if self.upper is not None:

@@ -244,17 +244,22 @@ class MiobiState:
 
     @classmethod
     def initialize(cls, graph: SparseSymGraph, h: int):
-        A = graph.adjacency
+        """The h eigenpairs of largest |eigenvalue|, by ``eigsh`` on ``graph.matmul``.
+
+        With h >= n - 1 or n <= 3, beyond ARPACK's reach, they come from a
+        dense ``eigh`` of A.
+        """
         n = graph.n
         if h < 1:
             raise ValidationError(f"the number of retained eigenpairs must be >= 1, got {h}")
         if h > n:
             raise ValidationError(f"cannot retain {h} eigenpairs of an order-{n} matrix")
         if h >= n - 1 or n <= 3:
-            w, V = np.linalg.eigh(A.toarray())
+            w, V = np.linalg.eigh(graph.matmul(np.eye(n)))
         else:
             import scipy.sparse.linalg  # only here: keeps it out of every other job's start-up
 
+            A = scipy.sparse.linalg.LinearOperator((n, n), matvec=graph.matmul, dtype=float)
             v0 = np.full(n, 1.0 / np.sqrt(n))
             w, V = scipy.sparse.linalg.eigsh(A, k=h, which="LM", v0=v0)
         order = np.argsort(-np.abs(w))[:h]

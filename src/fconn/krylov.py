@@ -22,21 +22,23 @@ A + X) and because the benchmark's tracer binds it by name.
 ``trace_fun_update``, ``multiple_frechet_eval``, the weighted model and
 ``fun_action`` grow a Krylov space one order at a time until the projected
 quantity stops moving, and share one driver, ``_lagged``, for that loop: it
-keeps the last ``lag`` values, stops at the first order m with
-``moved(value_m, value_{m-lag}) <= tol`` or at the order whose extension
-exhausts the space (the value is then exact), and otherwise returns the value
-at ``m_max`` with ``converged=False``. Callers supply only the step that
-extends the space to order m and evaluates the quantity there.
+keeps the last ``lag`` values, stops at the first order m where the change
+from value_{m-lag} is settled or at the order whose extension exhausts the
+space (the value is then exact), and otherwise returns the value at
+``m_max`` with ``converged=False``. Callers supply the step that extends the
+space to order m and evaluates the quantity there, and ``moved``, which
+measures the change, the quantity's size and its rounding level.
 
-Every lagged test is relative to the size of what it measures, so ``tol`` is
-a relative tolerance: the change |Delta_m - Delta_{m-lag}| of a trace update
-is compared with tol * |Delta_m|, and the spectral norm of a core's change
-with tol * ||core_m||_2. A change at or below the quantity's rounding level
-(a small multiple of eps times the summed |f| of the projected spectra for a
-trace, times max |f| for a core or a Lanczos result) also stops the loop, so
-an update that is zero stops at order lag + 1. An absolute test cannot serve
-both a trace update of 1e8, which it never lets stop, and one of 1e-3, which
-it stops before a single digit is right.
+One stopping test, ``_settled``, serves the driver and the lockstep kernel:
+a change is settled once it is at most max(tol * size, floor), so ``tol``
+is a relative tolerance. The change |Delta_m - Delta_{m-lag}| of a trace
+update is compared with tol * |Delta_m|, and the spectral norm of a core's
+change with tol * ||core_m||_2. The floor is the quantity's rounding level
+(a small multiple of eps times the summed |f| of the projected spectra for
+a trace, times max |f| for a core or a Lanczos result), so an update that
+is zero stops at order lag + 1. An absolute test cannot serve both a trace
+update of 1e8, which it never lets stop, and one of 1e-3, which it stops
+before a single digit is right.
 
 ``estimate_trace_f`` needs only quadratic forms v^T f(A) v, and computes them
 with a lockstep Lanczos kernel: b independent single-vector recurrences
@@ -50,36 +52,31 @@ as columns into the block where the next vector is built, has the product
 written into a fourth block, and copies it back into rows. A form is
 ||v||^2 e_1^T f(T_m) e_1 and needs no basis, so only the two newest basis
 vectors of each recurrence are kept.
-Each recurrence stops on its own form, by a vectorized copy of the relative
-lagged test with the rounding floor 100 eps ||v||^2 max |f(T_m)|, and leaves
-the batch when it stops, its rows compacted in place.
+Each recurrence stops on its own form, by ``_settled`` with the rounding
+floor 100 eps ||v||^2 max |f(T_m)|, and leaves the batch when it stops, its
+rows compacted in place.
 
 Memory: the kernel runs in four (b, n) row blocks of a workspace it is
 given, and allocates no block in a step. ``estimate_trace_f`` allocates a
-vector block and a kernel block once and runs every phase in them. Its
-tracemalloc peak is 6.7 MiB at n = 20000 and p = 40, the two blocks and a
-row chunk's product; with the kernel's blocks allocated per batch beside
-the sketch it was 8.3 MiB, and the worker thread's malloc arena kept them.
+vector block and a kernel block once and runs every phase in them; its
+tracemalloc peak is these two blocks and a row chunk's product.
 The sketch's SVQB gives other digits than a Householder QR, but the same
 span up to rounding, and the estimate depends on the sketch only through its
-span: on the benchmark's break-tree and make-ba inputs it moved by at most
-1.3e-12 relative from a Householder-QR sketch.
+span.
 The probes are random signs from a counter-based SplitMix64 stream (Steele,
 Lea & Flood, OOPSLA 2014) written in numpy (``_rademacher``): the i-th word
 of the stream keyed by the seed is the generator's i-th output, computed
 from i alone on uint64 arrays, and gives 64 signs, one per bit. The
 sketch reads stream 0 and the residual probes stream 1, the words from 2^63
 on. A sign depends only on the seed, the stream and its position, so a seed
-gives the same digits at any batch or chunk size (not those of releases that
-drew the signs with numpy's default generator). A job imports no
-``numpy.random``, which with ``secrets``, ``hashlib`` and OpenSSL's
-``_hashlib`` added 5.3 MB and 10-15 ms to every job.
+gives the same digits at any batch or chunk size. A job imports no
+``numpy.random``.
 Every break, make and weighted job runs the estimate for its denominator.
 Weighted jobs run the recurrence in ``fun_action`` too, which keeps its basis
 V_m and returns ||v|| V_m f(T_m) e_1. ``eigenvector_centrality``, which ranks
 the candidate pools, runs it until the largest Ritz pair converges and then
-again to sum the Ritz vector: a kept basis of up to ``DEFAULT_M_MAX`` vectors
-raised a break job's peak by about 1 MB, and the rerun repeats its digits.
+again to sum the Ritz vector, so that it keeps no basis; the rerun repeats
+its digits.
 All take the start vector to be the first basis vector exactly, never
 recomputed from inner products with the basis, which lose their meaning once
 the basis loses orthogonality (Musco, Musco & Sidford, SODA 2018).
@@ -109,7 +106,7 @@ order through ``BlockKrylov.reach``, which extends the space by at most one
 block and says whether the value at that order is still not exact.
 
 Every routine takes the large symmetric matrix as a
-:class:`fconn.graph.SparseSymGraph`, whose CSR adjacency has sorted indices
+:class:`fconn.graph.SparseSymGraph`, whose CSR arrays have sorted indices
 and whose cached 1-norm sets the deflation threshold; every block Krylov
 start is a list of node indices.
 """
@@ -463,17 +460,30 @@ def _core_change(curr, prev):
 _ROUNDING = 100.0 * np.finfo(float).eps
 
 
-def _relative(change, size, floor):
-    """Lagged change of a quantity relative to its size, for the ``moved`` tests.
+def _settled(change, size, floor, tol):
+    """Whether a lagged change is settled: ``change <= max(tol * size, floor)``.
 
-    A change at or below ``floor``, the rounding level of the quantity, counts
-    as no change (0); otherwise the result is change / size. Compared with
-    ``tol``, it stops the loop once change <= max(tol * size, floor), so a
-    quantity that is exactly or numerically zero still stops.
+    ``size`` is the size of the quantity and ``floor`` its rounding level, so
+    a quantity that is exactly or numerically zero settles too. Scalars or
+    arrays, elementwise; a NaN change never settles.
     """
-    if change <= floor:
-        return 0.0
-    return change / size if size > 0.0 else np.inf
+    return change <= np.maximum(tol * size, floor)
+
+
+def _check_controls(lag, tol, m_max):
+    """Reject a lag or m_max below 1 and a tol that is negative or not finite; None passes."""
+    if lag is not None and lag < 1:
+        raise ValidationError(f"lag must be >= 1, got {lag}")
+    if m_max is not None and m_max < 1:
+        raise ValidationError(f"m_max must be >= 1, got {m_max}")
+    if tol is not None and not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
+
+
+def _check_seed(seed):
+    """Reject a seed outside [0, 2^64), the range of the sign stream's key."""
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be in [0, 2^64), got {seed}")
 
 
 def _lagged(step, moved, lag, tol, m_max):
@@ -481,25 +491,21 @@ def _lagged(step, moved, lag, tol, m_max):
 
     ``step(m)`` extends the space to order m and returns ``(value, grew)``:
     the projected quantity at order m, and whether the extension added a
-    basis block. The loop stops at the first m > lag with
-    ``moved(value_m, value_{m-lag}) <= tol``, or at the first order whose
-    extension exhausted the space (the value is then exact); both count as
-    converged. Otherwise it returns the value at ``m_max`` unconverged.
-    Every caller's ``moved`` is relative (see :func:`_relative`), so ``tol``
-    is a relative tolerance. Returns ``(value, m, converged)``; ``lag`` and
-    ``m_max`` below 1, and a ``tol`` that is negative or not finite, raise
+    basis block. ``moved(value_m, value_{m-lag})`` returns the
+    ``(change, size, floor)`` of the quantity, scalars or arrays of one
+    entry per part. The loop stops at the first m > lag where every part is
+    :func:`_settled` at ``tol``, a relative tolerance, or at the first order
+    whose extension exhausted the space (the value is then exact); both
+    count as converged. Otherwise it returns the value at ``m_max``
+    unconverged. Returns ``(value, m, converged)``; ``lag`` and ``m_max``
+    below 1, and a ``tol`` that is negative or not finite, raise
     ValidationError.
     """
-    if lag < 1:
-        raise ValidationError(f"lag must be >= 1, got {lag}")
-    if m_max < 1:
-        raise ValidationError(f"m_max must be >= 1, got {m_max}")
-    if not 0.0 <= tol < np.inf:
-        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
+    _check_controls(lag, tol, m_max)
     recent = deque(maxlen=lag)  # values at orders m - lag, ..., m - 1
     for m in range(1, m_max + 1):
         value, grew = step(m)
-        if len(recent) == lag and moved(value, recent[0]) <= tol:
+        if len(recent) == lag and np.all(_settled(*moved(value, recent[0]), tol)):
             return value, m, True
         if not grew:
             return value, m, True
@@ -557,7 +563,7 @@ def trace_fun_update(
         return (float(np.sum(f_pert) - np.sum(f_base)), floor, drift), grew
 
     def moved(curr, prev):
-        return _relative(abs(curr[0] - prev[0]), abs(curr[0]), curr[1])
+        return abs(curr[0] - prev[0]), abs(curr[0]), curr[1]
 
     (delta, _, drift), m, converged = _lagged(step, moved, lag, tol, m_max)
     return TraceUpdateResult(delta, m, converged, drift)
@@ -624,7 +630,7 @@ def multiple_frechet_eval(M, F, f, lag=DEFAULT_LAG, tol=1e-8, m_max=DEFAULT_M_MA
         return scales[(v, m)]
 
     def moved(curr, prev):
-        return _relative(_core_change(curr[0], prev[0]), np.linalg.norm(curr[0], 2), curr[1])
+        return _core_change(curr[0], prev[0]), np.linalg.norm(curr[0], 2), curr[1]
 
     cores, orders, pending = {}, {}, set()
     for i, j in F:
@@ -780,17 +786,17 @@ def _lanczos_lockstep(A, f, V, lag=DEFAULT_LAG, tol=1e-8, m_max=80, work=None):
 
     Column c runs the Lanczos method from v_c / ||v_c||, and its form at
     order m is ``||v_c||^2 e_1^T f(T_m) e_1``. It stops at the first order
-    m > lag where ``|form_m - form_{m-lag}| <= max(tol * |form_m|, floor_m)``,
-    with floor_m = 100 eps ||v_c||^2 max |f(T_m)| the rounding level of the
-    form (the test of :func:`_relative`, vectorized), or when its Krylov space
-    is exhausted (the form is then exact); zero columns give zero. The
-    columns run in batches in the flat float64 array ``work``, as wide as the
-    ``_BATCH_BLOCKS`` (b, n) row blocks of :class:`_LanczosBatch` that it
-    holds, and at most as wide as V (without ``work``, one batch of every
-    column runs in a new array); in a batch, all columns advance together
-    and each drops out when it stops. Raises ConvergenceError if a column of a batch is still
-    moving after ``m_max`` steps, with the largest lagged change among that
-    batch's such columns as the residual.
+    m > lag where ``|form_m - form_{m-lag}| <= max(tol * |form_m|, floor_m)``
+    (:func:`_settled`), with floor_m = 100 eps ||v_c||^2 max |f(T_m)| the
+    rounding level of the form, or when its Krylov space is exhausted (the
+    form is then exact); zero columns give zero. The columns run in batches
+    in the flat float64 array ``work``, as wide as the ``_BATCH_BLOCKS``
+    (b, n) row blocks of :class:`_LanczosBatch` that it holds, and at most as
+    wide as V (without ``work``, one batch of every column runs in a new
+    array); in a batch, all columns advance together and each drops out when
+    it stops. Raises ConvergenceError if a column of a batch is still moving
+    after ``m_max`` steps, with the largest lagged change among that batch's
+    such columns as the residual.
     """
     V = np.asarray(V, dtype=float)
     n, k = V.shape
@@ -828,7 +834,7 @@ def _lockstep_batch(A, f, V, lag, tol, m_max, work):
         if m > lag:
             change = np.abs(form - history[ids, m - 1 - lag])
             floor = _ROUNDING * scale * np.max(np.abs(fw), axis=1)
-            done |= change <= np.maximum(tol * np.abs(form), floor)
+            done |= _settled(change, np.abs(form), floor, tol)
         forms[ids[done]] = form[done]
         if m == m_max and not done.all():
             resid = float(np.max(change[~done])) if m > lag else None
@@ -869,7 +875,7 @@ def fun_action(A, f, v, lag=DEFAULT_LAG, tol=1e-8, m_max=80):
     def moved(curr, prev):
         change = curr[0].copy()
         change[: prev[0].size] -= prev[0]
-        return _relative(np.linalg.norm(change), np.linalg.norm(curr[0]), curr[1])
+        return np.linalg.norm(change), np.linalg.norm(curr[0]), curr[1]
 
     (y, _), m, converged = _lagged(step, moved, lag, tol, m_max)
     if not converged:
@@ -1093,7 +1099,7 @@ def estimate_trace_f(A, f, n_probes=40, seed=0):
     residual probes) of the SplitMix64 generator keyed by ``seed``, an
     integer in [0, 2^64) (see :func:`_rademacher`). A sign depends on its
     position alone, so a seed gives the same digits at any batch or chunk
-    size, but not those of releases that drew numpy's default generator.
+    size.
 
     Every phase runs in two blocks allocated once, at the start: the vector
     block of n * n_probes/2 entries and the kernel block of W >= n *
@@ -1112,8 +1118,7 @@ def estimate_trace_f(A, f, n_probes=40, seed=0):
     if n_probes < 2 or n_probes % 2:
         raise ValidationError("n_probes must be an even number >= 2")
     seed = operator.index(seed)
-    if not 0 <= seed < 2**64:
-        raise ValidationError(f"seed must be in [0, 2^64), got {seed}")
+    _check_seed(seed)
     half = n_probes // 2
     n = A.n
     kernel = n * half * (_BATCH_BLOCKS if n * half <= _ONE_BATCH_HALF else 1)

@@ -36,7 +36,6 @@ from .krylov import (
     DEFAULT_M_MAX,
     BlockKrylov,
     _lagged,
-    _relative,
     fun_action,
 )
 
@@ -221,11 +220,9 @@ class _KrylovModel:
             return (m, *self._at(x, m)), grew
 
         def moved(curr, prev):
-            _, phi, grad, _, (phi_floor, grad_floor) = curr
-            return max(
-                _relative(abs(phi - prev[1]), abs(phi), phi_floor),
-                _relative(np.linalg.norm(grad - prev[2]), np.linalg.norm(grad), grad_floor),
-            )
+            _, phi, grad, _, floors = curr
+            change = (abs(phi - prev[1]), np.linalg.norm(grad - prev[2]))
+            return np.array(change), np.array((abs(phi), np.linalg.norm(grad))), np.array(floors)
 
         (m, phi, grad, spectrum, (self.phi_floor, _)), _, converged = _lagged(
             step, moved, DEFAULT_LAG, UPDATE_TOL, DEFAULT_M_MAX - start + 1

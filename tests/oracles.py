@@ -49,8 +49,14 @@ def frechet_block(f, M, E):
     return matrix_function(f, aug)[:n, n:]
 
 
+def scipy_adjacency(g):
+    """A graph's adjacency as a scipy ``csr_matrix`` over its ``csr_arrays``, no copy."""
+    indptr, indices, data = g.csr_arrays
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(g.n, g.n), copy=False)
+
+
 def dense_adjacency(g):
-    return g.adjacency.toarray()
+    return scipy_adjacency(g).toarray()
 
 
 def trace_delta(f, A, X):
@@ -121,14 +127,13 @@ def sym_matrix(M):
 
     A + X can have negative entries, which no SparseSymGraph holds. The
     stand-in has the graph attributes the routines use: ``n``, the sorted
-    CSR ``adjacency``, its ``csr_arrays``, the product ``matmul`` and
-    ``norm1``, the largest absolute column sum.
+    ``csr_arrays``, the product ``matmul`` and ``norm1``, the largest
+    absolute column sum.
     """
     A = scipy.sparse.csr_matrix(M)
     norm1 = float(np.max(np.abs(A).sum(axis=0))) if A.nnz else 0.0
     return SimpleNamespace(
         n=A.shape[0],
-        adjacency=A,
         csr_arrays=(A.indptr, A.indices, A.data),
         matmul=lambda X: A @ X,
         norm1=norm1,
@@ -176,14 +181,14 @@ def _lanczos(A, start, m_max):
             return
 
 
-def lanczos_action(A, f, v, lag=2, tol=1e-8, m_max=80):
-    """f(A) v by single-vector Lanczos, one vector at a time.
+def lanczos_action(g, f, v, lag=2, tol=1e-8, m_max=80):
+    """f(A) v by single-vector Lanczos, one vector at a time, A the adjacency of graph g.
 
     The plain loop that keeps the basis V_m, with the lagged stopping test on
     the coefficient vector y_m = f(T_m) V_m^T v, whose start coordinates are
     inner products with the basis.
     """
-    A = getattr(A, "adjacency", A)
+    A = scipy_adjacency(g)
     v = np.asarray(v, dtype=float)
     nv = float(np.linalg.norm(v))
     if nv == 0.0:
@@ -206,14 +211,14 @@ def lanczos_action(A, f, v, lag=2, tol=1e-8, m_max=80):
     raise RuntimeError("reference Lanczos did not converge")
 
 
-def lanczos_form(A, f, v, lag=2, tol=1e-8, m_max=80):
-    """v^T f(A) v = ||v||^2 e_1^T f(T_m) e_1 by single-vector Lanczos.
+def lanczos_form(g, f, v, lag=2, tol=1e-8, m_max=80):
+    """v^T f(A) v = ||v||^2 e_1^T f(T_m) e_1 by single-vector Lanczos, A the adjacency of g.
 
     The per-vector loop of the package's lockstep kernel, with its stop: the
     first m > lag with |form_m - form_{m-lag}| <= max(tol |form_m|,
     100 eps ||v||^2 max |f(T_m)|), or exhaustion of the Krylov space.
     """
-    A = getattr(A, "adjacency", A)
+    A = scipy_adjacency(g)
     v = np.asarray(v, dtype=float)
     sq = float(v @ v)
     if sq == 0.0:
@@ -231,8 +236,8 @@ def lanczos_form(A, f, v, lag=2, tol=1e-8, m_max=80):
     raise RuntimeError("reference Lanczos did not converge")
 
 
-def hutchpp_per_probe(A, f, n_probes=40, seed=0, tol=1e-8, m_max=80):
-    """Hutch++ estimate of Tr(f(A)) with one Lanczos run per probe vector.
+def hutchpp_per_probe(g, f, n_probes=40, seed=0, tol=1e-8, m_max=80):
+    """Hutch++ estimate of Tr(f(A)), A the adjacency of g, with one Lanczos run per probe vector.
 
     Same sign draws (the package's SplitMix64 streams 0 and 1 of ``seed``),
     the same power sketch Q = orth(A^SKETCH_POWER S) and the same
@@ -241,12 +246,12 @@ def hutchpp_per_probe(A, f, n_probes=40, seed=0, tol=1e-8, m_max=80):
     orthonormalized by LAPACK's Householder QR, not the estimate's SVQB, so
     agreement also checks that the estimate depends on the sketch's span only.
     """
-    A = getattr(A, "adjacency", A)
-    n = A.shape[0]
+    A = scipy_adjacency(g)
+    n = g.n
     half = n_probes // 2
 
     def form(x):
-        return lanczos_form(A, f, x, tol=tol, m_max=m_max)
+        return lanczos_form(g, f, x, tol=tol, m_max=m_max)
 
     Q = _rademacher(seed, np.empty((n, half)))
     for _ in range(SKETCH_POWER):

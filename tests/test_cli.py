@@ -620,8 +620,8 @@ def _fresh_process(script, *args):
 def test_break_and_make_do_not_import_scipy_linalg(edge_list, tmp_path):
     # Importing scipy.linalg or scipy.sparse.linalg would add about 0.1 s to a
     # job's start-up, on top of the scipy package that the next test keeps
-    # out; only the miobi baseline needs one (eigsh), lazily, through the
-    # graph's adjacency.
+    # out; only the miobi baseline needs one (eigsh), lazily, over the graph's
+    # matmul.
     loaded = _fresh_process(_IMPORT_GUARD, edge_list, str(tmp_path / "out-"))
     assert loaded == {"import fconn": [], "break": [], "make": []}
 
@@ -656,7 +656,7 @@ print(json.dumps(loaded))
 def test_jobs_do_not_import_the_scipy_package(edge_list, tmp_path):
     # scipy's package start-up is most of a job's: importing scipy.sparse took
     # 0.3 s and 22 MB. The graph calls scipy's compiled CSR kernel without it,
-    # and only MIOBI's eigsh, through the lazy adjacency, imports it.
+    # and only MIOBI's lazy import of scipy.sparse.linalg, for eigsh, loads it.
     loaded = _fresh_process(_JOBS_GUARD, edge_list, str(tmp_path / "out-"), "scipy", "scipy.sparse")
     untouched = ["import fconn", "load_graph", "break", "make", "trace", "downgrade"]
     assert loaded == dict.fromkeys(untouched, []) | {"miobi": ["scipy", "scipy.sparse"]}

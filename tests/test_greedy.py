@@ -1,7 +1,9 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from fconn.errors import ConvergenceError, ValidationError
 from fconn.graph import SparseSymGraph, Strategy
@@ -218,7 +220,7 @@ class TestMiobi:
     def test_initial_pairs_are_accurate(self):
         g = random_connected_graph(30, 30, seed=13)
         st = MiobiState.initialize(g, 8)
-        A = g.adjacency
+        A = oracles.scipy_adjacency(g)
         for k in range(8):
             lam, u = st.eigenvalues[k], st.eigenvectors[:, k]
             assert np.linalg.norm(A @ u - lam * u) <= 1e-8
@@ -264,6 +266,28 @@ class TestMiobi:
     def test_too_many_eigenpairs_rejected(self):
         with pytest.raises(ValidationError):
             MiobiState.initialize(path(4), 5)
+
+    @pytest.mark.parametrize("h", [0, 5])
+    def test_eigenpair_count_checked_before_the_matrix_is_read(self, h):
+        # a graph without matmul: the count is rejected before any product
+        with pytest.raises(ValidationError, match="eigenpairs"):
+            MiobiState.initialize(SimpleNamespace(n=4), h)
+
+    @pytest.mark.parametrize("n,h", [(9, 8), (30, 8)], ids=["dense", "eigsh"])
+    def test_pairs_equal_scipys_on_the_oracle_csr(self, n, h):
+        # MIOBI reads A through the graph's matmul; the reference, through
+        # scipy's CSR matrix over the same arrays, must give the same bytes
+        g = random_connected_graph(n, n + 5, seed=13)
+        st = MiobiState.initialize(g, h)
+        A = oracles.scipy_adjacency(g)
+        if h >= n - 1:
+            w, V = np.linalg.eigh(A.toarray())
+        else:
+            v0 = np.full(n, 1.0 / np.sqrt(n))
+            w, V = scipy.sparse.linalg.eigsh(A, k=h, which="LM", v0=v0)
+        order = np.argsort(-np.abs(w))[:h]
+        assert st.eigenvalues.tobytes() == w[order].tobytes()
+        assert st.eigenvectors.tobytes() == V[:, order].tobytes()
 
 
 class TestEigenvBaseline:

@@ -14,6 +14,7 @@ from fconn.krylov import (
     LowRankUpdate,
     _lagged,
     _qr_rows,
+    _settled,
     _lanczos_lockstep,
     _rademacher,
     _residual_probes,
@@ -123,7 +124,7 @@ class TestSupportProduct:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_bit_identical_to_full_product_up_to_the_gate(self, k):
         g = random_connected_graph(3000, 1500, seed=5, weighted=True)
-        A = g.adjacency
+        A = oracles.scipy_adjacency(g)
         assert A.has_sorted_indices
         rng = np.random.default_rng(k)
         gate = SUPPORT_SHARE * A.nnz
@@ -148,7 +149,7 @@ class TestBlockKrylov:
             (random_connected_graph(1500, 12000, seed=3), [289, 366], 30, 1e-12),
         ]
         for g, nodes, orders, orth_tol in cases:
-            A = g.adjacency
+            A = oracles.scipy_adjacency(g)
             kry = BlockKrylov(g, nodes, mode="arnoldi")
             for _ in range(orders):
                 kry.extend()
@@ -232,7 +233,7 @@ class TestTraceFunUpdate:
     def test_square_polynomial_edge_removal(self):
         # Tr (A+X)^2 - Tr A^2 = -2 for removing a unit edge
         g = random_connected_graph(15, 20, seed=8)
-        A = g.adjacency.toarray()
+        A = oracles.dense_adjacency(g)
         i, j = g.edge_pairs[0]
         X = LowRankUpdate.from_edge(15, i, j, -1.0)
         f = Polynomial([0.0, 0.0, 1.0])
@@ -243,7 +244,7 @@ class TestTraceFunUpdate:
 
     def test_exp_against_dense_medium_graph(self):
         g = random_connected_graph(250, 350, seed=9)
-        A = g.adjacency.toarray()
+        A = oracles.dense_adjacency(g)
         rng = np.random.default_rng(10)
         i, j = g.edge_pairs[int(rng.integers(g.num_edges))]
         X = LowRankUpdate.from_edge(250, i, j, -1.0)
@@ -271,7 +272,7 @@ class TestTraceFunUpdate:
 
     def test_resolvent_and_sinh(self):
         g = random_connected_graph(30, 40, seed=12)
-        A = g.adjacency.toarray()
+        A = oracles.dense_adjacency(g)
         lam_max = np.max(np.linalg.eigvalsh(A))
         i, j = g.edge_pairs[3]
         X = LowRankUpdate.from_edge(30, i, j, -1.0)
@@ -283,7 +284,7 @@ class TestTraceFunUpdate:
 
 def _dense_trace_delta(g, X):
     """Tr exp(A+X) - Tr exp(A) from dense eigvalsh."""
-    A = g.adjacency.toarray()
+    A = oracles.dense_adjacency(g)
     return float(
         np.sum(np.exp(np.linalg.eigvalsh(A + X.dense()))) - np.sum(np.exp(np.linalg.eigvalsh(A)))
     )
@@ -370,7 +371,7 @@ class TestFrechetEval:
 
     def test_exp_against_augmented_oracle(self):
         g = random_connected_graph(30, 45, seed=13)
-        A = g.adjacency.toarray()
+        A = oracles.dense_adjacency(g)
         E = np.zeros((30, 30))
         E[2, 9] = 1.0
         res = _frechet(g, 2, 9, Exp(), tol=1e-10)
@@ -380,7 +381,7 @@ class TestFrechetEval:
 
     def test_diagonal_direction(self):
         g = random_connected_graph(20, 30, seed=14)
-        A = g.adjacency.toarray()
+        A = oracles.dense_adjacency(g)
         E = np.zeros((20, 20))
         E[4, 4] = 1.0
         res = _frechet(g, 4, 4, Exp(), tol=1e-10)
@@ -398,13 +399,13 @@ class TestMultipleFrechetEval:
         assert np.allclose(core, single.cores[(2, 9)], atol=1e-12)
         E = np.zeros((25, 25))
         E[2, 9] = 1.0
-        want = oracles.frechet_block(Exp(), g.adjacency.toarray(), E)
+        want = oracles.frechet_block(Exp(), oracles.dense_adjacency(g), E)
         err = np.linalg.norm(multi.implied_matrix((2, 9)) - want) / np.linalg.norm(want)
         assert err <= 1e-6
 
     def test_shared_node_agrees_with_independent_calls(self):
         g = random_connected_graph(25, 35, seed=16)
-        A = g.adjacency.toarray()
+        A = oracles.dense_adjacency(g)
         multi = multiple_frechet_eval(g, [(2, 9), (2, 14)], Exp(), tol=1e-9)
         for pair in [(2, 9), (2, 14)]:
             single = _frechet(g, pair[0], pair[1], Exp(), tol=1e-9)
@@ -439,18 +440,32 @@ class TestLaggedDriver:
 
         return step
 
+    @staticmethod
+    def _absolute(a, b):
+        # (change, size, floor): size 1 makes tol an absolute tolerance
+        return abs(a - b), 1.0, 0.0
+
     def test_stops_on_lagged_tie(self):
         # |3.5 - 3.0| equals tol exactly: the test is <=, not <
         step = self._steps([5.0, 3.0, 4.0, 3.5, 9.0])
-        assert _lagged(step, lambda a, b: abs(a - b), 2, 0.5, 10) == (3.5, 4, True)
+        assert _lagged(step, self._absolute, 2, 0.5, 10) == (3.5, 4, True)
 
     def test_exhaustion_is_converged(self):
         step = self._steps([1.0, 2.0, 4.0, 8.0], exhausted_at=3)
-        assert _lagged(step, lambda a, b: abs(a - b), 1, 0.0, 10) == (4.0, 3, True)
+        assert _lagged(step, self._absolute, 1, 0.0, 10) == (4.0, 3, True)
 
     def test_m_max_returns_last_value_unconverged(self):
         step = self._steps([1.0, 2.0, 4.0, 8.0])
-        assert _lagged(step, lambda a, b: abs(a - b), 1, 0.5, 3) == (4.0, 3, False)
+        assert _lagged(step, self._absolute, 1, 0.5, 3) == (4.0, 3, False)
+
+    def test_every_part_must_settle(self):
+        # the first part settles at order 2, the second only at order 4
+        step = self._steps([(1.0, 1.0), (1.0, 5.0), (1.0, 9.0), (1.0, 9.25)])
+
+        def moved(a, b):
+            return np.abs(np.subtract(a, b)), np.ones(2), np.zeros(2)
+
+        assert _lagged(step, moved, 1, 0.5, 10) == ((1.0, 9.25), 4, True)
 
     @pytest.mark.parametrize("lag,m_max", [(0, 10), (-1, 10), (2, 0)])
     def test_invalid_lag_and_m_max_rejected(self, lag, m_max):
@@ -458,7 +473,7 @@ class TestLaggedDriver:
             raise AssertionError("no order may be evaluated")
 
         with pytest.raises(ValidationError):
-            _lagged(step, lambda a, b: abs(a - b), lag, 1e-6, m_max)
+            _lagged(step, self._absolute, lag, 1e-6, m_max)
 
     @pytest.mark.parametrize("lag,m_max", [(0, 10), (-1, 10), (2, 0)])
     def test_entry_points_reject_invalid_lag_and_m_max(self, lag, m_max):
@@ -470,6 +485,26 @@ class TestLaggedDriver:
         ):
             with pytest.raises(ValidationError):
                 call()
+
+
+class TestSettled:
+    # (change, size, floor) at tol 0.5, and whether the change is settled
+    CASES = [
+        ((0.5, 1.0, 0.0), True),  # a tie with tol * size settles
+        ((0.6, 1.0, 0.0), False),
+        ((0.6, 0.0, 0.0), False),  # size 0: only the floor can settle it
+        ((0.0, 0.0, 0.0), True),  # floor 0 and no change
+        ((0.6, 0.0, 0.6), True),  # at the rounding floor
+        ((np.nan, 1.0, 1.0), False),  # a NaN change never settles
+        ((np.nan, 0.0, 0.0), False),
+    ]
+
+    def test_scalars_and_arrays_decide_alike(self):
+        want = [settled for _, settled in self.CASES]
+        scalar = [bool(_settled(*args, 0.5)) for args, _ in self.CASES]
+        change, size, floor = (np.array(part) for part in zip(*(args for args, _ in self.CASES)))
+        assert scalar == want
+        assert _settled(change, size, floor, 0.5).tolist() == want
 
 
 def _mixed_components():
@@ -501,7 +536,7 @@ class TestFunAction:
     @pytest.mark.parametrize("fname", ["exp", "sinh", "resolvent"])
     def test_against_dense(self, fname):
         g = random_connected_graph(40, 60, seed=19, weighted=True)
-        A = g.adjacency.toarray()
+        A = oracles.dense_adjacency(g)
         f = _function(fname, A)
         v = np.random.default_rng(20).standard_normal(40)
         y = fun_action(g, f, v, tol=1e-10)
@@ -511,7 +546,7 @@ class TestFunAction:
     @pytest.mark.parametrize("fname", ["exp", "sinh", "resolvent"])
     def test_mixed_columns_against_dense(self, fname):
         g = _mixed_components()
-        A = g.adjacency.toarray()
+        A = oracles.dense_adjacency(g)
         f = _function(fname, A)
         V = _mixed_block(g.n)
         want = oracles.matrix_function(f, A) @ V
@@ -522,7 +557,7 @@ class TestFunAction:
     def test_exhausted_starts_are_exact(self):
         g = _mixed_components()
         V = _mixed_block(g.n)
-        want = oracles.matrix_function(Exp(), g.adjacency.toarray()) @ V
+        want = oracles.matrix_function(Exp(), oracles.dense_adjacency(g)) @ V
         for c in (3, 4):
             y = fun_action(g, Exp(), V[:, c], tol=1e-2)
             assert np.allclose(y, want[:, c], rtol=1e-12, atol=1e-12)
@@ -552,7 +587,7 @@ class TestLockstepKernel:
     @pytest.mark.parametrize("fname", ["exp", "sinh", "resolvent"])
     def test_block_against_dense(self, fname):
         g = _mixed_components()
-        A = g.adjacency.toarray()
+        A = oracles.dense_adjacency(g)
         f = _function(fname, A)
         V = _mixed_block(g.n)
         forms = _lanczos_lockstep(g, f, V, tol=1e-10)
@@ -565,7 +600,7 @@ class TestLockstepKernel:
         g = random_connected_graph(200, 600, seed=31)
         V = np.random.default_rng(32).integers(0, 2, size=(200, 8)) * 2.0 - 1.0
         forms = _lanczos_lockstep(g, Exp(), V)
-        F = oracles.matrix_function(Exp(), g.adjacency.toarray())
+        F = oracles.matrix_function(Exp(), oracles.dense_adjacency(g))
         want = np.einsum("ij,ij->j", V, F @ V)
         assert np.allclose(forms, want, rtol=1e-8, atol=0.0)
 
@@ -607,7 +642,7 @@ class TestLockstepKernel:
         g = _mixed_components()
         V = _mixed_block(g.n)[:, [3, 4]]
         forms = _lanczos_lockstep(g, Exp(), V, tol=1e-2)
-        F = oracles.matrix_function(Exp(), g.adjacency.toarray())
+        F = oracles.matrix_function(Exp(), oracles.dense_adjacency(g))
         assert np.allclose(forms, np.einsum("ij,ij->j", V, F @ V), rtol=1e-12, atol=0.0)
 
     def test_against_per_vector_reference(self):
@@ -655,7 +690,7 @@ class TestEstimateTrace:
         # probes' estimate of the rest missed by up to 0.8 as the seed varied
         g = random_connected_graph(12, 6, seed=40)
         est = estimate_trace_f(g, Exp(), n_probes=probes, seed=1)
-        want = oracles.trace_function(Exp(), g.adjacency.toarray())
+        want = oracles.trace_function(Exp(), oracles.dense_adjacency(g))
         assert est.sketch_rank == 12 and est.stderr == 0.0
         assert abs(est.value - want) <= 1e-12 * want
 
@@ -671,7 +706,7 @@ class TestEstimateTrace:
         assert Q.shape == (300, 2)
         assert np.max(np.abs(Q.T @ Q - np.eye(2))) <= 5e-14
         got = estimate_trace_f(g, Exp(), n_probes=40, seed=seed)
-        want = oracles.trace_function(Exp(), g.adjacency.toarray())
+        want = oracles.trace_function(Exp(), oracles.dense_adjacency(g))
         assert got.sketch_rank == 2
         assert abs(got.value - want) <= 1e-7 * want
 
@@ -688,7 +723,7 @@ class TestEstimateTrace:
     def test_exp_within_one_percent(self):
         g = random_connected_graph(100, 150, seed=22)
         est = estimate_trace_f(g, Exp(), n_probes=40, seed=5).value
-        want = oracles.trace_function(Exp(), g.adjacency.toarray())
+        want = oracles.trace_function(Exp(), oracles.dense_adjacency(g))
         assert abs(est - want) <= 0.01 * abs(want)
 
     def test_probe_validation(self):
@@ -733,7 +768,7 @@ class TestEstimateTrace:
         # lost orthogonality make one probe of this graph diverge
         g = barabasi_albert(2000, 5, seed=[2002, 1, 29])
         got = estimate_trace_f(g, Exp(), n_probes=40, seed=0).value
-        want = oracles.trace_function(Exp(), g.adjacency.toarray())
+        want = oracles.trace_function(Exp(), oracles.dense_adjacency(g))
         assert abs(got - want) <= 1e-6 * abs(want)
 
     @pytest.mark.parametrize("probes,rtol", [(8, 0.05), (40, 1e-10)])
@@ -743,7 +778,7 @@ class TestEstimateTrace:
         # dimensions, which makes the estimate exact
         g = random_connected_graph(12, 6, seed=40)
         got = estimate_trace_f(g, Exp(), n_probes=probes, seed=0).value
-        want = oracles.trace_function(Exp(), g.adjacency.toarray())
+        want = oracles.trace_function(Exp(), oracles.dense_adjacency(g))
         assert abs(got - want) <= rtol * abs(want)
 
     @staticmethod
@@ -794,7 +829,7 @@ class TestEstimateTrace:
 
     def test_estimate_within_four_standard_errors(self):
         g = barabasi_albert(1000, 3, seed=0)
-        want = oracles.trace_function(Exp(), g.adjacency.toarray())
+        want = oracles.trace_function(Exp(), oracles.dense_adjacency(g))
         got = estimate_trace_f(g, Exp(), n_probes=40, seed=0)
         assert 0.0 < got.stderr <= 1e-2 * want
         assert abs(got.value - want) <= 4.0 * got.stderr

@@ -24,7 +24,7 @@ from conftest import missing_pairs, random_connected_graph
 def _case(seed, fname):
     """A weighted 30-node graph, three existing and three missing pairs, a point x."""
     g = random_connected_graph(30, 40, seed=seed, weighted=True)
-    A = g.adjacency.toarray()
+    A = oracles.dense_adjacency(g)
     lam = np.max(np.linalg.eigvalsh(A))
     f = Exp() if fname == "exp" else Resolvent(0.5 / (lam + 2.0))
     F = list(g.edge_pairs[::7][:3]) + missing_pairs(g)[::50][:3]
@@ -124,7 +124,7 @@ def test_interior_point_reaches_the_best_vertex(mode, seed, inner):
     g = random_connected_graph(16, 24, seed=seed, weighted=True)
     F = missing_pairs(g)[:3] if mode is WeightedMode.ADD else list(g.edge_pairs[:3])
     prob = WeightedProblem.build(g, F, mode, 1.5, Exp())
-    A = g.adjacency.toarray()
+    A = oracles.dense_adjacency(g)
     best = max(_dense_phi(prob, A, v) for v in _box_budget_vertices(prob.lower, prob.upper, 1.5))
     x, report = interior_point_solve(prob, inner=inner)
     assert np.all(x >= prob.lower) and np.all(x <= prob.upper)
@@ -149,7 +149,7 @@ def wide():
         if not g.has_edge(i, j) and (i, j) not in missing:
             missing.append((i, j))
     F = list(g.edge_pairs[::1000][:3]) + missing
-    return g, g.adjacency.toarray(), F
+    return g, oracles.dense_adjacency(g), F
 
 
 @pytest.mark.parametrize("fname", ["exp", "resolvent"])
@@ -218,7 +218,8 @@ def test_newton_converges_on_downgrade():
     x, report = _checked_solve(prob, "hessian")
     assert report.converged and report.inner_iterations < 150
     assert report.unconverged == 0
-    assert report.objective == pytest.approx(_dense_phi(prob, g.adjacency.toarray(), x), rel=1e-10)
+    want = _dense_phi(prob, oracles.dense_adjacency(g), x)
+    assert report.objective == pytest.approx(want, rel=1e-10)
 
 
 @pytest.mark.parametrize("mode", [WeightedMode.ADD, WeightedMode.REWIRE])
@@ -244,7 +245,7 @@ def test_newton_stops_at_the_rounding_level_of_phi():
     assert report.converged and report.inner_iterations < 150
     model = entry_gradient_cache(prob)
     model.evaluate(x)
-    A = g.adjacency.toarray()
+    A = oracles.dense_adjacency(g)
     spectra = [np.linalg.eigvalsh(M) for M in (A, A + oracles.assemble_update(g.n, prob.F, x))]
     want = _ROUNDING * sum(float(np.sum(np.exp(lam))) for lam in spectra)
     assert model.phi_floor == pytest.approx(want, rel=1e-2)
@@ -258,7 +259,7 @@ def test_select_candidates_ranks_each_pool_by_dense_derivative(mode):
     # of each by minmax.
     g = random_connected_graph(40, 80, seed=[5, 4, 0], weighted=True)
     n_P, n_F = 16, 6
-    fprime = oracles.matrix_function(Exp(), g.adjacency.toarray())
+    fprime = oracles.matrix_function(Exp(), oracles.dense_adjacency(g))
     scores = eigenvector_centrality(g)
     existing_only = mode in (WeightedMode.DOWNGRADE, WeightedMode.TUNE)
     ordering = Ordering.PRODUCT if existing_only else Ordering.MINMAX
