@@ -14,10 +14,18 @@ A third method skips the loop:
 
 * ``eigenv_baseline`` -- one-shot top-k selection by centrality products,
                          no rescoring
+
+``greedy_krylov`` scores each step's candidates in the calling thread, one
+after the other, unless it runs inside ``with share:`` for a
+:class:`fconn.share.ScoreShare`. Then the threads serving the share score
+the step's candidates beside it, and the plan, its ``step_deltas`` and its
+diagnostics are still those of the serial loop, bit for bit. MIOBI always
+scores serially.
 """
 
 from __future__ import annotations
 
+import contextvars
 import enum
 from dataclasses import dataclass, field
 
@@ -33,7 +41,14 @@ from .graph import (
     ranked_pairs,
     select_search_space,
 )
-from .krylov import DEFAULT_LAG, DEFAULT_M_MAX, DEFAULT_TOL, LowRankUpdate, trace_fun_update
+from .krylov import (
+    DEFAULT_LAG,
+    DEFAULT_M_MAX,
+    DEFAULT_TOL,
+    LowRankUpdate,
+    _check_controls,
+    trace_fun_update,
+)
 
 __all__ = [
     "Mode",
@@ -70,6 +85,7 @@ class GreedyConfig:
             raise ValidationError("budget must be >= 1")
         if self.q < 1:
             raise ValidationError("q must be >= 1")
+        _check_controls(self.lag, self.tol, self.m_max)
 
     @property
     def mode(self) -> Mode:
@@ -124,18 +140,19 @@ def _candidate_delta(graph, pair, mode):
     return 1.0
 
 
-def _greedy(graph, cfg, strategy, score, on_accept=None):
+def _greedy(graph, cfg, strategy, score_step, on_accept=None):
     """The greedy step loop shared by the scored methods.
 
     Each step selects the search space of ``strategy`` on the working graph,
-    scores every candidate with ``score(work, pair, delta)``, keeps the
-    minimizer (BREAK) or maximizer (MAKE) -- first candidate wins ties --
-    calls ``on_accept(pair, delta)`` and applies it to the working graph.
-    The centrality ranking behind the DG_1/DG_2/AD_1/AD_2 strategies, and
-    the candidate order it induces, are computed once on the initial graph.
-    A NaN score never wins; a step whose scores are all NaN or all infinite
-    the wrong way (+inf in BREAK, -inf in MAKE) has no best candidate and
-    raises ConvergenceError.
+    takes the list of its candidates' scores from ``score_step(work, space,
+    deltas)``, where ``deltas[k]`` is the weight change of ``space[k]``,
+    keeps the minimizer (BREAK) or maximizer (MAKE) -- first candidate wins
+    ties -- calls ``on_accept(pair, delta)`` and applies it to the working
+    graph. The centrality ranking behind the DG_1/DG_2/AD_1/AD_2 strategies,
+    and the candidate order it induces, are computed once on the initial
+    graph. A NaN score never wins; a step whose scores are all NaN or all
+    infinite the wrong way (+inf in BREAK, -inf in MAKE) has no best
+    candidate and raises ConvergenceError.
     """
     if cfg.mode is Mode.BREAK and graph.num_edges < cfg.budget:
         raise ValidationError(
@@ -151,7 +168,7 @@ def _greedy(graph, cfg, strategy, score, on_accept=None):
             missing=not strategy.is_removal,
         )
     work = graph
-    chosen, picked, deltas = [], set(), []
+    chosen, picked, step_deltas = [], set(), []
     exhausted = False
     evaluations = 0
     for step in range(cfg.budget):
@@ -161,10 +178,10 @@ def _greedy(graph, cfg, strategy, score, on_accept=None):
             exhausted = True
             break
         evaluations += len(space)
+        deltas = [_candidate_delta(work, pair, cfg.mode) for pair in space]
         best_idx, non_finite = None, 0
         best = np.inf if cfg.mode is Mode.BREAK else -np.inf
-        for idx, pair in enumerate(space):
-            val = score(work, pair, _candidate_delta(work, pair, cfg.mode))
+        for idx, val in enumerate(score_step(work, space, deltas)):
             non_finite += not np.isfinite(val)
             if (cfg.mode is Mode.BREAK and val < best) or (cfg.mode is Mode.MAKE and val > best):
                 best, best_idx = val, idx
@@ -173,21 +190,26 @@ def _greedy(graph, cfg, strategy, score, on_accept=None):
                 f"greedy step {step + 1} of {cfg.budget} has no best candidate: "
                 f"{non_finite} of {len(space)} scores are not finite"
             )
-        pair = space[best_idx]
-        d = _candidate_delta(work, pair, cfg.mode)
+        pair, d = space[best_idx], deltas[best_idx]
         if on_accept is not None:
             on_accept(pair, d)
         work = work.with_edge_delta(pair[0], pair[1], d)
         chosen.append((pair[0], pair[1], d))
         picked.add(pair)
-        deltas.append(best)
+        step_deltas.append(best)
     return ModificationPlan(
         edges=chosen,
         mode=cfg.mode,
-        step_deltas=deltas,
+        step_deltas=step_deltas,
         exhausted=exhausted,
         diagnostics={"evaluations": evaluations},
     )
+
+
+# The ScoreShare to which greedy_krylov calls in this thread's context hand
+# their candidates, set by ``with share:``. The class lives in fconn.share,
+# which only a job that shares its scoring loads.
+_SHARE = contextvars.ContextVar("fconn.greedy.share", default=None)
 
 
 def greedy_krylov(graph: SparseSymGraph, cfg: GreedyConfig, f) -> ModificationPlan:
@@ -198,26 +220,35 @@ def greedy_krylov(graph: SparseSymGraph, cfg: GreedyConfig, f) -> ModificationPl
     plan's diagnostics hold the min, median and max Krylov order of those
     evaluations and the largest Lanczos drift among them, ``drift_max``
     (None when there were none; see :class:`fconn.krylov.TraceUpdateResult`),
-    and the number that reached ``cfg.m_max`` unconverged.
+    and the number that reached ``cfg.m_max`` unconverged. Called inside
+    ``with share:`` for a :class:`fconn.share.ScoreShare`, it scores each
+    step's candidates together with the threads serving the share; the plan
+    and its diagnostics are the same either way.
     """
-    orders, drifts, unconverged = [], [], 0
+    share = _SHARE.get()
+    results = []  # every evaluation, in the order of the serial loop
 
-    def score(work, pair, d):
-        nonlocal unconverged
-        upd = LowRankUpdate.from_edge(work.n, pair[0], pair[1], d)
-        res = trace_fun_update(work, upd, f, lag=cfg.lag, tol=cfg.tol, m_max=cfg.m_max)
-        orders.append(res.iterations)
-        drifts.append(res.drift)
-        unconverged += not res.converged
-        return res.delta
+    def score_step(work, space, deltas):
+        def score(idx):
+            i, j = space[idx]
+            upd = LowRankUpdate.from_edge(work.n, i, j, deltas[idx])
+            return trace_fun_update(work, upd, f, lag=cfg.lag, tol=cfg.tol, m_max=cfg.m_max)
 
-    plan = _greedy(graph, cfg, cfg.strategy, score)
+        if share is None:
+            step = [score(idx) for idx in range(len(space))]
+        else:
+            step = share.map(score, len(space))
+        results.extend(step)
+        return [res.delta for res in step]
+
+    plan = _greedy(graph, cfg, cfg.strategy, score_step)
+    orders = [res.iterations for res in results]
     plan.diagnostics.update(
         order_min=min(orders, default=None),
         order_median=float(np.median(orders)) if orders else None,
         order_max=max(orders, default=None),
-        drift_max=max(drifts, default=None),
-        unconverged=unconverged,
+        drift_max=max((res.drift for res in results), default=None),
+        unconverged=sum(not res.converged for res in results),
     )
     return plan
 
@@ -314,7 +345,7 @@ def miobi(graph: SparseSymGraph, cfg: GreedyConfig, f, h: int = 25) -> Modificat
         graph,
         cfg,
         strategy,
-        lambda work, pair, d: eig.score(pair[0], pair[1], d, f),
+        lambda work, space, deltas: [eig.score(i, j, d, f) for (i, j), d in zip(space, deltas)],
         on_accept=lambda pair, d: eig.apply_update(pair[0], pair[1], d),
     )
     plan.step_deltas = None

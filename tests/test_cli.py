@@ -17,7 +17,7 @@ from fconn.cli import RunSpec, main
 from fconn.errors import ConvergenceError, ValidationError
 from fconn.graph import Strategy, load_graph, save_graph
 from fconn.greedy import GreedyConfig, greedy_krylov
-from fconn.krylov import estimate_trace_f
+from fconn.krylov import estimate_trace_f, trace_fun_update
 from fconn.matfun import Exp
 
 import oracles
@@ -98,37 +98,116 @@ _GRAPHS = {
 }
 
 
-@pytest.mark.parametrize("graph", sorted(_GRAPHS))
+@pytest.fixture(scope="module")
+def bench_tree_path(bench_tree, tmp_path_factory):
+    """The bench tree as an edge list: above ``SHARED_SCORING_MIN_NODES``."""
+    path = str(tmp_path_factory.mktemp("tree") / "tree.edges")
+    save_graph(bench_tree, path)
+    return path
+
+
+@pytest.mark.parametrize("graph", sorted(_GRAPHS) + ["bench-tree"])
 @pytest.mark.parametrize("mode", ["break", "make"])
-def test_overlapped_run_matches_direct_calls(mode, graph, tmp_path, monkeypatch):
-    path = str(tmp_path / "g.edges")
-    save_graph(_GRAPHS[graph](), path)
-    workers = []
+def test_overlapped_run_matches_direct_calls(mode, graph, tmp_path, monkeypatch, request):
+    # On the bench tree the worker, its estimate done, scores candidates too;
+    # the greedy's scores wait until it has, so that both threads score. On
+    # the small graphs the worker runs the estimate alone.
+    shared = graph == "bench-tree"
+    if shared:
+        path = request.getfixturevalue("bench_tree_path")
+    else:
+        path = str(tmp_path / "g.edges")
+        save_graph(_GRAPHS[graph](), path)
+    workers, scorers, plans = [], [], []
+    helped = threading.Event()
 
     def estimate(*args, **kwargs):
         workers.append(threading.current_thread() is not threading.main_thread())
         return estimate_trace_f(*args, **kwargs)
 
+    def score(*args, **kwargs):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        scorers.append(on_worker)
+        if on_worker:
+            helped.set()
+        elif shared:
+            assert helped.wait(timeout=60)
+        return trace_fun_update(*args, **kwargs)
+
+    def greedy(*args):
+        plans.append(greedy_krylov(*args))
+        return plans[-1]
+
     monkeypatch.setattr(fconn.cli, "estimate_trace_f", estimate)
+    monkeypatch.setattr(fconn.greedy, "trace_fun_update", score)
+    monkeypatch.setattr(fconn.cli, "greedy_krylov", greedy)
     threads = threading.active_count()
     base = str(tmp_path / mode)
-    argv = [mode, "--input", path, "--budget", "2", "--q", "6", "--probes", "10", "--seed", "3"]
+    argv = [mode, "--input", path, "--budget", "3", "--q", "6", "--probes", "10", "--seed", "3"]
     assert main(argv + ["--output", base]) == 0
     assert threading.active_count() == threads and workers == [True]
-    summary, _ = _artifacts(base)
+    assert any(scorers) is shared and not all(scorers)
+    monkeypatch.undo()
+    summary, rows = _artifacts(base)
 
     g = load_graph(path)
     den = estimate_trace_f(g, Exp(), n_probes=10, seed=3)
     if mode == "break":
-        cfg = GreedyConfig(budget=2, q=6, strategy=Strategy.DG_2)
+        cfg = GreedyConfig(budget=3, q=6, strategy=Strategy.DG_2)
     else:
-        cfg = GreedyConfig(budget=2, q=6, strategy=Strategy.AD_2)
+        cfg = GreedyConfig(budget=3, q=6, strategy=Strategy.AD_2)
     plan = greedy_krylov(g, cfg, Exp())
+    (run,) = plans
+    assert (run.edges, run.step_deltas, run.diagnostics) == (
+        plan.edges,
+        plan.step_deltas,
+        plan.diagnostics,
+    )
+    assert summary["iterations"] == {"steps": 3, **plan.diagnostics, "scorers": 1 + shared}
     assert summary["denominator"] == den.value
     assert summary["denominator_stderr"] == den.stderr
     assert summary["numerator"] == float(np.sum(plan.step_deltas))
     assert summary["edges"] == [[i + 1, j + 1, d] for i, j, d in plan.edges]
+    assert [row["cumulative_delta_trace"] for row in rows] == [
+        repr(float(c)) for c in np.cumsum(plan.step_deltas)
+    ]
     assert summary["delta_t"] == abs(summary["numerator"]) / abs(den.value)
+
+
+def test_a_score_failing_on_the_worker_keeps_the_serial_exit_code(
+    bench_tree_path, tmp_path, monkeypatch, capsys
+):
+    # The worker's first score raises. The greedy's scores wait for it, so
+    # that the worker has taken a candidate before the greedy runs out.
+    failed = threading.Event()
+
+    def score(*args, **kwargs):
+        if threading.current_thread() is threading.main_thread():
+            assert failed.wait(timeout=60)
+            return trace_fun_update(*args, **kwargs)
+        failed.set()
+        raise ConvergenceError("candidate score did not converge")
+
+    monkeypatch.setattr(fconn.greedy, "trace_fun_update", score)
+    threads = threading.active_count()
+    base = str(tmp_path / "out")
+    argv = ["break", "--input", bench_tree_path, "--budget", "3", "--q", "6", "--probes", "4"]
+    assert main(argv + ["--output", base]) == 4  # ConvergenceError's code, as in the serial loop
+    assert threading.active_count() == threads
+    assert "candidate score did not converge" in capsys.readouterr().err
+    assert not os.path.exists(base + ".json") and not os.path.exists(base + ".csv")
+
+
+@pytest.mark.parametrize("probes", ["2", "8"])
+def test_delta_t_stderr_follows_the_denominators(probes, edge_list, capsys):
+    argv = ["break", "--input", edge_list, "--budget", "1", "--q", "3", "--probes", probes]
+    assert main(argv) == 0
+    s = json.loads(capsys.readouterr().out)
+    if probes == "2":  # a single residual probe gives no standard error
+        assert s["denominator_stderr"] is None and s["delta_t_stderr"] is None
+    else:
+        want = s["delta_t"] * s["denominator_stderr"] / abs(s["denominator"])
+        assert s["delta_t_stderr"] == want > 0
 
 
 def _failing_estimate(*args, **kwargs):
@@ -365,6 +444,7 @@ def test_miobi_run(mode, edge_list, tmp_path):
     assert summary["method"] == "miobi"
     assert summary["iterations"]["steps"] == 2 and summary["iterations"]["eigenpairs"] == 6
     assert summary["iterations"]["orthonormality_drift"] >= 0.0
+    assert "scorers" not in summary["iterations"]  # only greedy_krylov may share its scoring
     # MIOBI's first-order scores are not trace changes: no cumulative column
     assert len(rows) == 2 and not any(row["cumulative_delta_trace"] for row in rows)
     sign = -1.0 if mode == "break" else 1.0
@@ -667,8 +747,10 @@ def test_jobs_load_no_random_generator_or_executor(edge_list, tmp_path):
     # 5.3 MB and 10-15 ms to a job, and concurrent.futures, which loads
     # logging, another 0.7 MB and 6 ms: the Hutch++ signs come from the
     # package's own stream and the estimate runs on a plain thread. MIOBI's
-    # lazy scipy.sparse.linalg may load them.
+    # lazy scipy.sparse.linalg may load them. fconn.share, which lets the
+    # denominator thread score candidates too, loads only at 10000 nodes.
     watched = ["numpy.random", "secrets", "hashlib", "_hashlib", "concurrent.futures", "logging"]
+    watched += ["fconn.share"]
     loaded = _fresh_process(_JOBS_GUARD, edge_list, str(tmp_path / "out-"), *watched)
     del loaded["miobi"]
     untouched = ["import fconn", "load_graph", "break", "make", "trace", "downgrade"]

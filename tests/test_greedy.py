@@ -1,4 +1,7 @@
 import itertools
+import sys
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +21,7 @@ from fconn.greedy import (
     miobi,
 )
 from fconn.matfun import Exp, Resolvent
+from fconn.share import ScoreShare
 
 import oracles
 from conftest import (
@@ -63,6 +67,14 @@ class TestGreedyConfig:
             GreedyConfig(budget=0)
         assert GreedyConfig(budget=1, strategy=Strategy.AD_3).mode is Mode.MAKE
         assert GreedyConfig(budget=1, strategy=Strategy.DG_1).mode is Mode.BREAK
+
+    @pytest.mark.parametrize(
+        "controls", [{"lag": 0}, {"m_max": 0}, {"tol": -1e-6}, {"tol": np.nan}, {"tol": np.inf}]
+    )
+    def test_bad_krylov_controls_fail_at_construction(self, controls):
+        # before the centrality runs or any candidate is scored
+        with pytest.raises(ValidationError):
+            GreedyConfig(budget=1, **controls)
 
 
 class TestModificationPlan:
@@ -331,6 +343,11 @@ class TestEigenvBaseline:
             eigenv_baseline(path(3), 3, Mode.BREAK)
 
 
+def _each(score):
+    """A step scorer for ``_greedy`` from a per-candidate ``score(work, pair, delta)``."""
+    return lambda work, space, deltas: [score(work, p, d) for p, d in zip(space, deltas)]
+
+
 class TestNonFiniteScores:
     """A step whose scores are all NaN has no best candidate: ConvergenceError, not a crash."""
 
@@ -340,7 +357,7 @@ class TestNonFiniteScores:
         cfg = GreedyConfig(budget=3, strategy=strategy)
         space = 34 if strategy is Strategy.DG_FULL else None
         with pytest.raises(ConvergenceError, match=r"step 1 of 3 .* scores are not finite") as exc:
-            _greedy(g, cfg, strategy, lambda work, pair, d: np.nan)
+            _greedy(g, cfg, strategy, lambda work, space, deltas: [np.nan] * len(space))
         if space is not None:
             assert f"{space} of {space} scores" in str(exc.value)
 
@@ -354,7 +371,7 @@ class TestNonFiniteScores:
             return np.inf if pair == work.edge_pairs[0] else np.nan
 
         with pytest.raises(ConvergenceError, match="step 2 of 3 .*: 33 of 33 scores are not finite"):
-            _greedy(g, cfg, Strategy.DG_FULL, score)
+            _greedy(g, cfg, Strategy.DG_FULL, _each(score))
 
     @pytest.mark.parametrize("mode", [Mode.BREAK, Mode.MAKE])
     def test_a_finite_score_beats_nan(self, mode):
@@ -367,5 +384,72 @@ class TestNonFiniteScores:
             space = space or pair
             return 1.0 if pair == space else np.nan
 
-        plan = _greedy(g, GreedyConfig(budget=1, strategy=strategy), strategy, score)
+        plan = _greedy(g, GreedyConfig(budget=1, strategy=strategy), strategy, _each(score))
         assert plan.pairs == [space] and plan.step_deltas == [1.0]
+
+
+def _serving(share, count):
+    threads = [threading.Thread(target=share.serve) for _ in range(count)]
+    for t in threads:
+        t.start()
+    return threads
+
+
+def _joined(threads):
+    for t in threads:
+        t.join(timeout=30)
+    return not any(t.is_alive() for t in threads)
+
+
+class TestScoreShare:
+    @pytest.mark.parametrize("strategy", [Strategy.DG_2, Strategy.AD_2])
+    def test_shared_greedy_is_the_serial_one(self, strategy):
+        g = random_connected_graph(300, 600, seed=8)
+        cfg = GreedyConfig(budget=3, q=12, strategy=strategy)
+        with ScoreShare() as share:
+            threads = _serving(share, 1)
+            shared = greedy_krylov(g, cfg, Exp())
+        assert _joined(threads)
+        serial = greedy_krylov(g, cfg, Exp())
+        assert (shared.edges, shared.step_deltas, shared.diagnostics) == (
+            serial.edges,
+            serial.step_deltas,
+            serial.diagnostics,
+        )
+
+    def test_the_lowest_failing_index_raises(self):
+        def score(k):
+            if k == 3:
+                time.sleep(0.05)  # so that candidate 7 fails first
+            if k in (3, 7):
+                raise ConvergenceError(f"candidate {k}")
+            return float(k)
+
+        with ScoreShare() as share:
+            threads = _serving(share, 2)
+            for _ in range(5):
+                with pytest.raises(ConvergenceError, match="candidate 3"):
+                    share.map(score, 10)
+            assert share.map(float, 4) == [0.0, 1.0, 2.0, 3.0]
+        assert _joined(threads)
+
+    def test_many_threads_score_every_candidate_once(self):
+        # more threads than cores, switching every microsecond: a lost update
+        # of the shared index would score some candidate twice or never
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ScoreShare() as share:
+                threads = _serving(share, 4)
+                for _ in range(5):
+                    calls = [[] for _ in range(400)]
+
+                    def score(k):
+                        calls[k].append(threading.get_ident())
+                        return sum(range(k))
+
+                    assert share.map(score, 400) == [sum(range(k)) for k in range(400)]
+                    assert all(len(c) == 1 for c in calls)
+            assert _joined(threads)
+        finally:
+            sys.setswitchinterval(interval)
