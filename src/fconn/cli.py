@@ -92,7 +92,6 @@ from .weighted import WeightedMode, WeightedProblem, interior_point_solve, selec
 __all__ = ["RunSpec", "TraceVariationReport", "run", "compare", "main"]
 
 _UNWEIGHTED = {m.value for m in Mode}
-_WEIGHTED = {m.value for m in WeightedMode}
 
 _STRATEGIES = {s.value: s for s in Strategy}
 
@@ -420,12 +419,7 @@ def run(spec: RunSpec):
 
     if spec.budget is None:
         raise ValidationError(f"{spec.subcommand} requires --budget")
-    if spec.subcommand in _UNWEIGHTED:
-        optimizer = _run_unweighted
-    elif spec.subcommand in _WEIGHTED:
-        optimizer = _run_weighted
-    else:
-        raise ValidationError(f"unknown subcommand {spec.subcommand!r}")
+    optimizer = _run_unweighted if spec.subcommand in _UNWEIGHTED else _run_weighted
     share = None
     if spec.method == "krylov" and graph.n >= SHARED_SCORING_MIN_NODES:
         from .share import ScoreShare  # only here: a smaller job never loads it

@@ -3,27 +3,26 @@
 Nodes are 0-based integers internally; the file formats use 1-based indices
 (edge lists and Matrix-Market coordinate files both follow that convention).
 
-A graph stores its edges as three parallel read-only arrays ``(i, j, w)``
-with ``i < j``, sorted by ``(i, j)``, plus the symmetric adjacency matrix as
-three read-only CSR arrays ``(indptr, indices, data)`` built from them by a
-numpy counting merge (:func:`_csr`): sorted column indices, no explicit
-zeros, and the index dtype scipy picks, so they equal scipy's ``U + U.T`` of
-the upper triangle U bit for bit.
-Construction, loading, single-edge updates and search-space ranking work on
-these arrays; the tuple views ``edges``, ``edge_pairs`` and ``edge_set()``
-are materialized only when asked for. Graphs are immutable: every
-modification returns a new object, which shares the arrays it does not
-change with the original, so instances are safe to share between threads.
+A graph stores only the symmetric adjacency matrix, as three read-only CSR
+arrays ``(indptr, indices, data)`` with sorted column indices and no
+explicit zeros. They are built from the checked, sorted edges by a numpy
+counting merge (:func:`_csr`) in the index dtype scipy picks, so they equal
+scipy's ``U + U.T`` of the upper triangle U bit for bit. Lookups, single-edge
+updates, the 1-norm and edge-membership tests in search-space ranking work on
+them. The edge views ``edge_arrays`` (the upper triangle), ``edges``,
+``edge_pairs`` and ``edge_set()`` are computed from them per call, at
+O(nnz) each. Graphs are immutable: every modification returns a new object,
+which shares the arrays it does not change with the original, so instances
+are safe to share between threads.
 
-The CSR arrays are the graph's one matrix. Every product with A,
-:meth:`SparseSymGraph.matmul`, calls scipy's compiled CSR kernels
-``csr_matvec`` and ``csr_matvecs``, the ones ``csr_matrix @ X`` runs, so it
-equals that product bit for bit. The kernels' extension module is loaded
-from scipy's install without importing the scipy package
-(:func:`_csr_kernels`), whose start-up (about 0.3 s, mostly numpy modules
-that ``scipy.sparse`` pulls in) would otherwise dominate a job's. No job
-reads A in any other form: MIOBI hands ``matmul`` to ``eigsh`` as a linear
-operator.
+Every product with A, :meth:`SparseSymGraph.matmul`, calls scipy's
+compiled CSR kernels ``csr_matvec`` and ``csr_matvecs``, the ones
+``csr_matrix @ X`` runs, so it equals that product bit for bit. The
+kernels' extension module is loaded from scipy's install without importing
+the scipy package (:func:`_csr_kernels`), whose start-up (about 0.3 s,
+mostly numpy modules that ``scipy.sparse`` pulls in) would otherwise
+dominate a job's. No job reads A in any other form: MIOBI hands ``matmul``
+to ``eigsh`` as a linear operator.
 
 Every graph passes one edge check, :func:`_checked_order`: nodes in [0, n),
 no self-loop, finite positive weights, no pair twice in either orientation.
@@ -173,12 +172,15 @@ def _checked_order(n, lo, hi, w, at=None):
 class SparseSymGraph:
     """Immutable undirected graph with finite, strictly positive edge weights.
 
-    The adjacency matrix is stored in CSR form, so products with it
-    (:meth:`matmul`) cost O(nnz). No self-loops, no duplicate edges; absence
-    means weight 0.
+    The adjacency matrix, in CSR form, is all a graph stores besides ``n``
+    and its cached 1-norm. Products with it (:meth:`matmul`) and an edge
+    update cost O(nnz), a lookup O(log degree); the edge views
+    (:attr:`edge_arrays`, :attr:`edges`, :attr:`edge_pairs`, :meth:`edge_set`)
+    are computed from it per call, at O(nnz) each. No self-loops, no
+    duplicate edges; absence means weight 0.
     """
 
-    __slots__ = ("n", "_i", "_j", "_w", "_csr", "_norm1", "_edges")
+    __slots__ = ("n", "_csr", "_norm1")
 
     def __init__(self, n: int, edges):
         """Graph on ``n`` nodes from (i, j, w) triples in any order and orientation."""
@@ -186,29 +188,47 @@ class SparseSymGraph:
         arr = np.array(list(edges), dtype=float).reshape(-1, 3)
         lo, hi = np.sort(arr[:, :2].astype(np.int64), axis=1).T
         order = _checked_order(n, lo, hi, arr[:, 2])
-        self._set(n, lo[order], hi[order], arr[order, 2])
+        self._set(n, _csr(n, lo[order], hi[order], arr[order, 2]))
 
-    def _set(self, n, i, j, w, csr=None):
-        """Store checked edges (i < j, sorted); their CSR arrays are built if not given."""
+    def _set(self, n, csr):
+        """Store the CSR arrays (indptr, indices, data) of a checked graph on ``n`` nodes."""
         self.n = n
-        csr = _csr(n, i, j, w) if csr is None else csr
-        for a in (i, j, w, *csr):
+        for a in csr:
             a.flags.writeable = False
-        self._i, self._j, self._w = i, j, w
         self._csr = csr
         self._norm1 = None
-        self._edges = None
 
     # -- basic queries -------------------------------------------------
 
     @property
     def num_edges(self) -> int:
-        return len(self._i)
+        return len(self._csr[1]) // 2
 
     @property
     def edge_arrays(self):
-        """Read-only arrays (i, j, w) of the edges, i < j, sorted by (i, j)."""
-        return self._i, self._j, self._w
+        """New read-only arrays (i, j, w) of the edges, i < j, sorted by (i, j).
+
+        i and j are int64, w float64. They are the upper triangle of the CSR
+        arrays (:meth:`_upper`), computed per call at O(nnz).
+        """
+        i, j, upper = self._upper()
+        arrays = i.astype(np.int64), j.astype(np.int64), self._csr[2][upper]
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
+    def _upper(self):
+        """Rows i and columns j of the edges, i < j, sorted by (i, j), and their CSR entries' mask.
+
+        A row's entries right of the diagonal are its edges to higher nodes,
+        in increasing order. i and j keep the CSR index dtype, so the pair
+        ranking reads them at half the size of :attr:`edge_arrays` on most
+        graphs.
+        """
+        indptr, indices, _ = self._csr
+        rows = np.repeat(np.arange(self.n, dtype=indices.dtype), np.diff(indptr))
+        upper = indices > rows
+        return rows[upper], indices[upper], upper
 
     @property
     def csr_arrays(self):
@@ -260,32 +280,35 @@ class SparseSymGraph:
 
     @property
     def edges(self):
-        """Edge triples (i, j, w) with i < j, in lexicographic order."""
-        if self._edges is None:
-            self._edges = tuple(zip(self._i.tolist(), self._j.tolist(), self._w.tolist()))
-        return self._edges
+        """Edge triples (i, j, w) with i < j, in lexicographic order, from :attr:`edge_arrays`."""
+        return tuple(zip(*(a.tolist() for a in self.edge_arrays)))
 
     @property
     def edge_pairs(self):
-        """Edge endpoints (i, j) with i < j, in lexicographic order."""
-        return tuple(zip(self._i.tolist(), self._j.tolist()))
+        """Edge endpoints (i, j) with i < j, in lexicographic order, from :attr:`edge_arrays`."""
+        return tuple(zip(*(a.tolist() for a in self.edge_arrays[:2])))
 
     def edge_set(self) -> frozenset:
-        return frozenset(zip(self._i.tolist(), self._j.tolist()))
+        return frozenset(self.edge_pairs)
 
     def _find(self, i, j):
-        """(position, present) of the pair (i, j), i < j, in the edge arrays."""
-        lo = int(np.searchsorted(self._i, i, side="left"))
-        hi = int(np.searchsorted(self._i, i, side="right"))
-        k = lo + int(np.searchsorted(self._j[lo:hi], j))
-        return k, bool(k < hi and self._j[k] == j)
+        """(position, present) of column j in CSR row i: entry A[i, j], or its insertion point.
+
+        A node outside [0, n) raises ValidationError.
+        """
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise ValidationError(f"node index out of range: ({i}, {j}) with n={self.n}")
+        indptr, indices, _ = self._csr
+        start, stop = int(indptr[i]), int(indptr[i + 1])
+        k = start + int(np.searchsorted(indices[start:stop], j))
+        return k, bool(k < stop and indices[k] == j)
 
     def weight(self, i, j) -> float:
-        k, present = self._find(*normalize_pair(i, j))
-        return float(self._w[k]) if present else 0.0
+        k, present = self._find(i, j)
+        return float(self._csr[2][k]) if present else 0.0
 
     def has_edge(self, i, j) -> bool:
-        return self._find(*normalize_pair(i, j))[1]
+        return self._find(i, j)[1]
 
     def degrees(self) -> np.ndarray:
         """Unweighted node degrees (neighbor counts)."""
@@ -296,13 +319,13 @@ class SparseSymGraph:
         """1-norm of the adjacency matrix, its largest weighted degree, cached.
 
         Weights are positive and A is symmetric, so every column sum is a
-        node's weighted degree, summed from the edge arrays without a copy
-        of |A|.
+        row sum, a node's weighted degree, summed over the CSR rows with
+        entries (``reduceat`` over their starts) without a copy of |A|.
         """
         if self._norm1 is None:
-            i, j, w = self.edge_arrays
-            n = self.n
-            self._norm1 = float(np.max(np.bincount(i, w, n) + np.bincount(j, w, n)))
+            indptr, _, data = self._csr
+            starts = indptr[:-1][np.diff(indptr) > 0]
+            self._norm1 = float(np.add.reduceat(data, starts).max()) if len(data) else 0.0
         return self._norm1
 
     # -- modification (returns new graphs) -----------------------------
@@ -312,41 +335,36 @@ class SparseSymGraph:
 
         The edge is dropped when the new weight is (numerically) zero;
         a negative result is rejected. Only the entries that change are
-        patched: the CSR arrays and edge arrays are copied with one edge
-        updated, inserted or removed.
+        patched: the CSR arrays are copied with the two entries of the edge
+        updated, inserted or removed, at O(nnz), and the arrays left as they
+        were are shared.
         """
         n = self.n
         a, b = normalize_pair(int(i), int(j))
         _checked_order(n, np.array([a]), np.array([b]), np.ones(1))
-        k, present = self._find(a, b)
-        w_old = float(self._w[k]) if present else 0.0
-        w_new = w_old + float(delta)
         indptr, indices, data = self._csr
         # CSR slots of (a, b) and (b, a): found entries, or insertion points
-        pa = int(indptr[a] + np.searchsorted(indices[indptr[a] : indptr[a + 1]], b))
-        pb = int(indptr[b] + np.searchsorted(indices[indptr[b] : indptr[b + 1]], a))
+        pa, present = self._find(a, b)
+        pb = self._find(b, a)[0]
+        w_old = float(data[pa]) if present else 0.0
+        w_new = w_old + float(delta)
         if abs(w_new) <= 1e-12 * max(1.0, abs(w_old)):
             if not present:
                 return self
-            edges = [np.delete(x, k) for x in (self._i, self._j, self._w)]
             data = np.delete(data, [pa, pb])
             indices = np.delete(indices, [pa, pb])
             indptr = _shift(indptr, a, b, -1)
         elif w_new < 0:
             raise ValidationError(f"modification of ({a}, {b}) yields negative weight {w_new}")
         elif present:
-            w = self._w.copy()
-            w[k] = w_new
-            edges = [self._i, self._j, w]
             data = data.copy()
             data[[pa, pb]] = w_new
         else:
-            edges = [np.insert(x, k, v) for x, v in ((self._i, a), (self._j, b), (self._w, w_new))]
             data = np.insert(data, [pa, pb], w_new)
             indices = np.insert(indices, [pa, pb], [b, a])
             indptr = _shift(indptr, a, b, 1)
         g = object.__new__(SparseSymGraph)
-        g._set(n, *edges, (indptr, indices, data))
+        g._set(n, (indptr, indices, data))
         return g
 
     def __repr__(self):
@@ -665,7 +683,7 @@ def load_graph(path, fmt="auto") -> SparseSymGraph:
     w = w[order]
     del order
     g = object.__new__(SparseSymGraph)
-    g._set(int(n), lo, hi, w)
+    g._set(n, _csr(n, lo, hi, w))
     return g
 
 
@@ -714,10 +732,13 @@ def _rank_order(scores, ordering, lo, hi, count):
 
 def _not_edges(g: SparseSymGraph, lo, hi):
     """Mask of the pairs (lo[k], hi[k]), lo < hi, that are not edges of ``g``."""
-    n, (i, j, _) = g.n, g.edge_arrays
-    # the edge keys i n + j are sorted, as the edges are; the sentinel n^2
-    # exceeds every pair key, so each lookup lands inside the array
-    edge_keys = np.append(i * n + j, n * n)
+    n, (i, j, _) = g.n, g._upper()
+    # the keys i n + j of the edges, taken in int64 (n^2 may pass int32's
+    # range), are sorted, as the edges are; the sentinel n^2 exceeds every
+    # pair key, so each lookup lands inside the array. The edges' rows and
+    # columns go before the lookups, which hold three arrays of the pairs' size.
+    edge_keys = np.append(np.multiply(i, n, dtype=np.int64) + j, n * n)
+    del i, j
     keys = lo * n + hi
     return edge_keys[np.searchsorted(edge_keys, keys)] != keys
 
@@ -738,7 +759,7 @@ def ranked_pairs(g: SparseSymGraph, scores, ordering: Ordering, count, missing):
     displace the selection. Score plateaus fall back to the full scan (q' = n).
     """
     if not missing:
-        lo, hi = g.edge_arrays[:2]
+        lo, hi, _ = g._upper()
         top = _rank_order(scores, ordering, lo, hi, count)
         return list(zip(lo[top].tolist(), hi[top].tolist()))
     if count <= 0:
@@ -748,8 +769,9 @@ def ranked_pairs(g: SparseSymGraph, scores, ordering: Ordering, count, missing):
     qp = min(n, max(8, int(np.ceil(np.sqrt(2 * (count + g.num_edges)))) + 1))
     while True:
         nodes = order[:qp]
-        a, b = np.triu_indices(qp, 1)
-        lo, hi = np.minimum(nodes[a], nodes[b]), np.maximum(nodes[a], nodes[b])
+        # the pairs' positions in ``nodes`` go at once: each holds as much as lo
+        lo, hi = (nodes[k] for k in np.triu_indices(qp, 1))
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
         new = _not_edges(g, lo, hi)
         lo, hi = lo[new], hi[new]
         top = _rank_order(scores, ordering, lo, hi, count)

@@ -257,6 +257,10 @@ def greedy_krylov(graph: SparseSymGraph, cfg: GreedyConfig, f) -> ModificationPl
 # MIOBI: first-order eigenpair-update baseline
 # ---------------------------------------------------------------------
 
+# Eigenvalue gaps |lambda_i - lambda_j| below this are skipped by the
+# eigenvector update of MiobiState.apply_update.
+_DEGENERATE_GAP = 1e-10
+
 
 @dataclass
 class MiobiState:
@@ -305,11 +309,11 @@ class MiobiState:
         return float(np.sum(f(shifted)) - np.sum(f(self.eigenvalues)))
 
     @np.errstate(over="ignore", invalid="ignore")
-    def apply_update(self, s, t, delta, degenerate_gap=1e-10):
+    def apply_update(self, s, t, delta):
         """First-order update of the retained eigenpairs after accepting an edge.
 
         Eigenvector corrections divide by lambda_i - lambda_j; terms with
-        |lambda_i - lambda_j| below ``degenerate_gap`` are skipped.
+        |lambda_i - lambda_j| below ``_DEGENERATE_GAP`` are skipped.
         """
         lam = self.eigenvalues
         U = self.eigenvectors
@@ -317,7 +321,7 @@ class MiobiState:
         b = U[t, :]
         cross = delta * (np.outer(a, b) + np.outer(b, a))  # u_i^T X u_j
         gaps = lam[:, None] - lam[None, :]
-        safe = np.abs(gaps) >= degenerate_gap
+        safe = np.abs(gaps) >= _DEGENERATE_GAP
         np.fill_diagonal(safe, False)
         coeff = np.where(safe, cross / np.where(safe, gaps, 1.0), 0.0)
         self.eigenvalues = lam + np.diag(cross)

@@ -110,14 +110,14 @@ class WeightedProblem:
         """
         if not 0.0 < budget < np.inf:
             raise ValidationError(f"budget must be positive and finite, got {budget}")
-        pairs = []
-        seen = set()
+        pairs = {}  # F's pairs, normalized, in order
         for p in F:
             p = normalize_pair(*p)
-            if p in seen:
+            if not 0 <= p[0] < p[1] < graph.n:
+                raise ValidationError(f"F pair {p} is a self-loop or out of range for n={graph.n}")
+            if p in pairs:
                 raise ValidationError(f"duplicate edge {p} in F")
-            seen.add(p)
-            pairs.append(p)
+            pairs[p] = None
         if not pairs:
             raise ValidationError("edge set F must be nonempty")
         w = np.array([graph.weight(i, j) for i, j in pairs])
@@ -127,7 +127,7 @@ class WeightedProblem:
         if mode is WeightedMode.ADD and exists.any():
             raise ValidationError("add requires missing edges only")
         if upper is None:
-            upper = float(graph.edge_arrays[2].max()) if graph.num_edges else 1.0
+            upper = float(graph.csr_arrays[2].max()) if graph.num_edges else 1.0
         ub = np.broadcast_to(np.asarray(upper, dtype=float), (len(pairs),)).astype(float).copy()
         if not np.all(np.isfinite(ub)):
             raise ValidationError(f"upper must be finite, got {upper}")

@@ -8,6 +8,11 @@ from fconn import SparseSymGraph
 
 def random_connected_graph(n, extra_edges=0, seed=0, weighted=False, wlo=0.5, whi=1.5):
     """Random tree plus ``extra_edges`` chords: connected, deterministic per seed."""
+    return SparseSymGraph(n, random_connected_edges(n, extra_edges, seed, weighted, wlo, whi))
+
+
+def random_connected_edges(n, extra_edges=0, seed=0, weighted=False, wlo=0.5, whi=1.5):
+    """The (i, j, w) triples, i < j, sorted, of :func:`random_connected_graph`."""
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     edges = set()
@@ -20,15 +25,18 @@ def random_connected_graph(n, extra_edges=0, seed=0, weighted=False, wlo=0.5, wh
         if i != j:
             edges.add((min(i, j), max(i, j)))
     if weighted:
-        return SparseSymGraph(
-            n, [(i, j, float(rng.uniform(wlo, whi))) for i, j in sorted(edges)]
-        )
-    return SparseSymGraph(n, [(i, j, 1.0) for i, j in sorted(edges)])
+        return [(i, j, float(rng.uniform(wlo, whi))) for i, j in sorted(edges)]
+    return [(i, j, 1.0) for i, j in sorted(edges)]
 
 
 def barabasi_albert(n, m, seed=0):
     """Preferential attachment: from a star on nodes 0..m, each later node links
     to m distinct earlier nodes drawn with probability proportional to degree."""
+    return SparseSymGraph(n, barabasi_albert_edges(n, m, seed))
+
+
+def barabasi_albert_edges(n, m, seed=0):
+    """The (i, j, 1.0) triples, i < j, of :func:`barabasi_albert`, in the order they are drawn."""
     rng = np.random.default_rng(seed)
     edges = [(0, v) for v in range(1, m + 1)]
     ends = [v for e in edges for v in e]
@@ -39,7 +47,7 @@ def barabasi_albert(n, m, seed=0):
         for t in sorted(picks):
             edges.append((t, v))
             ends += [t, v]
-    return SparseSymGraph(n, [(i, j, 1.0) for i, j in edges])
+    return [(i, j, 1.0) for i, j in edges]
 
 
 def triangle():
@@ -80,16 +88,23 @@ def missing_pairs(g):
 
 
 @pytest.fixture(scope="session")
-def bench_tree():
+def bench_tree_edges():
+    """The triples of the benchmark's break-tree graph for seed 1, input 0."""
+    return random_connected_edges(20000, 4 * 20000, seed=[1, 0, 0])
+
+
+@pytest.fixture(scope="session")
+def bench_tree(bench_tree_edges):
     """The benchmark's break-tree graph for seed 1, input 0: 20000 nodes, 99999 edges."""
-    return random_connected_graph(20000, 4 * 20000, seed=[1, 0, 0])
+    return SparseSymGraph(20000, bench_tree_edges)
 
 
-def traced_peak_mib(fn):
-    """``fn()`` and the peak of the memory traced during it, above what was traced before, in MiB.
+def traced_mib(fn):
+    """``fn()``, and the peak of the memory traced during it and what it left, in MiB.
 
-    tracemalloc counts numpy's array data exactly, so the peak does not
-    depend on how the allocator reuses freed memory.
+    Both are counted above what was traced before; what is left is measured
+    while the result is still held. tracemalloc counts numpy's array data
+    exactly, so neither depends on how the allocator reuses freed memory.
     """
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -98,8 +113,8 @@ def traced_peak_mib(fn):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         result = fn()
-        peak = tracemalloc.get_traced_memory()[1]
+        after, peak = tracemalloc.get_traced_memory()
     finally:
         if not tracing:
             tracemalloc.stop()
-    return result, (peak - before) / 2**20
+    return result, (peak - before) / 2**20, (after - before) / 2**20

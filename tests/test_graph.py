@@ -26,14 +26,16 @@ from fconn.graph import (
 import oracles
 from conftest import (
     barabasi_albert,
+    barabasi_albert_edges,
     complete_bipartite,
     cycle,
     k6_and_star20,
     missing_pairs,
     path,
+    random_connected_edges,
     random_connected_graph,
     star,
-    traced_peak_mib,
+    traced_mib,
     triangle,
 )
 
@@ -165,6 +167,41 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             w[0] = 2.0
 
+    @pytest.mark.parametrize("i, j", [(-1, 0), (4, 0), (0, 4), (2, -3)])
+    def test_lookups_reject_a_node_out_of_range(self, i, j):
+        # a CSR row lookup would wrap around at -1 and run past the end at n
+        g = path(4)
+        for lookup in (g.weight, g.has_edge):
+            with pytest.raises(ValidationError, match=r"^node index out of range: \("):
+                lookup(i, j)
+        assert g.weight(3, 2) == 1.0 and not g.has_edge(0, 3) and g.weight(1, 1) == 0.0
+
+    def test_stores_only_its_csr_arrays(self):
+        g = triangle().with_edge_delta(0, 1, 0.5)
+        assert type(g).__slots__ == ("n", "_csr", "_norm1")
+        assert g.norm1 == 2.5 and g._csr is g.csr_arrays
+
+
+def scipy_csr_of(n, triples):
+    """scipy's CSR arrays of the graph on ``n`` nodes with the (i, j, w) triples, any order.
+
+    Both orientations of every triple go through scipy's COO-to-CSR build,
+    with the indices sorted: nothing of :class:`SparseSymGraph` is read.
+    """
+    i, j, w = (np.array(x) for x in zip(*triples))
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    A = scipy.sparse.csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n))
+    A.sort_indices()
+    return A.indptr, A.indices, A.data
+
+
+def sorted_edge_arrays(triples):
+    """(i, j, w) of the triples as the graph's edge arrays give them: i < j, sorted, int64."""
+    i, j, w = (np.array(x) for x in zip(*triples))
+    lo, hi = np.minimum(i, j).astype(np.int64), np.maximum(i, j).astype(np.int64)
+    order = np.lexsort((hi, lo))
+    return lo[order], hi[order], w[order].astype(np.float64)
+
 
 def scipy_csr(n, i, j, w):
     """scipy's CSR arrays (indptr, indices, data) of the sorted edges (i < j): those of U + U.T.
@@ -192,22 +229,28 @@ def assert_same_arrays(got, want):
 
 def _isolated_nodes():
     """A weighted graph on 81 nodes whose odd nodes touch no edge, the last two included."""
-    g = random_connected_graph(40, 60, seed=37, weighted=True)
-    return SparseSymGraph(81, [(2 * a, 2 * b, x) for a, b, x in g.edges])
+    edges = random_connected_edges(40, 60, seed=37, weighted=True)
+    return 81, [(2 * b, 2 * a, x) for a, b, x in reversed(edges)]
 
 
+# (n, triples) of each case, the triples in no particular order or orientation
 CSR_CASES = {
-    "bench-tree": None,  # conftest's bench_tree fixture
-    "ba-2000": lambda: barabasi_albert(2000, 3, seed=1),
-    "weighted": lambda: random_connected_graph(300, 900, seed=35, weighted=True),
+    "bench-tree": None,  # conftest's bench_tree_edges fixture
+    "ba-2000": lambda: (2000, barabasi_albert_edges(2000, 3, seed=1)),
+    "weighted": lambda: (300, random_connected_edges(300, 900, seed=35, weighted=True)),
     "isolated-nodes": _isolated_nodes,
 }
 
 
 @pytest.fixture(params=list(CSR_CASES))
-def csr_case(request):
+def csr_input(request):
     make = CSR_CASES[request.param]
-    return request.getfixturevalue("bench_tree") if make is None else make()
+    return (20000, request.getfixturevalue("bench_tree_edges")) if make is None else make()
+
+
+@pytest.fixture
+def csr_case(csr_input):
+    return SparseSymGraph(*csr_input)
 
 
 def assert_product_is_scipys(g, seed=0, A=None):
@@ -231,30 +274,60 @@ def assert_product_is_scipys(g, seed=0, A=None):
 class TestCsrKernel:
     """The graph's own CSR arrays and its product through scipy's compiled kernel."""
 
-    def test_arrays_equal_scipys_sum(self, csr_case):
-        g = csr_case
-        assert_same_arrays(g.csr_arrays, scipy_csr(g.n, *g.edge_arrays))
+    def test_arrays_equal_scipys_sum(self, csr_input):
+        # scipy's arrays of the input triples, built both ways scipy_csr checks
+        n, triples = csr_input
+        g = SparseSymGraph(n, triples)
+        assert_same_arrays(g.csr_arrays, scipy_csr_of(n, triples))
+        assert_same_arrays(g.csr_arrays, scipy_csr(n, *sorted_edge_arrays(triples)))
         assert g.csr_arrays[0].dtype == np.int32
         assert not any(a.flags.writeable for a in g.csr_arrays)
+
+    def test_edge_arrays_are_the_sorted_input(self, csr_input):
+        # int64, int64, float64, sorted by (i, j) and read-only: save_graph,
+        # the CI workflow's CSR-kernel step and the tests read them so
+        n, triples = csr_input
+        got = SparseSymGraph(n, triples).edge_arrays
+        assert_same_arrays(got, sorted_edge_arrays(triples))
+        assert [a.dtype for a in got] == [np.int64, np.int64, np.float64]
+        assert not any(a.flags.writeable for a in got)
 
     def test_product_equals_scipys(self, csr_case):
         assert_product_is_scipys(csr_case)
 
-    def test_after_inserting_and_removing_an_edge(self):
-        g = barabasi_albert(2000, 3, seed=1)
-        a, b = 5, 1999
-        assert not g.has_edge(a, b)
-        for h in (g.with_edge_delta(a, b, 0.5), g.with_edge_delta(*g.edge_pairs[17], -1.0)):
-            assert h.num_edges != g.num_edges
-            assert_same_arrays(h.csr_arrays, scipy_csr(h.n, *h.edge_arrays))
-            assert_product_is_scipys(h, seed=1)
+    @pytest.mark.parametrize("node", [0, 1999], ids=["first-row", "last-row"])
+    @pytest.mark.parametrize("kind", ["insert", "reweight", "remove"])
+    def test_after_changing_an_edge(self, kind, node):
+        # the expected graph is rebuilt from the input triples, changed
+        n, triples = 2000, barabasi_albert_edges(2000, 3, seed=1)
+        g = SparseSymGraph(n, triples)
+        want = {normalize_pair(a, b): w for a, b, w in triples}
+        touching = sorted(p for p in want if node in p)
+        if kind == "insert":
+            pair = next(normalize_pair(node, v) for v in range(n)
+                        if v != node and normalize_pair(node, v) not in want)
+            delta = 0.5
+        else:
+            pair = touching[-1] if node == 0 else touching[0]
+            delta = 0.25 if kind == "reweight" else -want[pair]
+        h = g.with_edge_delta(*pair, delta)
+        if kind == "remove":
+            del want[pair]
+        else:
+            want[pair] = want.get(pair, 0.0) + delta
+        after = [(a, b, w) for (a, b), w in want.items()]
+        assert h.num_edges == len(after) and h.weight(*pair) == want.get(pair, 0.0)
+        assert_same_arrays(h.csr_arrays, scipy_csr_of(n, after))
+        assert_same_arrays(h.csr_arrays, SparseSymGraph(n, after).csr_arrays)
+        assert_same_arrays(h.edge_arrays, sorted_edge_arrays(after))
+        assert_product_is_scipys(h, seed=1)
 
     def test_int64_index_arrays(self):
         # a graph past int32's range has int64 indices; these are built directly
         g = random_connected_graph(300, 900, seed=35, weighted=True)
         wide = tuple(a.astype(np.int64) if a.dtype.kind == "i" else a for a in g.csr_arrays)
         h = object.__new__(SparseSymGraph)
-        h._set(g.n, *g.edge_arrays, wide)
+        h._set(g.n, wide)
         assert [a.dtype for a in h.csr_arrays] == [np.int64, np.int64, np.float64]
         assert_product_is_scipys(h, seed=2, A=oracles.scipy_adjacency(g))
 
@@ -503,16 +576,18 @@ class TestChunkedLoading:
         g = load_graph(p)
         assert g.n == n and g.edges == edges
 
-    def test_bench_tree_loads_within_its_memory_bound(self, bench_tree, tmp_path):
+    def test_bench_tree_loads_within_its_memory_bound(self, bench_tree_edges, tmp_path):
         # the benchmark's 1.09 MB edge list: parsing the whole text at once
-        # and sorting the 2m entries of A take 16.2 MiB traced
-        i, j, _ = bench_tree.edge_arrays
+        # and sorting the 2m entries of A take 16.2 MiB traced. The graph
+        # keeps its CSR arrays alone, 2.37 MiB; a stored copy of the edge
+        # arrays would make it 4.66 MiB.
         p = tmp_path / "tree.edges"
-        p.write_text("".join(f"{a + 1} {b + 1}\n" for a, b in zip(i.tolist(), j.tolist())))
-        g, peak = traced_peak_mib(lambda: load_graph(p))
+        p.write_text("".join(f"{a + 1} {b + 1}\n" for a, b, _ in bench_tree_edges))
+        g, peak, retained = traced_mib(lambda: load_graph(p))
         assert peak <= 12.0
-        for x, y in zip(g.edge_arrays, bench_tree.edge_arrays):
-            assert x.tobytes() == y.tobytes()
+        assert retained <= 2.5
+        assert_same_arrays(g.csr_arrays, scipy_csr_of(20000, bench_tree_edges))
+        assert_same_arrays(g.edge_arrays, sorted_edge_arrays(bench_tree_edges))
 
 
 class TestEigenvectorCentrality:
@@ -797,6 +872,17 @@ class TestRankedPairsAtScale:
         want = lexsort_reference(scores, ordering, lo[new], hi[new])
         for count in (1, 15, 100):
             assert ranked_pairs(hubs, scores, ordering, count, True) == want[:count]
+
+
+    def test_missing_pairs_whose_keys_pass_int32(self):
+        # the membership keys i n + j of these pairs exceed 2^31, while the
+        # CSR indices are int32: a star at node n - 1 plus one chord
+        n = 50000
+        g = SparseSymGraph(n, [(n - 1, n - k, 1.0) for k in range(2, 7)] + [(n - 3, n - 2, 1.0)])
+        nodes = [n - 6, n - 5, n - 3, n - 2, n - 1]  # the five of the highest degrees
+        want = [(a, b) for a in nodes for b in nodes if a < b and not g.has_edge(a, b)]
+        assert len(want) == 5
+        assert select_search_space(g, Strategy.AD_3, set()) == want
 
 
 class TestSearchSpaces:

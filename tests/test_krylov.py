@@ -33,7 +33,7 @@ from conftest import (
     missing_pairs,
     path,
     random_connected_graph,
-    traced_peak_mib,
+    traced_mib,
     triangle,
 )
 
@@ -824,7 +824,7 @@ class TestEstimateTrace:
         # probes' projection sets the peak, 6.7 MiB. Lockstep batches in
         # blocks of their own beside the sketch took the estimate to 8.3 MiB.
         bench_tree.norm1  # cached by the graph, outside the estimate
-        _, peak = traced_peak_mib(lambda: estimate_trace_f(bench_tree, Exp(), n_probes=40))
+        _, peak, _ = traced_mib(lambda: estimate_trace_f(bench_tree, Exp(), n_probes=40))
         assert peak <= 7.0
 
     def test_estimate_within_four_standard_errors(self):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from fconn.errors import ValidationError
 from fconn.graph import Ordering, eigenvector_centrality, ranked_pairs
 from fconn.krylov import _ROUNDING
 from fconn.matfun import Exp, Resolvent
@@ -18,7 +19,7 @@ from fconn.weighted import (
 )
 
 import oracles
-from conftest import missing_pairs, random_connected_graph
+from conftest import missing_pairs, path, random_connected_graph
 
 
 def _case(seed, fname):
@@ -209,6 +210,15 @@ def _checked_solve(prob, inner):
     assert np.sum(np.abs(x)) <= prob.budget
     assert objective(prob, x) == report.objective
     return x, report
+
+
+@pytest.mark.parametrize("mode", list(WeightedMode))
+@pytest.mark.parametrize("F", [[(0, 9)], [(-1, 2)], [(2, 2)], [(0, 2), (3, 3)]])
+def test_build_rejects_a_pair_out_of_range_or_a_self_loop(F, mode):
+    # unchecked, (0, 9) fails only in the solve, and (2, 2) is solved as a diagonal shift
+    message = r"^F pair \(-?\d+, \d+\) is a self-loop or out of range for n=4$"
+    with pytest.raises(ValidationError, match=message):
+        WeightedProblem.build(path(4), F, mode, 1.0, Exp())
 
 
 def test_newton_converges_on_downgrade():
